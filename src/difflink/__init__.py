@@ -27,7 +27,8 @@ from .metrics import (Heuristic, PPRScorer, ScoredPairs, auc, heuristic_score,
                       hits_at_k, mrr, ppr_vector, score_pairs)
 from .bench import (ConfigError, ExperimentReport, ExperimentSpec,
                     labeled_links, load_config, operator_config, parse_config,
-                    precompute_split, run_experiment, timing_probe)
+                    precompute_split, run_experiment, run_seed,
+                    storage_summary, timing_probe)
 from . import datasets
 
 __version__ = "0.1.0"
@@ -47,8 +48,9 @@ __all__ = [
     "normalized_adjacency", "operator_config", "parse_config",
     "pooled_rows_of_power", "ppr_vector", "precompute_dataset",
     "precompute_split", "predict", "random_walk_subgraph", "read_records",
-    "run_experiment", "sample_negatives", "save_edge_list", "save_params",
+    "run_experiment", "run_seed", "sample_negatives", "save_edge_list", "save_params",
     "save_split", "score_pairs", "serialize_record", "sop_subgraph",
-    "split_edges", "stack_records", "storage_comparison", "timing_probe",
+    "split_edges", "stack_records", "storage_comparison", "storage_summary",
+    "timing_probe",
     "train", "write_records", "zero_one_labels",
 ]

@@ -14,7 +14,7 @@ import io
 import json
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,9 @@ import numpy as np
 from .datasets import resolve_dataset
 from .graphs import EdgeSplit, Graph, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
-from .model import TrainConfig, predict, train
-from .records import (SamplingOperatorSet, Variant, precompute_dataset,
-                      read_records, storage_comparison)
+from .model import ModelParams, TrainConfig, predict, train
+from .records import (MAX_CCN_CAP, MAX_R, SamplingOperatorSet, Variant,
+                      precompute_dataset, read_records, storage_comparison)
 
 
 class ConfigError(ValueError):
@@ -108,6 +108,10 @@ def parse_config(cfg: dict) -> ExperimentSpec:
         "normalized": _pick(s, "sampling", "normalized", False, bool),
         "ccn_cap": _pick(s, "sampling", "ccn_cap", 128, int),
     }
+    if not 1 <= sampling["r"] <= MAX_R:
+        raise ConfigError(f"sampling.r: expected 1..{MAX_R}")
+    if not 0 <= sampling["ccn_cap"] <= MAX_CCN_CAP:
+        raise ConfigError(f"sampling.ccn_cap: expected 0..{MAX_CCN_CAP}")
 
     t = _section(cfg, "training", {})
     training = {
@@ -157,13 +161,22 @@ def parse_config(cfg: dict) -> ExperimentSpec:
                           storage=storage)
 
 
-def load_config(path) -> ExperimentSpec:
+def read_config(path):
+    """The raw JSON value of a config file, before validation."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})") from None
-    return parse_config(cfg)
+
+
+def load_config(path) -> ExperimentSpec:
+    return parse_config(read_config(path))
+
+
+def _as_spec(config) -> ExperimentSpec:
+    return (load_config(config) if isinstance(config, (str, Path))
+            else parse_config(config))
 
 
 def operator_config(spec: ExperimentSpec, graph: Graph) -> SamplingOperatorSet:
@@ -206,12 +219,8 @@ def precompute_split(split: EdgeSplit, config: SamplingOperatorSet,
     return stats
 
 
-def _scored(scores: np.ndarray, labels: np.ndarray) -> ScoredPairs:
-    return ScoredPairs(scores[labels == 1], scores[labels == 0])
-
-
 def _eval_scores(scores: np.ndarray, labels: np.ndarray, eval_opts: dict) -> dict:
-    sc = _scored(scores, labels)
+    sc = ScoredPairs(scores[labels == 1], scores[labels == 0])
     out = {"test_auc": auc(sc)}
     for k in eval_opts["hits_k"]:
         out[f"hits@{k}"] = hits_at_k(sc, k)
@@ -221,20 +230,91 @@ def _eval_scores(scores: np.ndarray, labels: np.ndarray, eval_opts: dict) -> dic
     return out
 
 
-def _heuristic_run(split: EdgeSplit, spec: ExperimentSpec) -> dict:
-    labels = np.concatenate([np.ones(split.test_pos.shape[0], dtype=np.int64),
-                             np.zeros(split.test_neg.shape[0], dtype=np.int64)])
-    pairs = np.concatenate([split.test_pos, split.test_neg])
+def storage_summary(split: EdgeSplit, config: SamplingOperatorSet) -> dict:
+    """Record vs SEAL-style storage for each split part, JSON-ready."""
     out = {}
-    for name in spec.heuristics:
-        scores = score_pairs(split.observed_graph, pairs, Heuristic(name))
-        out[name] = _eval_scores(scores, labels, spec.eval_opts)
+    for part in ("train", "valid", "test"):
+        rep = storage_comparison(split.observed_graph,
+                                 labeled_links(split, part), config)
+        out[part] = {"record_bytes": rep.record_bytes,
+                     "seal_bytes": rep.seal_bytes,
+                     "reduction_pct": rep.reduction_pct,
+                     "num_links": rep.num_links}
     return out
 
 
-def _aggregate(runs: list, keys) -> dict:
+def train_run(spec: ExperimentSpec, config: SamplingOperatorSet, seed: int,
+              run_dir, epoch_times: list | None = None):
+    """Train on ``run_dir``'s train/valid records; returns (params, history)."""
+    tc = TrainConfig(seed=seed, pooling=config.pooling, **spec.training)
+    return train(Path(run_dir) / "train.rec", Path(run_dir) / "valid.rec", tc,
+                 epoch_times=epoch_times)
+
+
+def evaluate_run(spec: ExperimentSpec, params: ModelParams,
+                 run_dir) -> tuple[dict, float]:
+    """Score ``run_dir``'s test records; returns (metrics, predict seconds)."""
+    records = read_records(Path(run_dir) / "test.rec")
+    t0 = time.monotonic()
+    scores = predict(records, params, agg=spec.training["agg"])
+    inference_s = time.monotonic() - t0
+    labels = np.asarray([rec.label for rec in records])
+    return _eval_scores(scores, labels, spec.eval_opts), inference_s
+
+
+@dataclass
+class SeedRun:
+    """One seed's outcome: its report row, wall-clock timings, and the
+    split and trained parameters (``None`` in heuristics mode)."""
+
+    row: dict
+    timings: dict
+    split: EdgeSplit
+    params: ModelParams | None
+
+
+def run_seed(spec: ExperimentSpec, graph: Graph, config: SamplingOperatorSet,
+             seed: int, run_dir) -> SeedRun:
+    """The per-seed pipeline: split, then precompute, train, score and
+    evaluate, with record files in ``run_dir``.
+
+    In heuristics mode the test links are scored by each heuristic on the
+    observed graph instead, giving ``<H>_<metric>`` columns in the row.
+    """
+    split = split_edges(graph, spec.ratios, seed)
+    row = {"seed": seed}
+    if spec.mode == "heuristics":
+        links = labeled_links(split, "test")
+        for name in spec.heuristics:
+            scores = score_pairs(split.observed_graph, links[:, :2],
+                                 Heuristic(name))
+            for key, val in _eval_scores(scores, links[:, 2],
+                                         spec.eval_opts).items():
+                row[f"{name}_{key}"] = val
+        return SeedRun(row, {}, split, None)
+    t0 = time.monotonic()
+    precompute_split(split, config, run_dir, workers=spec.workers, seed=seed)
+    preprocess_s = time.monotonic() - t0
+    epoch_times: list = []
+    params, history = train_run(spec, config, seed, run_dir, epoch_times)
+    metrics, inference_s = evaluate_run(spec, params, run_dir)
+    row.update(metrics)
+    row["best_epoch"] = int(max(
+        range(len(history)), key=lambda i: (history[i]["valid_auc"], -i)) + 1)
+    steady = epoch_times[1:] if len(epoch_times) > 1 else epoch_times
+    timings = {"preprocess_s": preprocess_s,
+               "train_s_per_epoch": float(np.mean(steady)),
+               "inference_s": inference_s}
+    return SeedRun(row, timings, split, params)
+
+
+def _metric_keys(row: dict) -> list:
+    return [k for k in row if k not in ("seed", "best_epoch")]
+
+
+def _aggregate(runs: list) -> dict:
     out = {}
-    for key in keys:
+    for key in _metric_keys(runs[0]):
         vals = np.asarray([r[key] for r in runs], dtype=np.float64)
         out[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
     return out
@@ -261,17 +341,10 @@ class ExperimentReport:
     def _rows(self):
         if not self.runs:
             return [], []
-        if "heuristics" in self.runs[0]:
-            names = sorted(self.runs[0]["heuristics"])
-            header = ["seed"] + [f"{n}_auc" for n in names]
-            rows = [[r["seed"]] + [r["heuristics"][n]["test_auc"] for n in names]
-                    for r in self.runs]
-            return header, rows
-        keys = [k for k in self.runs[0] if k not in ("seed", "best_epoch")]
-        header = ["seed"] + keys + ["best_epoch"]
-        rows = [[r["seed"]] + [r[k] for k in keys] + [r["best_epoch"]]
-                for r in self.runs]
-        return header, rows
+        first = self.runs[0]
+        header = (["seed"] + _metric_keys(first)
+                  + (["best_epoch"] if "best_epoch" in first else []))
+        return header, [[r[k] for k in header] for r in self.runs]
 
     def text_table(self) -> str:
         header, rows = self._rows()
@@ -280,19 +353,13 @@ class ExperimentReport:
         display = [header] + [
             [f"{x:.4f}" if isinstance(x, float) else str(x) for x in row]
             for row in rows]
-        if "heuristics" in self.runs[0]:
-            mean_row = ["mean"]
-            for j in range(1, len(header)):
-                vals = [row[j] for row in rows]
-                mean_row.append(f"{np.mean(vals):.4f}+/-{np.std(vals):.4f}")
-        else:
-            mean_row = ["mean"]
-            for name in header[1:]:
-                if name in self.aggregate:
-                    agg = self.aggregate[name]
-                    mean_row.append(f"{agg['mean']:.4f}+/-{agg['std']:.4f}")
-                else:
-                    mean_row.append("")
+        mean_row = ["mean"]
+        for name in header[1:]:
+            if name in self.aggregate:
+                agg = self.aggregate[name]
+                mean_row.append(f"{agg['mean']:.4f}+/-{agg['std']:.4f}")
+            else:
+                mean_row.append("")
         display.append(mean_row)
         widths = [max(len(row[j]) for row in display) for j in range(len(header))]
         lines = []
@@ -335,86 +402,33 @@ def _config_echo(spec: ExperimentSpec, config: SamplingOperatorSet) -> dict:
     }
 
 
-def run_experiment(config_path, out_dir=None, workers: int | None = None,
-                   mode: str | None = None) -> ExperimentReport:
-    """Run the full per-seed pipeline described by a config file.
+def run_experiment(config_path, out_dir=None) -> ExperimentReport:
+    """Run the per-seed pipeline for every seed of a config file or dict.
 
-    Every seed gets its own split, record files (in a scratch directory),
-    trained head, and test-set metrics. ``workers`` and ``mode`` override
-    the config. Reports are also written to ``out_dir`` when given.
+    Each seed's record files live in a scratch directory. Reports are also
+    written to ``out_dir`` when given.
     """
-    spec = (load_config(config_path) if isinstance(config_path, (str, Path))
-            else parse_config(config_path))
-    if workers is not None:
-        spec = ExperimentSpec(**{**spec.__dict__, "workers": workers})
-    if mode is not None:
-        spec = ExperimentSpec(**{**spec.__dict__, "mode": mode})
+    spec = _as_spec(config_path)
     graph = resolve_dataset(spec.dataset)
     config = operator_config(spec, graph)
-    train_cfg_base = dict(spec.training)
-
     runs = []
-    timings = {"preprocess_s": [], "train_s_per_epoch": [], "inference_s": []}
+    timings: dict = {}
     storage = None
     for seed in spec.seeds:
-        split = split_edges(graph, spec.ratios, seed)
-        if spec.storage and storage is None:
-            storage = {}
-            for part in ("train", "valid", "test"):
-                rep = storage_comparison(split.observed_graph,
-                                         labeled_links(split, part), config)
-                storage[part] = {"record_bytes": rep.record_bytes,
-                                 "seal_bytes": rep.seal_bytes,
-                                 "reduction_pct": rep.reduction_pct,
-                                 "num_links": rep.num_links}
-        if spec.mode == "heuristics":
-            runs.append({"seed": seed,
-                         "heuristics": _heuristic_run(split, spec)})
-            continue
         with tempfile.TemporaryDirectory(prefix="difflink-run-") as tmp:
-            t0 = time.monotonic()
-            precompute_split(split, config, tmp, workers=spec.workers,
-                             seed=seed)
-            timings["preprocess_s"].append(time.monotonic() - t0)
-            tc = TrainConfig(seed=seed, pooling=config.pooling, **train_cfg_base)
-            epoch_times: list = []
-            params, history = train(Path(tmp) / "train.rec",
-                                    Path(tmp) / "valid.rec", tc,
-                                    epoch_times=epoch_times)
-            test_records = read_records(Path(tmp) / "test.rec")
-            t0 = time.monotonic()
-            scores = predict(test_records, params, agg=tc.agg)
-            timings["inference_s"].append(time.monotonic() - t0)
-            steady = epoch_times[1:] if len(epoch_times) > 1 else epoch_times
-            timings["train_s_per_epoch"].append(float(np.mean(steady)))
-            labels = np.asarray([rec.label for rec in test_records])
-            entry = {"seed": seed, **_eval_scores(scores, labels, spec.eval_opts)}
-            entry["best_epoch"] = int(max(
-                range(len(history)),
-                key=lambda i: (history[i]["valid_auc"], -i)) + 1)
-            runs.append(entry)
-
-    if spec.mode == "heuristics":
-        names = list(spec.heuristics)
-        aggregate = {
-            name: {
-                "test_auc": {
-                    "mean": float(np.mean([r["heuristics"][name]["test_auc"]
-                                           for r in runs])),
-                    "std": float(np.std([r["heuristics"][name]["test_auc"]
-                                         for r in runs])),
-                }
-            } for name in names}
-    else:
-        keys = [k for k in runs[0] if k not in ("seed", "best_epoch")]
-        aggregate = _aggregate(runs, keys)
+            run = run_seed(spec, graph, config, seed, tmp)
+        if spec.storage and storage is None:
+            storage = storage_summary(run.split, config)
+        runs.append(run.row)
+        for key, val in run.timings.items():
+            timings.setdefault(key, []).append(val)
 
     timing_summary = {key: {"mean": float(np.mean(vals)),
                             "per_run": [float(x) for x in vals]}
-                      for key, vals in timings.items() if vals}
+                      for key, vals in timings.items()}
     report = ExperimentReport(config=_config_echo(spec, config), runs=runs,
-                              aggregate=aggregate, timings=timing_summary,
-                              storage=storage)
+                              aggregate=_aggregate(runs),
+                              timings=timing_summary, storage=storage)
     if out_dir is not None:
         report.save(out_dir)
     return report
@@ -437,45 +451,26 @@ def timing_probe(config_path, max_links: int = 512) -> dict:
     Records have identical sizes by construction, so the two per-record
     times should agree; the ratio and a 20% flag are reported.
     """
-    spec = (load_config(config_path) if isinstance(config_path, (str, Path))
-            else parse_config(config_path))
+    spec = replace(_as_spec(config_path), mode="full")
     graph = resolve_dataset(spec.dataset)
     config = operator_config(spec, graph)
     seed = spec.seeds[0]
-    split = split_edges(graph, spec.ratios, seed)
-    links = labeled_links(split, "test")[:max_links]
-
-    report: dict = {"seed": seed, "num_probe_links": int(links.shape[0])}
     with tempfile.TemporaryDirectory(prefix="difflink-probe-") as tmp:
-        t0 = time.monotonic()
-        precompute_split(split, config, tmp, workers=spec.workers, seed=seed)
-        report["preprocess_s"] = time.monotonic() - t0
-        tc = TrainConfig(seed=seed, pooling=config.pooling, **spec.training)
-        epoch_times: list = []
-        params, _ = train(Path(tmp) / "train.rec", Path(tmp) / "valid.rec", tc,
-                          epoch_times=epoch_times)
-        steady = epoch_times[1:] if len(epoch_times) > 1 else epoch_times
-        report["train_s_per_epoch"] = float(np.mean(steady))
-        test_records = read_records(Path(tmp) / "test.rec")
-        t0 = time.monotonic()
-        predict(test_records, params, agg=tc.agg)
-        report["inference_s"] = time.monotonic() - t0
-
+        run = run_seed(spec, graph, config, seed, tmp)
+        links = labeled_links(run.split, "test")[:max_links]
+        report: dict = {"seed": seed, "num_probe_links": int(links.shape[0]),
+                        **run.timings}
         probe = {}
         for h in (1, 3):
-            h_config = SamplingOperatorSet(
-                variant=config.variant, r=config.r, h=h, k=config.k,
-                l=config.l, labeling=config.labeling,
-                label_cap=config.label_cap, normalized=config.normalized,
-                ccn_cap=config.ccn_cap)
             path = Path(tmp) / f"probe_h{h}.rec"
             t0 = time.monotonic()
-            precompute_dataset(split.observed_graph, links, h_config, path,
+            precompute_dataset(run.split.observed_graph, links,
+                               replace(config, h=h), path,
                                worker_count=spec.workers, seed=seed)
             probe[f"preprocess_s_h{h}"] = time.monotonic() - t0
             recs = read_records(path)
             probe[f"per_record_inference_s_h{h}"] = _per_record_inference_s(
-                recs, params, tc.agg)
+                recs, run.params, spec.training["agg"])
         ratio = (probe["per_record_inference_s_h3"]
                  / probe["per_record_inference_s_h1"])
         probe["inference_ratio_h3_vs_h1"] = ratio

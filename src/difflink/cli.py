@@ -1,10 +1,11 @@
 """Command-line entry points over the library pipeline.
 
 Subcommands: split, precompute, train, eval, bench, heuristics, storage.
-All take --config (a JSON experiment file); --seed, --workers, and --out
-override or direct the run. precompute/train/eval share an --out directory:
-precompute writes {train,valid,test}.rec there, train adds model.ckpt and
-history.json, eval reads both and writes eval.json.
+All take --config (a JSON experiment file) and --out; --seed N (run seed N
+alone) and --workers go into the config before it is validated.
+precompute/train/eval run the per-seed pipeline's stages in one --out
+directory: precompute writes {train,valid,test}.rec there, train adds
+model.ckpt and history.json, eval reads both and writes eval.json.
 """
 from __future__ import annotations
 
@@ -13,36 +14,44 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bench import (labeled_links, load_config, operator_config,
-                    precompute_split, run_experiment, timing_probe)
+from .bench import (evaluate_run, operator_config, parse_config,
+                    precompute_split, read_config, run_experiment,
+                    storage_summary, timing_probe, train_run)
 from .datasets import resolve_dataset
 from .graphs import save_split, split_edges
-from .model import TrainConfig, load_params, predict, save_params, train
-from .records import read_records, storage_comparison
-from .metrics import ScoredPairs, auc, hits_at_k, mrr
+from .model import load_params, save_params
 
 
-def _common(sub, out_default):
-    sub.add_argument("--config", required=True, help="experiment JSON file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the first config seed")
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default=out_default)
+def _config(args, mode=None):
+    """The config file's JSON with the command-line overrides applied."""
+    cfg = read_config(args.config)
+    if isinstance(cfg, dict):
+        runs = cfg.get("runs", {})
+        if args.seed is not None and isinstance(runs, dict):
+            cfg["runs"] = {**runs, "seeds": [args.seed]}
+        if args.workers is not None:
+            cfg["workers"] = args.workers
+        if mode is not None:
+            cfg["mode"] = mode
+    return cfg
 
 
 def _setup(args):
-    spec = load_config(args.config)
+    spec = parse_config(_config(args))
     graph = resolve_dataset(spec.dataset)
-    config = operator_config(spec, graph)
-    seed = args.seed if args.seed is not None else spec.seeds[0]
-    workers = args.workers if args.workers is not None else spec.workers
-    return spec, graph, config, seed, workers
+    return spec, graph, operator_config(spec, graph), spec.seeds[0]
+
+
+def _write_json(out, name, result) -> None:
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / name).write_text(text + "\n")
+    print(text)
 
 
 def _cmd_split(args) -> int:
-    spec, graph, _, seed, _ = _setup(args)
+    spec, graph, _, seed = _setup(args)
     split = split_edges(graph, spec.ratios, seed)
     save_split(split, args.out)
     print(f"wrote split (seed {seed}) to {args.out}")
@@ -50,9 +59,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_precompute(args) -> int:
-    spec, graph, config, seed, workers = _setup(args)
+    spec, graph, config, seed = _setup(args)
     split = split_edges(graph, spec.ratios, seed)
-    stats = precompute_split(split, config, args.out, workers=workers,
+    stats = precompute_split(split, config, args.out, workers=spec.workers,
                              seed=seed)
     for part, st in stats.items():
         print(f"{part}: {st.record_count} records, {st.total_bytes} bytes, "
@@ -61,74 +70,44 @@ def _cmd_precompute(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    spec, _, config, seed, _ = _setup(args)
+    spec, _, config, seed = _setup(args)
     out = Path(args.out)
-    tc = TrainConfig(seed=seed, pooling=config.pooling, **spec.training)
-    params, history = train(out / "train.rec", out / "valid.rec", tc)
+    params, history = train_run(spec, config, seed, out)
     save_params(out / "model.ckpt", params,
                 extra={"seed": seed, "sampling": config.echo()})
     (out / "history.json").write_text(json.dumps(history, indent=2) + "\n")
     best = max(history, key=lambda hrec: hrec["valid_auc"])
-    print(f"trained {tc.epochs} epochs; best valid AUC {best['valid_auc']:.4f} "
-          f"at epoch {best['epoch']}")
+    print(f"trained {spec.training['epochs']} epochs; best valid AUC "
+          f"{best['valid_auc']:.4f} at epoch {best['epoch']}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    spec, _, config, _, _ = _setup(args)
-    out = Path(args.out)
-    params, _ = load_params(out / "model.ckpt")
-    records = read_records(out / "test.rec")
-    scores = predict(records, params, agg=spec.training["agg"])
-    labels = np.asarray([rec.label for rec in records])
-    sc = ScoredPairs(scores[labels == 1], scores[labels == 0])
-    result = {"test_auc": auc(sc)}
-    for k in spec.eval_opts["hits_k"]:
-        result[f"hits@{k}"] = hits_at_k(sc, k)
-    if spec.eval_opts["mrr"]:
-        result["mrr"] = mrr([(p, sc.neg_scores) for p in sc.pos_scores])
-    (out / "eval.json").write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result, indent=2))
+    spec, _, _, _ = _setup(args)
+    params, _ = load_params(Path(args.out) / "model.ckpt")
+    result, _ = evaluate_run(spec, params, args.out)
+    _write_json(args.out, "eval.json", result)
     return 0
 
 
 def _cmd_bench(args) -> int:
     if args.timing_probe:
-        report = timing_probe(args.config)
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "timing.json").write_text(text + "\n")
-        print(text)
-        return 0
-    report = run_experiment(args.config, out_dir=args.out, workers=args.workers)
-    print(report.text_table())
+        _write_json(args.out, "timing.json", timing_probe(_config(args)))
+    else:
+        print(run_experiment(_config(args), out_dir=args.out).text_table())
     return 0
 
 
 def _cmd_heuristics(args) -> int:
-    report = run_experiment(args.config, out_dir=args.out,
-                            workers=args.workers, mode="heuristics")
-    print(report.text_table())
+    cfg = _config(args, mode="heuristics")
+    print(run_experiment(cfg, out_dir=args.out).text_table())
     return 0
 
 
 def _cmd_storage(args) -> int:
-    spec, graph, config, seed, _ = _setup(args)
+    spec, graph, config, seed = _setup(args)
     split = split_edges(graph, spec.ratios, seed)
-    result = {}
-    for part in ("train", "valid", "test"):
-        rep = storage_comparison(split.observed_graph,
-                                 labeled_links(split, part), config)
-        result[part] = {"record_bytes": rep.record_bytes,
-                        "seal_bytes": rep.seal_bytes,
-                        "reduction_pct": rep.reduction_pct,
-                        "num_links": rep.num_links}
-    text = json.dumps(result, indent=2)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "storage.json").write_text(text + "\n")
-    print(text)
+    _write_json(args.out, "storage.json", storage_summary(split, config))
     return 0
 
 
@@ -137,36 +116,25 @@ def main(argv=None) -> int:
         prog="difflink",
         description="Precomputed subgraph-diffusion link prediction pipeline")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("split", help="write a train/valid/test edge split")
-    _common(sp, "out/split")
-    sp.set_defaults(func=_cmd_split)
-
-    sp = subs.add_parser("precompute", help="build record files for one seed")
-    _common(sp, "out/run")
-    sp.set_defaults(func=_cmd_precompute)
-
-    sp = subs.add_parser("train", help="train on precomputed records")
-    _common(sp, "out/run")
-    sp.set_defaults(func=_cmd_train)
-
-    sp = subs.add_parser("eval", help="score test records with a checkpoint")
-    _common(sp, "out/run")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = subs.add_parser("bench", help="full multi-seed experiment")
-    _common(sp, "out/bench")
-    sp.add_argument("--timing-probe", action="store_true",
-                    help="run the timing/independence probe instead")
-    sp.set_defaults(func=_cmd_bench)
-
-    sp = subs.add_parser("heuristics", help="heuristic baselines only")
-    _common(sp, "out/heuristics")
-    sp.set_defaults(func=_cmd_heuristics)
-
-    sp = subs.add_parser("storage", help="record vs subgraph storage comparison")
-    _common(sp, "out/storage")
-    sp.set_defaults(func=_cmd_storage)
+    for name, func, help_text in (
+            ("split", _cmd_split, "write a train/valid/test edge split"),
+            ("precompute", _cmd_precompute, "build record files for one seed"),
+            ("train", _cmd_train, "train on precomputed records"),
+            ("eval", _cmd_eval, "score test records with a checkpoint"),
+            ("bench", _cmd_bench, "full multi-seed experiment"),
+            ("heuristics", _cmd_heuristics, "heuristic baselines only"),
+            ("storage", _cmd_storage, "record vs subgraph storage comparison")):
+        sp = subs.add_parser(name, help=help_text)
+        sp.add_argument("--config", required=True, help="experiment JSON file")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="run this seed only, in place of the config's")
+        sp.add_argument("--workers", type=int, default=None)
+        out = "run" if name in ("precompute", "train", "eval") else name
+        sp.add_argument("--out", default=f"out/{out}")
+        sp.set_defaults(func=func)
+        if name == "bench":
+            sp.add_argument("--timing-probe", action="store_true",
+                            help="run the timing/independence probe instead")
 
     args = parser.parse_args(argv)
     try:

@@ -16,9 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing as mp
+import os
 import struct
 import time
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -66,6 +68,10 @@ _SCALED_VARIANTS = (Variant.POS_SCALED, Variant.POS_PLUS_SCALED)
 # neighbors, kept highest-degree-first. Logged in the manifest.
 CCN_CAP = 128
 
+# The record header stores r+1 and p as u16, so r and ccn_cap are bounded.
+MAX_R = 0xFFFF - 1
+MAX_CCN_CAP = 0xFFFF - 2
+
 
 @dataclass(frozen=True)
 class SamplingOperatorSet:
@@ -99,8 +105,8 @@ class SamplingOperatorSet:
             if self.pooling is not derived:
                 raise ValueError(
                     f"variant {self.variant.value} implies {derived.value} pooling")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        if not 1 <= self.r <= MAX_R:
+            raise ValueError(f"r must be in 1..{MAX_R}")
         if self.h < 1:
             raise ValueError("h must be >= 1")
         if self.variant in _SCALED_VARIANTS:
@@ -110,8 +116,8 @@ class SamplingOperatorSet:
             raise ValueError(f"variant {self.variant.value} takes no walk parameters")
         if self.label_cap < 1:
             raise ValueError("label_cap must be >= 1")
-        if self.ccn_cap < 0:
-            raise ValueError("ccn_cap must be >= 0")
+        if not 0 <= self.ccn_cap <= MAX_CCN_CAP:
+            raise ValueError(f"ccn_cap must be in 0..{MAX_CCN_CAP}")
 
     @property
     def num_operators(self) -> int:
@@ -332,13 +338,43 @@ def deserialize_record(buf: bytes, offset: int = 0) -> tuple[LinkRecord, int]:
     return LinkRecord(u, v, label, ids, blocks), offset
 
 
+class _RecordWriter:
+    """Writes a record file beside ``path``, hashing as it goes, and moves
+    it into place only if the ``with`` block exits cleanly; otherwise
+    ``path`` keeps its previous state (absent or the old bytes)."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._tmp = self.path.with_name(
+            f".{self.path.name}.{uuid.uuid4().hex}.tmp")
+        self.sha256 = hashlib.sha256()
+        self.total_bytes = 0
+
+    def __enter__(self):
+        self._fh = open(self._tmp, "xb")
+        self.write(_FILE_HEADER.pack(_MAGIC, _VERSION))
+        return self
+
+    def write(self, blob: bytes) -> None:
+        self._fh.write(blob)
+        self.sha256.update(blob)
+        self.total_bytes += len(blob)
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+        finally:
+            self._tmp.unlink(missing_ok=True)
+
+
 def write_records(path, records) -> int:
     """Write records to ``path`` in iteration order; returns count."""
     count = 0
-    with open(path, "wb") as fh:
-        fh.write(_FILE_HEADER.pack(_MAGIC, _VERSION))
+    with _RecordWriter(path) as out:
         for rec in records:
-            fh.write(serialize_record(rec))
+            out.write(serialize_record(rec))
             count += 1
     return count
 
@@ -437,14 +473,26 @@ def _init_worker(graph, config, seed, power_cache):
     _WORKER["args"] = (graph, config, seed, power_cache)
 
 
-def _build_chunk(links) -> bytes:
+def _build_chunk(links) -> tuple[bytes, int]:
+    """Serialized records of ``links`` and their largest pooled count."""
     graph, config, seed, power_cache = _WORKER["args"]
-    out = []
-    for link in links:
-        rec = build_link_record(graph, link, config, seed=seed,
-                                power_cache=power_cache)
-        out.append(serialize_record(rec))
-    return b"".join(out)
+    recs = [build_link_record(graph, link, config, seed=seed,
+                              power_cache=power_cache) for link in links]
+    return (b"".join(serialize_record(rec) for rec in recs),
+            max(rec.pooled_count for rec in recs))
+
+
+def _built_chunks(graph, config, seed, chunks, worker_count):
+    """_build_chunk over ``chunks`` in input order, on a pool if asked."""
+    args = (graph, config, seed, _power_cache_for(graph, config))
+    if worker_count > 1 and chunks:
+        ctx = mp.get_context("fork")
+        with ctx.Pool(worker_count, initializer=_init_worker,
+                      initargs=args) as pool:
+            yield from pool.imap(_build_chunk, chunks)
+    else:
+        _init_worker(*args)
+        yield from map(_build_chunk, chunks)
 
 
 def _power_cache_for(graph: Graph, config: SamplingOperatorSet) -> dict:
@@ -464,22 +512,14 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
     links = np.asarray(links, dtype=np.int64).reshape(-1, 3)
     out_path = Path(out_path)
     t0 = time.monotonic()
-    power_cache = _power_cache_for(graph, config)
     chunks = [links[i:i + 64] for i in range(0, links.shape[0], 64)]
-    with open(out_path, "wb") as fh:
-        fh.write(_FILE_HEADER.pack(_MAGIC, _VERSION))
-        if worker_count > 1 and chunks:
-            ctx = mp.get_context("fork")
-            with ctx.Pool(worker_count, initializer=_init_worker,
-                          initargs=(graph, config, seed, power_cache)) as pool:
-                for blob in pool.imap(_build_chunk, chunks):
-                    fh.write(blob)
-        else:
-            _init_worker(graph, config, seed, power_cache)
-            for chunk in chunks:
-                fh.write(_build_chunk(chunk))
+    p_max = 0
+    with _RecordWriter(out_path) as out:
+        for blob, chunk_p_max in _built_chunks(graph, config, seed, chunks,
+                                               worker_count):
+            out.write(blob)
+            p_max = max(p_max, chunk_p_max)
     elapsed = time.monotonic() - t0
-    data = out_path.read_bytes()
     n = int(links.shape[0])
     positives = int((links[:, 2] == 1).sum())
     manifest = {
@@ -488,25 +528,15 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
         "counts": {"records": n, "positives": positives,
                    "negatives": n - positives},
         "w": config.block_width(graph),
-        "p_max": _max_pooled(graph, links, config),
-        "total_bytes": len(data),
-        "checksum": "sha256:" + hashlib.sha256(data).hexdigest(),
+        "p_max": p_max,
+        "total_bytes": out.total_bytes,
+        "checksum": "sha256:" + out.sha256.hexdigest(),
     }
     with open(manifest_path(out_path), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return DatasetStats(n, len(data), elapsed,
+    return DatasetStats(n, out.total_bytes, elapsed,
                         n / elapsed if elapsed > 0 else float("inf"))
-
-
-def _max_pooled(graph: Graph, links: np.ndarray, config: SamplingOperatorSet) -> int:
-    if config.pooling is Pooling.CENTER:
-        return 2 if links.shape[0] else 0
-    p_max = 0
-    for u, v, _ in links:
-        cn = common_neighbors(graph, int(u), int(v))
-        p_max = max(p_max, 2 + min(cn.shape[0], config.ccn_cap))
-    return p_max
 
 
 @dataclass(frozen=True)

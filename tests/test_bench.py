@@ -63,6 +63,9 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x"}, "heuristics": ["Katz"]}, "heuristics"),
     ({"dataset": {"name": "x"}, "workers": 0}, "workers"),
     ({"dataset": {"name": "x"}, "storage": "yes"}, "storage"),
+    ({"dataset": {"name": "x"}, "sampling": {"r": 65535}}, "sampling.r"),
+    ({"dataset": {"name": "x"}, "sampling": {"ccn_cap": 65534}},
+     "sampling.ccn_cap"),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -154,13 +157,18 @@ def test_run_experiment_heuristics_mode(tmp_path):
     cfg = _toy_config(tmp_path, mode="heuristics",
                       heuristics=["CN", "AA"])
     report = run_experiment(cfg)
-    assert set(report.runs[0]["heuristics"]) == {"CN", "AA"}
+    columns = [f"{h}_{m}" for h in ("CN", "AA")
+               for m in ("test_auc", "hits@5", "mrr")]
     for r in report.runs:
-        for scores in r["heuristics"].values():
-            assert 0.0 <= scores["test_auc"] <= 1.0
-    assert set(report.aggregate) == {"CN", "AA"}
+        assert list(r) == ["seed"] + columns
+        for col in columns:
+            assert 0.0 <= r[col] <= 1.0
+    assert list(report.aggregate) == columns
+    aucs = [r["CN_test_auc"] for r in report.runs]
+    assert report.aggregate["CN_test_auc"]["mean"] == pytest.approx(np.mean(aucs))
     assert report.timings == {}
-    assert "CN_auc" in report.text_table()
+    table = report.text_table()
+    assert "CN_test_auc" in table and "AA_mrr" in table and "+/-" in table
 
 
 def test_run_experiment_storage_flag(tmp_path):
@@ -173,8 +181,12 @@ def test_report_csv_round_trips(tmp_path):
     cfg = _toy_config(tmp_path, mode="heuristics", heuristics=["CN"])
     report = run_experiment(cfg)
     lines = report.to_csv().strip().splitlines()
-    assert lines[0] == "seed,CN_auc"
+    assert lines[0] == "seed,CN_test_auc,CN_hits@5,CN_mrr"
     assert len(lines) == 3
+    row = report.runs[1]
+    assert lines[2].split(",") == [str(row[k]) for k in
+                                   ("seed", "CN_test_auc", "CN_hits@5",
+                                    "CN_mrr")]
 
 
 def test_run_experiment_missing_dataset():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from difflink import save_edge_list
+from difflink import run_experiment, save_edge_list
 from difflink.cli import main
 from difflink.datasets import random_graph
 
@@ -73,10 +73,15 @@ def test_bench_timing_probe(workspace, capsys):
 
 
 def test_heuristics_command(workspace, capsys):
-    _, cfg, _ = workspace
-    assert main(["heuristics", "--config", str(cfg)]) == 0
+    tmp, cfg, _ = workspace
+    out_dir = tmp / "heuristics"
+    assert main(["heuristics", "--config", str(cfg),
+                 "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
-    assert "CN_auc" in out and "PPR_auc" in out
+    assert "CN_test_auc" in out and "PPR_test_auc" in out
+    assert "PPR_hits@3" in out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert "CN_hits@3" in report["aggregate"]
 
 
 def test_storage_command(workspace, capsys):
@@ -86,6 +91,46 @@ def test_storage_command(workspace, capsys):
     report = json.loads((out / "storage.json").read_text())
     assert set(report) == {"train", "valid", "test"}
     assert report["train"]["record_bytes"] > 0
+
+
+def test_cli_and_run_experiment_agree(workspace):
+    tmp, cfg, _ = workspace
+    run = tmp / "run"
+    for cmd in ("precompute", "train", "eval"):
+        assert main([cmd, "--config", str(cfg), "--out", str(run)]) == 0
+    result = json.loads((run / "eval.json").read_text())
+    row = run_experiment(cfg).runs[0]
+    assert row["seed"] == 0
+    assert result["test_auc"] == row["test_auc"]
+    assert result["hits@3"] == row["hits@3"]
+
+
+@pytest.mark.parametrize("command,report_name", [
+    (["bench"], "report.json"),
+    (["bench", "--timing-probe"], "timing.json"),
+    (["heuristics"], "report.json"),
+])
+def test_seed_override_reaches_every_runner(workspace, command, report_name):
+    tmp, cfg, _ = workspace
+    out = tmp / "out"
+    assert main(command + ["--config", str(cfg), "--seed", "5",
+                           "--out", str(out)]) == 0
+    report = json.loads((out / report_name).read_text())
+    if report_name == "timing.json":
+        assert report["seed"] == 5
+    else:
+        assert [r["seed"] for r in report["runs"]] == [5]
+        assert report["config"]["runs"]["seeds"] == [5]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_override_is_validated(workspace, capsys, workers):
+    tmp, cfg, _ = workspace
+    run = tmp / "run"
+    assert main(["precompute", "--config", str(cfg), "--workers", workers,
+                 "--out", str(run)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_seed_override(workspace):
@@ -117,5 +162,5 @@ def test_cli_never_mutates_inputs(workspace):
     main(["precompute", "--config", str(cfg), "--out", str(run)])
     main(["train", "--config", str(cfg), "--out", str(run)])
     main(["eval", "--config", str(cfg), "--out", str(run)])
-    main(["heuristics", "--config", str(cfg)])
+    main(["heuristics", "--config", str(cfg), "--out", str(tmp / "h")])
     assert hashlib.sha256(edges.read_bytes()).hexdigest() == before

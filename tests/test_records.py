@@ -40,6 +40,11 @@ def test_operator_set_validation():
         SamplingOperatorSet(variant="PoS", h=1, pooling="CCN")
     with pytest.raises(ValueError):
         SamplingOperatorSet(variant="NotAVariant", h=1)
+    # the record header stores r+1 and p as u16
+    with pytest.raises(ValueError, match="r must be"):
+        SamplingOperatorSet(variant="PoS", r=65535, h=1)
+    with pytest.raises(ValueError, match="ccn_cap"):
+        SamplingOperatorSet(variant="PoSPlus", h=1, ccn_cap=65534)
 
 
 def test_operator_set_echo_round_trips():
@@ -294,6 +299,45 @@ def test_precompute_worker_count_invariance(tmp_path, variant, extra):
     precompute_dataset(g, links, cfg, p1, worker_count=1, seed=9)
     precompute_dataset(g, links, cfg, p4, worker_count=4, seed=9)
     assert p1.read_bytes() == p4.read_bytes()
+
+
+def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
+    import difflink.records as records
+
+    rng = np.random.default_rng(53)
+    g = gnp_graph(rng, n_lo=20, n_hi=20, p=0.3)
+    cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
+    links = np.array([[i % 20, (i + 1) % 20, i % 2] for i in range(130)])
+    kept = tmp_path / "kept.rec"
+    precompute_dataset(g, links, cfg, kept)
+    before = kept.read_bytes()
+
+    real = records.build_link_record
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 70:  # partway through the second 64-link chunk
+            raise RuntimeError("build failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(records, "build_link_record", failing)
+    for target in (kept, tmp_path / "fresh.rec"):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="build failed"):
+            precompute_dataset(g, links, cfg, target)
+    assert kept.read_bytes() == before
+    assert len(RecordFile(kept)) == 130  # the old manifest still matches
+    assert not (tmp_path / "fresh.rec").exists()
+
+    def some_records():
+        yield real(g, (0, 1, 1), cfg)
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_records(tmp_path / "w.rec", some_records())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kept.rec", "kept.rec.manifest.json"]
 
 
 def test_storage_comparison_matches_actual_file(tmp_path):
