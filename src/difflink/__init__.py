@@ -17,7 +17,7 @@ from .labeling import (LabelScheme, LabeledFeatures, augment_features,
                        drnl_labels, label_dim_for, zero_one_labels)
 from .records import (CCN_CAP, DatasetStats, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, StorageReport,
-                      Variant, build_link_record, pooled_rows_of_power,
+                      Variant, build_link_record, pooled_power_series,
                       precompute_dataset, read_records, serialize_record,
                       storage_comparison, write_records)
 from .model import (Adam, ModelParams, TrainConfig, forward, init_params,
@@ -46,7 +46,7 @@ __all__ = [
     "labeled_links", "load_config", "load_edge_list", "load_features",
     "load_params", "load_split", "loss_and_gradients", "mrr",
     "normalized_adjacency", "operator_config", "parse_config",
-    "pooled_rows_of_power", "ppr_vector", "precompute_dataset",
+    "pooled_power_series", "ppr_vector", "precompute_dataset",
     "precompute_split", "predict", "random_walk_subgraph", "read_records",
     "run_experiment", "run_seed", "sample_negatives", "save_edge_list", "save_params",
     "save_split", "score_pairs", "serialize_record", "sop_subgraph",

@@ -82,6 +82,7 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     dataset = _section(cfg, "dataset", {})
     if not isinstance(dataset, dict) or not dataset.get("name"):
         raise ConfigError("dataset.name: required")
+    dataset = dict(dataset)
 
     split = _section(cfg, "split", {})
     ratios = split.get("ratios", [0.85, 0.05, 0.10])
@@ -128,7 +129,7 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     if not isinstance(hits_k, list) or not all(
             isinstance(k, int) and k >= 1 for k in hits_k):
         raise ConfigError("eval.hits_k: expected a list of positive integers")
-    eval_opts = {"hits_k": hits_k, "mrr": _pick(e, "eval", "mrr", False, bool)}
+    eval_opts = {"hits_k": list(hits_k), "mrr": _pick(e, "eval", "mrr", False, bool)}
 
     runs = _section(cfg, "runs", {})
     seeds = runs.get("seeds", _DEFAULT_SEEDS)

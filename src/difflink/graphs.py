@@ -395,6 +395,8 @@ def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
 
     Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree matrix of A + I.
     Rows of the result sum to at most 1 and the matrix stays symmetric.
+    Accepts any object with ``num_nodes`` and ``adjacency()``, such as a
+    sampled ``Subgraph``.
     """
     n = graph.num_nodes
     at = graph.adjacency(np.float64) + sp.identity(n, format="csr")

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sampling import Subgraph, UNREACHABLE
+from .sampling import UNREACHABLE, Subgraph, hop_distances
 
 
 class LabelScheme(str, Enum):
@@ -38,8 +38,8 @@ def drnl_labels(subgraph: Subgraph) -> np.ndarray:
     Targets get label 1; nodes unreachable from either target get 0.
     """
     n = subgraph.num_nodes
-    du = _masked_dist(subgraph, src=0, blocked=1)
-    dv = _masked_dist(subgraph, src=1, blocked=0)
+    du = hop_distances(subgraph.indptr, subgraph.indices, [0], blocked=1)
+    dv = hop_distances(subgraph.indptr, subgraph.indices, [1], blocked=0)
     labels = np.zeros(n, dtype=np.int64)
     ok = (du != UNREACHABLE) & (dv != UNREACHABLE)
     d_min = np.minimum(du, dv).astype(np.int64)
@@ -49,12 +49,6 @@ def drnl_labels(subgraph: Subgraph) -> np.ndarray:
     labels[ok] = z[ok]
     labels[0] = labels[1] = 1
     return labels
-
-
-def _masked_dist(subgraph: Subgraph, src: int, blocked: int) -> np.ndarray:
-    from .sampling import _bfs_from
-    return _bfs_from(subgraph.indptr, subgraph.indices, subgraph.num_nodes,
-                     src, blocked=blocked)
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,18 +43,10 @@ def auc(scored: ScoredPairs) -> float:
     if pos.size == 0 or neg.size == 0:
         raise ValueError("auc needs at least one positive and one negative score")
     allscores = np.concatenate([pos, neg])
-    order = np.argsort(allscores, kind="mergesort")
-    ranks = np.empty(allscores.shape[0], dtype=np.float64)
-    sorted_scores = allscores[order]
+    _, group, counts = np.unique(allscores, return_inverse=True,
+                                 return_counts=True)
     # Midranks: tied scores share the mean of their 1-based rank range.
-    i = 0
-    n = sorted_scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     r_pos = ranks[:pos.size].sum()
     u = r_pos - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))

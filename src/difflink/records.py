@@ -25,11 +25,11 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import Graph, common_neighbors
+from .graphs import Graph, common_neighbors, normalized_adjacency
 from .labeling import LabeledFeatures, LabelScheme, augment_features, label_dim_for
-from .sampling import Subgraph, extract_h_hop, graph_power, random_walk_subgraph
+from .sampling import (Subgraph, extract_h_hop, graph_power,
+                       random_walk_subgraph, sop_subgraph)
 
 _MAGIC = b"S3GR"
 _VERSION = 1
@@ -183,56 +183,30 @@ class LinkRecord:
         return _REC_HEADER.size + 4 * p + 4 * r1 * p * w
 
 
-def _normalized_sub_adjacency(subgraph: Subgraph) -> sp.csr_matrix:
-    n = subgraph.num_nodes
-    at = subgraph.adjacency(np.float64) + sp.identity(n, format="csr")
-    deg = np.asarray(at.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    return sp.csr_matrix(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
+def pooled_power_series(subgraph: Subgraph, features: LabeledFeatures,
+                        r: int, pooled_local_ids,
+                        normalized: bool = False) -> list:
+    """Rows of A^i @ X at the given local positions, for every i in 0..r.
 
-
-def pooled_rows_of_power(subgraph: Subgraph, features: LabeledFeatures,
-                         power: int, pooled_local_ids,
-                         normalized: bool = False) -> np.ndarray:
-    """Rows of A^power @ X at the given local positions.
-
-    Each row is obtained by ``power`` repeated sparse matrix-vector
-    products starting from the node's indicator vector, then one dense dot
-    with X; A^power itself is never materialized. Power 0 returns the raw
-    feature rows.
+    Each row is obtained by repeated sparse matrix-vector products starting
+    from the node's indicator vector, one dense dot with X per power;
+    A^i itself is never materialized. Entry 0 is the raw feature rows.
     """
-    if power < 0:
-        raise ValueError("power must be >= 0")
+    if r < 0:
+        raise ValueError("r must be >= 0")
     ids = np.asarray(pooled_local_ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= subgraph.num_nodes):
         raise ValueError("pooled local id out of range")
     x = features.matrix.astype(np.float64)
-    if power == 0:
-        return x[ids]
-    a = (_normalized_sub_adjacency(subgraph) if normalized
-         else subgraph.adjacency(np.float64))
-    vec = np.zeros((ids.shape[0], subgraph.num_nodes), dtype=np.float64)
-    vec[np.arange(ids.shape[0]), ids] = 1.0
-    for _ in range(power):
-        # A is symmetric, so left multiplication is one SpMV per row.
-        vec = (a @ vec.T).T
-    return vec @ x
-
-
-def _pooled_power_series(subgraph: Subgraph, features: LabeledFeatures,
-                         r: int, pooled_local_ids: np.ndarray,
-                         normalized: bool) -> list:
-    """Pooled rows of A^i @ X for all i in 0..r, sharing one SpMV sweep."""
-    ids = np.asarray(pooled_local_ids, dtype=np.int64)
-    x = features.matrix.astype(np.float64)
     out = [x[ids]]
     if r == 0:
         return out
-    a = (_normalized_sub_adjacency(subgraph) if normalized
+    a = (normalized_adjacency(subgraph) if normalized
          else subgraph.adjacency(np.float64))
     vec = np.zeros((ids.shape[0], subgraph.num_nodes), dtype=np.float64)
     vec[np.arange(ids.shape[0]), ids] = 1.0
     for _ in range(r):
+        # A is symmetric, so left multiplication is one SpMV per row.
         vec = (a @ vec.T).T
         out.append(vec @ x)
     return out
@@ -276,18 +250,13 @@ def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
         # Per-operator subgraphs on graph powers; diffusion is the identity
         # function, so each block is one adjacency application (power 1).
         for i in range(r1):
-            if i <= 1:
-                g_i = graph
-            elif power_cache is not None and i in power_cache:
-                g_i = power_cache[i]
-            else:
-                g_i = graph_power(graph, i)
-            sub = extract_h_hop(g_i, u, v, config.h)
-            feats = augment_features(sub, g_i.features, config.labeling,
+            sub = sop_subgraph(graph, u, v, i, config.h,
+                               power_graph=(power_cache or {}).get(i))
+            feats = augment_features(sub, graph.features, config.labeling,
                                      config.label_cap, label_dim=label_dim)
             present, local = _locate(sub, pooled)
-            rows = pooled_rows_of_power(sub, feats, min(i, 1), local,
-                                        normalized=config.normalized)
+            rows = pooled_power_series(sub, feats, min(i, 1), local,
+                                       normalized=config.normalized)[-1]
             blocks[i, present] = rows.astype(np.float32)
     else:
         if config.variant in _SCALED_VARIANTS:
@@ -298,8 +267,8 @@ def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
         feats = augment_features(sub, graph.features, config.labeling,
                                  config.label_cap, label_dim=label_dim)
         present, local = _locate(sub, pooled)
-        series = _pooled_power_series(sub, feats, config.r, local,
-                                      config.normalized)
+        series = pooled_power_series(sub, feats, config.r, local,
+                                     normalized=config.normalized)
         for i, rows in enumerate(series):
             blocks[i, present] = rows.astype(np.float32)
     return LinkRecord(u, v, label, pooled, blocks)
@@ -307,16 +276,11 @@ def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
 
 def _locate(sub: Subgraph, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of pooled ids present in ``sub``: (pooled index, local id)."""
-    pos = {int(g): i for i, g in enumerate(sub.global_ids)}
-    present = []
-    local = []
-    for j, g in enumerate(pooled):
-        i = pos.get(int(g))
-        if i is not None:
-            present.append(j)
-            local.append(i)
-    return (np.asarray(present, dtype=np.int64),
-            np.asarray(local, dtype=np.int64))
+    order = np.argsort(sub.global_ids)
+    pos = np.searchsorted(sub.global_ids, pooled, sorter=order)
+    local = order[np.minimum(pos, sub.num_nodes - 1)]
+    present = np.flatnonzero(sub.global_ids[local] == pooled)
+    return present, local[present]
 
 
 def serialize_record(rec: LinkRecord) -> bytes:

@@ -1,9 +1,11 @@
 """Per-link subgraph extraction: hop neighborhoods, graph powers, random walks.
 
-Every extractor removes the target edge (u, v) from the returned subgraph,
-so positive and negative links are structurally indistinguishable to
-downstream stages. Node 0 of a subgraph is always u and node 1 is always v;
-remaining nodes appear in ascending global id order.
+All neighborhood work runs on one array primitive, ``hop_distances``: a
+multi-source frontier expansion over a CSR neighbor gather. Every extractor
+removes the target edge (u, v) from the returned subgraph, so positive and
+negative links are structurally indistinguishable to downstream stages.
+Node 0 of a subgraph is always u and node 1 is always v; remaining nodes
+appear in ascending global id order.
 """
 from __future__ import annotations
 
@@ -22,16 +24,13 @@ class Subgraph:
     """Induced subgraph around a target link, in local CSR form.
 
     ``global_ids[i]`` maps local node i back to the parent graph;
-    ``global_ids[0]`` and ``global_ids[1]`` are the link endpoints.
-    ``dist_to_u`` / ``dist_to_v`` hold hop distances inside the subgraph
-    (target link removed), UNREACHABLE (-1) where no path exists.
+    ``global_ids[0]`` and ``global_ids[1]`` are the link endpoints. Rows of
+    ``indices`` are sorted and the (0, 1) target edge is absent.
     """
 
     global_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    dist_to_u: np.ndarray
-    dist_to_v: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -41,9 +40,6 @@ class Subgraph:
     def num_edges(self) -> int:
         return self.indices.shape[0] // 2
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
         data = np.ones(self.indices.shape[0], dtype=dtype)
         return sp.csr_matrix(
@@ -52,91 +48,73 @@ class Subgraph:
         )
 
 
-def _bfs_from(indptr: np.ndarray, indices: np.ndarray, n: int, src: int,
-              max_depth: int | None = None,
-              skip_edge: tuple[int, int] | None = None,
-              blocked: int | None = None) -> np.ndarray:
-    """Hop distances from ``src``; -1 where unreachable or beyond max_depth.
+def _gather(indptr: np.ndarray, indices: np.ndarray,
+            nodes: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor lists of ``nodes``, in the order given."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return indices[offsets + np.arange(offsets.shape[0])]
 
-    ``skip_edge`` suppresses one undirected edge, ``blocked`` removes a node
-    entirely (used for masked distance computations).
+
+def hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
+                  max_depth: int | None = None,
+                  blocked: int | None = None) -> np.ndarray:
+    """Hop distance from the nearest of ``sources`` for every node of a CSR graph.
+
+    UNREACHABLE (-1) where no source is within ``max_depth`` hops (no limit
+    when None). ``blocked`` removes one node entirely: it is never reached
+    and never expanded, even when it is a source.
     """
-    dist = np.full(n, UNREACHABLE, dtype=np.int32)
-    if blocked is not None and blocked == src:
-        return dist
-    dist[src] = 0
-    frontier = [src]
+    dist = np.full(indptr.shape[0] - 1, UNREACHABLE, dtype=np.int32)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    if blocked is not None:
+        frontier = frontier[frontier != blocked]
+        dist[blocked] = 0  # counts as visited until the end
+    dist[frontier] = 0
     depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    while frontier.shape[0] and (max_depth is None or depth < max_depth):
         depth += 1
-        nxt = []
-        for x in frontier:
-            nbrs = indices[indptr[x]:indptr[x + 1]]
-            for y in nbrs:
-                y = int(y)
-                if skip_edge is not None and (
-                        (x == skip_edge[0] and y == skip_edge[1])
-                        or (x == skip_edge[1] and y == skip_edge[0])):
-                    continue
-                if y == blocked or dist[y] >= 0:
-                    continue
-                dist[y] = depth
-                nxt.append(y)
-        frontier = nxt
+        reached = _gather(indptr, indices, frontier)
+        frontier = np.unique(reached[dist[reached] == UNREACHABLE])
+        dist[frontier] = depth
+    if blocked is not None:
+        dist[blocked] = UNREACHABLE
     return dist
 
 
-def _induced(graph: Graph, ids: np.ndarray) -> Subgraph:
-    """Induced subgraph on ``ids`` (endpoints first) minus the (0, 1) edge."""
+def _induced(graph: Graph, u: int, v: int, nodes: np.ndarray) -> Subgraph:
+    """Induced subgraph on {u, v} and ``nodes``, minus the (u, v) edge."""
+    ids = np.concatenate(([u, v], np.setdiff1d(nodes, (u, v)))).astype(np.int64)
     n_sub = ids.shape[0]
     order = np.argsort(ids)
     sorted_ids = ids[order]
-    src_parts = []
-    dst_parts = []
-    for i in range(n_sub):
-        nb = graph.neighbors(int(ids[i]))
-        if nb.shape[0]:
-            pos = np.minimum(np.searchsorted(sorted_ids, nb), n_sub - 1)
-            loc = order[pos[sorted_ids[pos] == nb]]
-        else:
-            loc = np.zeros(0, dtype=np.int64)
-        if i == 0:
-            loc = loc[loc != 1]
-        elif i == 1:
-            loc = loc[loc != 0]
-        src_parts.append(np.full(loc.shape[0], i, dtype=np.int64))
-        dst_parts.append(np.sort(loc))
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    nb = _gather(graph.indptr, graph.indices, ids)
+    src = np.repeat(np.arange(n_sub), graph.indptr[ids + 1] - graph.indptr[ids])
+    pos = np.minimum(np.searchsorted(sorted_ids, nb), n_sub - 1)
+    inside = sorted_ids[pos] == nb
+    src, dst = src[inside], order[pos[inside]]
+    # No self-loops, so src + dst == 1 exactly for the local (0, 1) edge.
+    keep = src + dst != 1
+    src, dst = src[keep], dst[keep]
+    rows = np.lexsort((dst, src))
     indptr = np.zeros(n_sub + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_sub), out=indptr[1:])
-    indices = dst.astype(np.int32)
-    d_u = _bfs_from(indptr, indices, n_sub, 0)
-    d_v = _bfs_from(indptr, indices, n_sub, 1)
-    return Subgraph(ids.astype(np.int64), indptr, indices, d_u, d_v)
-
-
-def _order_ids(u: int, v: int, reached: set) -> np.ndarray:
-    rest = sorted(reached - {u, v})
-    return np.asarray([u, v] + rest, dtype=np.int64)
+    return Subgraph(ids, indptr, dst[rows].astype(np.int32))
 
 
 def extract_h_hop(graph: Graph, u: int, v: int, h: int) -> Subgraph:
     """Enclosing subgraph: nodes within h hops of u or v, (u, v) edge removed.
 
-    The hop limit is evaluated on the graph without the target edge, so a
-    neighbor reachable only through (u, v) is not pulled in by that edge.
+    One expansion starts from both endpoints at depth 0, so the (u, v)
+    edge never pulls a node in: the hop limit holds on the graph without
+    the target edge.
     """
     _check_link(graph, u, v)
     if h < 1:
         raise ValueError("h must be >= 1")
-    du = _bfs_from(graph.indptr, graph.indices, graph.num_nodes, u,
-                   max_depth=h, skip_edge=(u, v))
-    dv = _bfs_from(graph.indptr, graph.indices, graph.num_nodes, v,
-                   max_depth=h, skip_edge=(u, v))
-    reached = set(np.flatnonzero((du >= 0) | (dv >= 0)).tolist())
-    reached.update((u, v))
-    return _induced(graph, _order_ids(u, v, reached))
+    dist = hop_distances(graph.indptr, graph.indices, (u, v), max_depth=h)
+    return _induced(graph, u, v, np.flatnonzero(dist != UNREACHABLE))
 
 
 def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
@@ -151,7 +129,7 @@ def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     rng = np.random.default_rng(seed)
-    visited = {u, v}
+    visited = []
     for root in (u, v):
         for _ in range(k):
             x = root
@@ -164,33 +142,30 @@ def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
                 if nbrs.shape[0] == 0:
                     break
                 x = int(nbrs[rng.integers(nbrs.shape[0])])
-                visited.add(x)
-    return _induced(graph, _order_ids(u, v, visited))
+                visited.append(x)
+    return _induced(graph, u, v, np.asarray(visited, dtype=np.int64))
 
 
 def graph_power(graph: Graph, i: int) -> Graph:
     """Graph with an edge wherever the geodesic distance in ``graph`` is in [1, i].
 
-    Power 1 returns an identical copy. Features carry over unchanged.
+    The reach sets are boolean sparse powers of A + I. Power 1 returns an
+    identical copy. Features carry over unchanged.
     """
     if i < 1:
         raise ValueError("power must be >= 1")
     if i == 1:
         return Graph(graph.num_nodes, graph.indptr.copy(),
                      graph.indices.copy(), graph.features)
-    n = graph.num_nodes
-    rows = []
-    cols = []
-    for src in range(n):
-        dist = _bfs_from(graph.indptr, graph.indices, n, src, max_depth=i)
-        near = np.flatnonzero(dist >= 1)
-        rows.append(np.full(near.shape[0], src, dtype=np.int64))
-        cols.append(near.astype(np.int64))
-    src = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    keep = src < dst
-    edges = np.stack([src[keep], dst[keep]], axis=1)
-    return build_graph(n, edges, features=graph.features)
+    step = graph.adjacency(bool) + sp.identity(graph.num_nodes, dtype=bool,
+                                               format="csr")
+    reach = step
+    for _ in range(i - 1):
+        reach = reach @ step
+    reach = reach.tocoo()
+    keep = reach.row < reach.col
+    edges = np.stack([reach.row[keep], reach.col[keep]], axis=1)
+    return build_graph(graph.num_nodes, edges, features=graph.features)
 
 
 def sop_subgraph(graph: Graph, u: int, v: int, i: int, h: int,

@@ -153,6 +153,21 @@ def test_run_experiment_repeats_identically_modulo_timings(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_report_config_is_not_the_callers_config(tmp_path):
+    cfg = _toy_config(tmp_path, runs={"seeds": [0]})
+    before = json.dumps(cfg, sort_keys=True)
+    report = run_experiment(cfg)
+    first = report.to_dict()
+    first.pop("timings")
+    first = json.dumps(first, sort_keys=True)
+    report.config["dataset"].pop("edge_list")
+    report.config["eval"]["hits_k"].append(1)
+    assert json.dumps(cfg, sort_keys=True) == before
+    again = run_experiment(cfg).to_dict()
+    again.pop("timings")
+    assert json.dumps(again, sort_keys=True) == first
+
+
 def test_run_experiment_heuristics_mode(tmp_path):
     cfg = _toy_config(tmp_path, mode="heuristics",
                       heuristics=["CN", "AA"])

@@ -7,7 +7,7 @@ import pytest
 from difflink import (LabelScheme, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
                       augment_features, build_graph, build_link_record,
-                      extract_h_hop, pooled_rows_of_power, precompute_dataset,
+                      extract_h_hop, pooled_power_series, precompute_dataset,
                       read_records, serialize_record, storage_comparison,
                       write_records)
 from difflink.labeling import LabeledFeatures
@@ -60,8 +60,9 @@ def test_pooled_rows_identity_power():
     g = _triangle()
     sub = extract_h_hop(g, 0, 1, 1)
     feats = augment_features(sub, None, LabelScheme.ZERO_ONE)
-    rows = pooled_rows_of_power(sub, feats, 0, [0, 2])
-    assert np.array_equal(rows, feats.matrix[[0, 2]].astype(np.float64))
+    series = pooled_power_series(sub, feats, 0, [0, 2])
+    assert len(series) == 1
+    assert np.array_equal(series[0], feats.matrix[[0, 2]].astype(np.float64))
 
 
 def test_pooled_rows_triangle_two_walks():
@@ -70,8 +71,8 @@ def test_pooled_rows_triangle_two_walks():
     sub = extract_h_hop(g, 0, 1, 1)
     feats = LabeledFeatures(np.ones((3, 1), dtype=np.float32),
                             LabelScheme.ZERO_ONE, 0)
-    rows = pooled_rows_of_power(sub, feats, 2, [0])
-    assert rows.tolist() == [[2.0]]
+    series = pooled_power_series(sub, feats, 2, [0])
+    assert [rows.tolist() for rows in series] == [[[1.0]], [[1.0]], [[2.0]]]
 
 
 def test_pooled_rows_matches_dense_power():
@@ -81,16 +82,18 @@ def test_pooled_rows_matches_dense_power():
         u, v = random_pair(rng, g.num_nodes)
         sub = extract_h_hop(g, u, v, 2)
         feats = augment_features(sub, None, LabelScheme.ZERO_ONE)
-        power = int(rng.integers(1, 4))
+        r = int(rng.integers(1, 4))
         ids = list(range(sub.num_nodes))
-        dense = np.linalg.matrix_power(sub.adjacency().toarray(), power)
-        expected = dense @ feats.matrix.astype(np.float64)
-        got = pooled_rows_of_power(sub, feats, power, ids)
-        assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+        series = pooled_power_series(sub, feats, r, ids)
+        assert len(series) == r + 1
+        for power, got in enumerate(series):
+            dense = np.linalg.matrix_power(sub.adjacency().toarray(), power)
+            expected = dense @ feats.matrix.astype(np.float64)
+            assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
     with pytest.raises(ValueError):
-        pooled_rows_of_power(sub, feats, -1, [0])
+        pooled_power_series(sub, feats, -1, [0])
     with pytest.raises(ValueError):
-        pooled_rows_of_power(sub, feats, 1, [sub.num_nodes])
+        pooled_power_series(sub, feats, 1, [sub.num_nodes])
 
 
 def test_center_record_shapes():
@@ -162,6 +165,40 @@ def test_sop_blocks_use_power_subgraphs():
     rec = build_link_record(g, (u, v, 1), cfg)
     expected = dense_record_blocks(g, (u, v, 1), cfg)
     assert np.allclose(rec.blocks, expected, rtol=1e-5, atol=1e-5)
+
+
+def _records_with_and_without_target(variant, labeling, trials=80):
+    """Yield the record of a train positive on G and on G minus its edge."""
+    rng = np.random.default_rng(48)
+    walk = {"k": 3, "l": 3} if "ScaLed" in variant else {}
+    for trial in range(trials):
+        g = gnp_graph(rng, n_lo=6, n_hi=12, p=0.4,
+                      features=3 if trial % 2 else None)
+        edges = g.edge_array()
+        u, v = (int(x) for x in edges[rng.integers(edges.shape[0])])
+        rest = edges[~((edges[:, 0] == u) & (edges[:, 1] == v))]
+        g_minus = build_graph(g.num_nodes, rest, features=g.features)
+        cfg = SamplingOperatorSet(variant=variant, r=3,
+                                  h=int(rng.integers(1, 3)),
+                                  labeling=labeling, **walk)
+        yield (build_link_record(g, (u, v, 1), cfg, seed=trial),
+               build_link_record(g_minus, (u, v, 1), cfg, seed=trial))
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+@pytest.mark.parametrize("variant", [
+    "PoS", "PoSPlus", "PoSScaLed", "PoSPlusScaLed",
+    pytest.param("SoP", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: SoP graph powers are taken "
+                            "on G, so the target edge leaks through G^i")),
+])
+def test_record_ignores_target_edge(variant, labeling):
+    # README: the candidate link is removed before sampling, so a train
+    # positive's record must not depend on whether its edge is in G.
+    for on_g, on_g_minus in _records_with_and_without_target(variant,
+                                                             labeling):
+        assert np.array_equal(on_g.pooled_ids, on_g_minus.pooled_ids)
+        assert np.array_equal(on_g.blocks, on_g_minus.blocks)
 
 
 def test_build_link_record_rejects_bad_label():

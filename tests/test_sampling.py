@@ -4,17 +4,22 @@ import pytest
 
 from difflink import (UNREACHABLE, build_graph, extract_h_hop, graph_power,
                       random_walk_subgraph, sop_subgraph)
+from difflink.sampling import hop_distances
 
 from conftest import gnp_graph, random_pair
 from oracles import hop_nodes, induced_dense, power_edges, to_nx
+
+
+def _local_dist(sub, src):
+    return hop_distances(sub.indptr, sub.indices, [src]).tolist()
 
 
 def test_extract_h_hop_path_graph():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     sub = extract_h_hop(g, 1, 3, 1)
     assert sub.global_ids.tolist() == [1, 3, 0, 2, 4]
-    assert sub.dist_to_u.tolist() == [0, 2, 1, 1, 3]
-    assert sub.dist_to_v.tolist() == [2, 0, 3, 1, 1]
+    assert _local_dist(sub, 0) == [0, 2, 1, 1, 3]
+    assert _local_dist(sub, 1) == [2, 0, 3, 1, 1]
 
 
 def test_extract_removes_target_edge():
@@ -23,7 +28,7 @@ def test_extract_removes_target_edge():
     a = sub.adjacency().toarray()
     assert a[0, 1] == 0 and a[1, 0] == 0
     # endpoints still connected through the third node
-    assert sub.dist_to_u[1] == 2
+    assert _local_dist(sub, 0)[1] == 2
 
 
 def test_extract_isolated_pair():
@@ -31,7 +36,7 @@ def test_extract_isolated_pair():
     sub = extract_h_hop(g, 0, 1, 2)
     assert sub.global_ids.tolist() == [0, 1]
     assert sub.num_edges == 0
-    assert sub.dist_to_u.tolist() == [0, UNREACHABLE]
+    assert _local_dist(sub, 0) == [0, UNREACHABLE]
 
 
 def test_extract_hop_limit_excludes_far_nodes():
@@ -59,9 +64,47 @@ def test_extract_matches_oracle_node_sets_and_structure():
         assert np.array_equal(sub.adjacency().toarray(), dense)
         # local distances agree with networkx on the link-removed subgraph
         sg = nx.from_numpy_array(dense)
-        dist = nx.single_source_shortest_path_length(sg, 0)
-        for i in range(sub.num_nodes):
-            assert sub.dist_to_u[i] == dist.get(i, UNREACHABLE)
+        for src in (0, 1):
+            dist = nx.single_source_shortest_path_length(sg, src)
+            assert _local_dist(sub, src) == [dist.get(i, UNREACHABLE)
+                                             for i in range(sub.num_nodes)]
+
+
+def test_hop_distances_matches_networkx():
+    # depth limits, several sources and a blocked node, against networkx
+    rng = np.random.default_rng(26)
+    for trial in range(120):
+        g = gnp_graph(rng)
+        n = g.num_nodes
+        sources = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        depth = None if trial % 3 == 0 else int(rng.integers(0, 4))
+        blocked = int(rng.integers(n)) if trial % 2 else None
+        nxg = to_nx(g)
+        if blocked is not None:
+            nxg.remove_node(blocked)
+        live = [int(s) for s in sources if s != blocked]
+        want = (nx.multi_source_dijkstra_path_length(nxg, live, cutoff=depth)
+                if live else {})
+        got = hop_distances(g.indptr, g.indices, sources, max_depth=depth,
+                            blocked=blocked)
+        assert got.tolist() == [want.get(i, UNREACHABLE) for i in range(n)]
+
+
+def test_hop_distances_small_cases():
+    # path 0-1-2-3-4
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+    def d(sources, **kw):
+        return hop_distances(g.indptr, g.indices, sources, **kw).tolist()
+
+    assert d([0]) == [0, 1, 2, 3, 4]
+    assert d([0], max_depth=2) == [0, 1, 2, -1, -1]
+    assert d([0], max_depth=0) == [0, -1, -1, -1, -1]
+    assert d([0, 4]) == [0, 1, 2, 1, 0]
+    assert d([0, 4], max_depth=1) == [0, 1, -1, 1, 0]
+    assert d([0], blocked=2) == [0, 1, -1, -1, -1]
+    assert d([0, 4], blocked=2) == [0, 1, -1, 1, 0]
+    assert d([2], blocked=2) == [-1] * 5
 
 
 def test_extract_validates_arguments():
