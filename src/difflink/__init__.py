@@ -3,7 +3,8 @@
 The pipeline: split a graph's edges, sample an enclosing subgraph per
 candidate link, diffuse labeled node features over it, store only the rows
 of the pooled nodes in fixed-size binary records, and train a shallow
-pooled head on those records. Heuristic baselines, ranking metrics, and a
+pooled head on those records. Sampling, labeling and diffusion run on a
+chunk of links at a time, as one block-diagonal graph. Heuristic baselines, ranking metrics, and a
 config-driven benchmark harness round out the package.
 """
 
@@ -12,13 +13,13 @@ from .graphs import (EdgeSplit, Graph, GraphFormatError, build_graph,
                      load_split, normalized_adjacency, sample_negatives,
                      save_edge_list, save_split, split_edges)
 from .sampling import (Subgraph, UNREACHABLE, extract_h_hop, graph_power,
-                       random_walk_subgraph, sop_subgraph)
+                       hop_subgraphs, random_walk_subgraph, walk_subgraphs)
 from .labeling import (LabelScheme, LabeledFeatures, augment_features,
-                       drnl_labels, label_dim_for, zero_one_labels)
+                       drnl_labels, label_dim_for, node_labels,
+                       zero_one_labels)
 from .records import (CCN_CAP, DatasetStats, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, StorageReport,
-                      Variant, build_link_record, pooled_power_series,
-                      precompute_dataset, read_records, serialize_record,
+                      Variant, build_link_record, precompute_dataset, read_records, serialize_record,
                       storage_comparison, write_records)
 from .model import (Adam, ModelParams, TrainConfig, forward, init_params,
                     load_params, loss_and_gradients, predict, save_params,
@@ -42,15 +43,16 @@ __all__ = [
     "TrainConfig", "UNREACHABLE", "Variant", "auc", "augment_features",
     "build_graph", "build_link_record", "common_neighbors", "datasets",
     "drnl_labels", "extract_h_hop", "forward", "graph_power",
-    "heuristic_score", "hits_at_k", "init_params", "label_dim_for",
+    "heuristic_score", "hits_at_k", "hop_subgraphs", "init_params",
+    "label_dim_for",
     "labeled_links", "load_config", "load_edge_list", "load_features",
     "load_params", "load_split", "loss_and_gradients", "mrr",
-    "normalized_adjacency", "operator_config", "parse_config",
-    "pooled_power_series", "ppr_vector", "precompute_dataset",
+    "node_labels", "normalized_adjacency", "operator_config",
+    "parse_config", "ppr_vector", "precompute_dataset",
     "precompute_split", "predict", "random_walk_subgraph", "read_records",
     "run_experiment", "run_seed", "sample_negatives", "save_edge_list", "save_params",
-    "save_split", "score_pairs", "serialize_record", "sop_subgraph",
+    "save_split", "score_pairs", "serialize_record",
     "split_edges", "stack_records", "storage_comparison", "storage_summary",
     "timing_probe",
-    "train", "write_records", "zero_one_labels",
+    "train", "walk_subgraphs", "write_records", "zero_one_labels",
 ]

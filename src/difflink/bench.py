@@ -9,6 +9,7 @@ else is a pure function of the config and seeds.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -332,9 +333,11 @@ class ExperimentReport:
     storage: dict | None
 
     def to_dict(self) -> dict:
-        return {"config": self.config, "runs": self.runs,
-                "aggregate": self.aggregate, "timings": self.timings,
-                "storage": self.storage}
+        """A snapshot: later edits to the report do not reach it."""
+        return copy.deepcopy({"config": self.config, "runs": self.runs,
+                              "aggregate": self.aggregate,
+                              "timings": self.timings,
+                              "storage": self.storage})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

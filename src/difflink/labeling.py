@@ -1,6 +1,8 @@
-"""Structural node labels for enclosing subgraphs and feature augmentation.
+"""Structural node labels for link subgraphs and feature augmentation.
 
-Labels mark each subgraph node's role relative to the target link. The
+Labels mark each subgraph node's role relative to its block's target link.
+They are computed for every block of a ``Subgraph`` at once, so a chunk of
+links is labeled in one pass and a one-link subgraph is the same call. The
 one-hot label block is prepended to raw node features (implicit all-ones
 column when the graph is unattributed), giving every record row the layout
 [one-hot label | raw features].
@@ -21,25 +23,28 @@ class LabelScheme(str, Enum):
 
 
 def zero_one_labels(subgraph: Subgraph) -> np.ndarray:
-    """Label 1 for the two target nodes, 0 for everyone else."""
+    """Label 1 for the two target nodes of every block, 0 for everyone else."""
     labels = np.zeros(subgraph.num_nodes, dtype=np.int64)
-    labels[0] = labels[1] = 1
+    labels[subgraph.starts[:-1]] = labels[subgraph.starts[:-1] + 1] = 1
     return labels
 
 
 def drnl_labels(subgraph: Subgraph) -> np.ndarray:
     """Double-radius labels from hop distances to the two target nodes.
 
-    Distances are taken inside the link-removed subgraph with the opposite
-    target masked out. With du, dv the two distances and s = du + dv:
+    Distances are taken inside each link-removed block with the opposite
+    target masked out; one expansion covers every block. With du, dv the
+    two distances and s = du + dv:
 
         label = 1 + min(du, dv) + (s // 2) * ((s // 2) + (s % 2) - 1)
 
     Targets get label 1; nodes unreachable from either target get 0.
     """
     n = subgraph.num_nodes
-    du = hop_distances(subgraph.indptr, subgraph.indices, [0], blocked=1)
-    dv = hop_distances(subgraph.indptr, subgraph.indices, [1], blocked=0)
+    us = subgraph.starts[:-1]
+    vs = us + 1
+    du = hop_distances(subgraph.indptr, subgraph.indices, us, blocked=vs)
+    dv = hop_distances(subgraph.indptr, subgraph.indices, vs, blocked=us)
     labels = np.zeros(n, dtype=np.int64)
     ok = (du != UNREACHABLE) & (dv != UNREACHABLE)
     d_min = np.minimum(du, dv).astype(np.int64)
@@ -47,8 +52,18 @@ def drnl_labels(subgraph: Subgraph) -> np.ndarray:
     half = s // 2
     z = 1 + d_min + half * (half + s % 2 - 1)
     labels[ok] = z[ok]
-    labels[0] = labels[1] = 1
+    labels[us] = labels[vs] = 1
     return labels
+
+
+def node_labels(subgraph: Subgraph, scheme: LabelScheme = LabelScheme.ZERO_ONE,
+                label_cap: int = 100) -> np.ndarray:
+    """Labels of ``scheme`` for every subgraph node, clamped to ``label_cap``."""
+    if LabelScheme(scheme) is LabelScheme.ZERO_ONE:
+        labels = zero_one_labels(subgraph)
+    else:
+        labels = drnl_labels(subgraph)
+    return np.minimum(labels, label_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +92,7 @@ def augment_features(subgraph: Subgraph, features: np.ndarray | None,
     fixed width across subgraphs.
     """
     scheme = LabelScheme(scheme)
-    if scheme is LabelScheme.ZERO_ONE:
-        labels = zero_one_labels(subgraph)
-    else:
-        labels = drnl_labels(subgraph)
-    labels = np.minimum(labels, label_cap)
+    labels = node_labels(subgraph, scheme, label_cap)
     if label_dim is None:
         label_dim = int(labels.max()) + 1
     elif labels.max() >= label_dim:

@@ -1,10 +1,15 @@
-"""Per-link diffusion features restricted to pooled nodes, plus binary storage.
+"""Diffusion features restricted to pooled nodes, plus binary storage.
 
 For each candidate link this module builds the operator-level rows
 Z^(i) = M^(i) X at the pooled nodes only (targets, optionally common
 neighbors), zero-filling rows of pooled nodes absent from an operator's
 subgraph. The result is a LinkRecord whose byte size depends only on
 (operator count, pooled count, feature width), never on subgraph size.
+
+Records are built a fixed-size chunk of links at a time: the chunk's link
+subgraphs form one block-diagonal graph, labeled in one pass, and every
+diffusion power is one sparse product over all of its pooled rows.
+``build_link_record`` runs the same engine on a one-link chunk.
 
 Record file layout (little-endian):
     magic "S3GR", version u16
@@ -25,11 +30,11 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graphs import Graph, common_neighbors, normalized_adjacency
-from .labeling import LabeledFeatures, LabelScheme, augment_features, label_dim_for
-from .sampling import (Subgraph, extract_h_hop, graph_power,
-                       random_walk_subgraph, sop_subgraph)
+from .graphs import Graph, normalized_adjacency
+from .labeling import LabelScheme, label_dim_for, node_labels
+from .sampling import Subgraph, graph_power, hop_subgraphs, walk_subgraphs
 
 _MAGIC = b"S3GR"
 _VERSION = 1
@@ -71,6 +76,12 @@ CCN_CAP = 128
 # The record header stores r+1 and p as u16, so r and ccn_cap are bounded.
 MAX_R = 0xFFFF - 1
 MAX_CCN_CAP = 0xFFFF - 2
+
+# Links built together by the chunk engine; bounds its memory.
+CHUNK_LINKS = 64
+# Feature columns gathered (as float64) per sparse product, which bounds
+# the gather for wide features.
+_FEATURE_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -183,104 +194,131 @@ class LinkRecord:
         return _REC_HEADER.size + 4 * p + 4 * r1 * p * w
 
 
-def pooled_power_series(subgraph: Subgraph, features: LabeledFeatures,
-                        r: int, pooled_local_ids,
-                        normalized: bool = False) -> list:
-    """Rows of A^i @ X at the given local positions, for every i in 0..r.
-
-    Each row is obtained by repeated sparse matrix-vector products starting
-    from the node's indicator vector, one dense dot with X per power;
-    A^i itself is never materialized. Entry 0 is the raw feature rows.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    ids = np.asarray(pooled_local_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= subgraph.num_nodes):
-        raise ValueError("pooled local id out of range")
-    x = features.matrix.astype(np.float64)
-    out = [x[ids]]
-    if r == 0:
-        return out
-    a = (normalized_adjacency(subgraph) if normalized
-         else subgraph.adjacency(np.float64))
-    vec = np.zeros((ids.shape[0], subgraph.num_nodes), dtype=np.float64)
-    vec[np.arange(ids.shape[0]), ids] = 1.0
-    for _ in range(r):
-        # A is symmetric, so left multiplication is one SpMV per row.
-        vec = (a @ vec.T).T
-        out.append(vec @ x)
-    return out
-
-
 def _walk_seed(seed: int, u: int, v: int, label: int) -> int:
     # Stable per-link stream so output is identical for any worker layout.
     return int(np.random.SeedSequence([seed, u, v, label]).generate_state(1)[0])
 
 
-def _pooled_global_ids(graph: Graph, u: int, v: int,
-                       config: SamplingOperatorSet) -> np.ndarray:
-    ids = [u, v]
+def _pooled_ids(graph: Graph, u: np.ndarray, v: np.ndarray,
+                config: SamplingOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled global ids of every link, concatenated, and their block starts.
+
+    Link b pools u[b], v[b] and, under CCN pooling, the common neighbors of
+    the two, highest-degree-first with ties by id, at most ``ccn_cap``.
+    """
+    links = np.arange(u.shape[0])
+    cn_link = cn = np.zeros(0, dtype=np.int64)
     if config.pooling is Pooling.CCN:
-        cn = common_neighbors(graph, u, v)
-        if cn.shape[0]:
-            deg = graph.degrees()[cn]
-            order = np.lexsort((cn, -deg))
-            ids.extend(int(x) for x in cn[order][:config.ccn_cap])
-    return np.asarray(ids, dtype=np.int64)
+        adj = graph.adjacency(np.int8)
+        common = adj[u].multiply(adj[v]).tocoo()
+        order = np.lexsort((common.col, -graph.degrees()[common.col], common.row))
+        cn_link, cn = common.row[order], common.col[order].astype(np.int64)
+        rank = np.arange(cn.shape[0]) - np.searchsorted(cn_link, cn_link)
+        cn_link, cn = cn_link[rank < config.ccn_cap], cn[rank < config.ccn_cap]
+    order = np.argsort(np.concatenate([3 * links, 3 * links + 1, 3 * cn_link + 2]),
+                       kind="stable")
+    ids = np.concatenate([u, v, cn])[order]
+    starts = np.zeros(links.shape[0] + 1, dtype=np.int64)
+    np.cumsum(2 + np.bincount(cn_link, minlength=links.shape[0]), out=starts[1:])
+    return ids, starts
+
+
+def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
+             pooled: np.ndarray, config: SamplingOperatorSet, r: int) -> np.ndarray:
+    """Rows of A^i [one-hot labels | X] at the pooled nodes, for i in 0..r.
+
+    ``pooled[j]`` is a global id looked up in block ``pooled_link[j]`` of
+    ``sub``; a node the block lacks gets zero rows. A is the block-diagonal
+    adjacency (degree-normalized when the config asks), so each power is one
+    sparse product for every link at once. ``features`` are the raw rows
+    of the whole graph; only the rows the products touch are gathered, a
+    slice of columns at a time. Returns (r+1, len(pooled), w) float32.
+    """
+    labels = node_labels(sub, config.labeling, config.label_cap)
+    label_dim = config.label_dim()
+    at = sub.locate(pooled_link, pooled)
+    p = pooled.shape[0]
+    rows = np.flatnonzero(at >= 0)
+    y = sp.csr_matrix((np.ones(rows.shape[0]), (rows, at[rows])),
+                      shape=(p, sub.num_nodes))
+    a = normalized_adjacency(sub) if config.normalized else sub.adjacency()
+    series = [y]
+    for _ in range(r):
+        # A is symmetric, so y A gives the pooled rows of the next power.
+        series.append(series[-1] @ a)
+    out = np.empty((r + 1, p, label_dim + features.shape[1]), dtype=np.float32)
+    for i, y in enumerate(series):
+        row = np.repeat(np.arange(p), np.diff(y.indptr))
+        out[i, :, :label_dim] = np.bincount(
+            row * label_dim + labels[y.indices], weights=y.data,
+            minlength=p * label_dim).reshape(p, label_dim)
+    # All powers against the feature rows they touch, in column slices.
+    touched = np.unique(sub.global_ids[np.concatenate([y.indices for y in series])])
+    column = np.searchsorted(touched, sub.global_ids)
+    by_id = sp.vstack([sp.csr_matrix((y.data, column[y.indices], y.indptr),
+                                     shape=(p, touched.shape[0]))
+                       for y in series], format="csr")
+    by_id.sort_indices()
+    for lo in range(0, features.shape[1], _FEATURE_COLUMNS):
+        hi = min(lo + _FEATURE_COLUMNS, features.shape[1])
+        x = features[touched, lo:hi].astype(np.float64)
+        out[:, :, label_dim + lo:label_dim + hi] = (by_id @ x).reshape(r + 1, p, -1)
+    return out
+
+
+def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
+                  seed: int, power_cache: dict | None) -> list:
+    """LinkRecords of every (u, v, label) row of ``links``, built together."""
+    if not np.isin(links[:, 2], (0, 1)).all():
+        raise ValueError("link label must be 0 or 1")
+    u, v = links[:, 0], links[:, 1]
+    features = (graph.features if graph.features is not None
+                else np.ones((graph.num_nodes, 1), dtype=np.float32))
+    if config.variant in _SCALED_VARIANTS:
+        seeds = [_walk_seed(seed, *map(int, link)) for link in links]
+        unions = walk_subgraphs(graph, u, v, config.k, config.l, seeds)
+    else:
+        unions = hop_subgraphs(graph, u, v, config.h)
+    pooled, starts = _pooled_ids(graph, u, v, config)
+
+    def rows(unions, r):
+        """Pooled rows of every link, one union of consecutive links at a time."""
+        out, lo = [], 0
+        for sub in unions:
+            hi = lo + sub.starts.shape[0] - 1
+            at = slice(starts[lo], starts[hi])
+            link = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+            out.append(_diffuse(sub, features, link, pooled[at], config, r))
+            lo = hi
+        return np.concatenate(out, axis=1)
+
+    if config.variant is Variant.SOP:
+        # One subgraph per operator on the graph powers; diffusion is the
+        # identity function, so operator i >= 1 is one adjacency application
+        # on its own power's subgraph.
+        blocks = [rows(unions, 1)]
+        for i in range(2, config.num_operators):
+            power = (power_cache or {}).get(i) or graph_power(graph, i)
+            blocks.append(rows(hop_subgraphs(power, u, v, config.h), 1)[1:])
+        blocks = np.concatenate(blocks)
+    else:
+        blocks = rows(unions, config.r)
+    return [LinkRecord(int(u[b]), int(v[b]), int(links[b, 2]),
+                       pooled[starts[b]:starts[b + 1]],
+                       blocks[:, starts[b]:starts[b + 1]])
+            for b in range(links.shape[0])]
 
 
 def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
                       seed: int = 0, power_cache: dict | None = None) -> LinkRecord:
-    """Build one LinkRecord: sample subgraph(s), diffuse, slice pooled rows.
+    """Build one LinkRecord: the chunk engine run on a one-link chunk.
 
     ``link`` is (u, v, label) with label in {0, 1}. ``seed`` feeds the
     per-link walk stream for ScaLed variants. ``power_cache`` may map
     power index -> graph_power(graph, i) to share work across links.
     """
-    u, v, label = (int(x) for x in link)
-    if label not in (0, 1):
-        raise ValueError("link label must be 0 or 1")
-    pooled = _pooled_global_ids(graph, u, v, config)
-    w = config.block_width(graph)
-    label_dim = config.label_dim()
-    r1 = config.num_operators
-    blocks = np.zeros((r1, pooled.shape[0], w), dtype=np.float32)
-
-    if config.variant is Variant.SOP:
-        # Per-operator subgraphs on graph powers; diffusion is the identity
-        # function, so each block is one adjacency application (power 1).
-        for i in range(r1):
-            sub = sop_subgraph(graph, u, v, i, config.h,
-                               power_graph=(power_cache or {}).get(i))
-            feats = augment_features(sub, graph.features, config.labeling,
-                                     config.label_cap, label_dim=label_dim)
-            present, local = _locate(sub, pooled)
-            rows = pooled_power_series(sub, feats, min(i, 1), local,
-                                       normalized=config.normalized)[-1]
-            blocks[i, present] = rows.astype(np.float32)
-    else:
-        if config.variant in _SCALED_VARIANTS:
-            sub = random_walk_subgraph(graph, u, v, config.k, config.l,
-                                       _walk_seed(seed, u, v, label))
-        else:
-            sub = extract_h_hop(graph, u, v, config.h)
-        feats = augment_features(sub, graph.features, config.labeling,
-                                 config.label_cap, label_dim=label_dim)
-        present, local = _locate(sub, pooled)
-        series = pooled_power_series(sub, feats, config.r, local,
-                                     normalized=config.normalized)
-        for i, rows in enumerate(series):
-            blocks[i, present] = rows.astype(np.float32)
-    return LinkRecord(u, v, label, pooled, blocks)
-
-
-def _locate(sub: Subgraph, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of pooled ids present in ``sub``: (pooled index, local id)."""
-    order = np.argsort(sub.global_ids)
-    pos = np.searchsorted(sub.global_ids, pooled, sorter=order)
-    local = order[np.minimum(pos, sub.num_nodes - 1)]
-    present = np.flatnonzero(sub.global_ids[local] == pooled)
-    return present, local[present]
+    links = np.asarray([[int(x) for x in link]], dtype=np.int64)
+    return _link_records(graph, links, config, seed, power_cache)[0]
 
 
 def serialize_record(rec: LinkRecord) -> bytes:
@@ -440,8 +478,7 @@ def _init_worker(graph, config, seed, power_cache):
 def _build_chunk(links) -> tuple[bytes, int]:
     """Serialized records of ``links`` and their largest pooled count."""
     graph, config, seed, power_cache = _WORKER["args"]
-    recs = [build_link_record(graph, link, config, seed=seed,
-                              power_cache=power_cache) for link in links]
+    recs = _link_records(graph, links, config, seed, power_cache)
     return (b"".join(serialize_record(rec) for rec in recs),
             max(rec.pooled_count for rec in recs))
 
@@ -457,6 +494,11 @@ def _built_chunks(graph, config, seed, chunks, worker_count):
     else:
         _init_worker(*args)
         yield from map(_build_chunk, chunks)
+
+
+def _chunks(links: np.ndarray) -> list:
+    return [links[i:i + CHUNK_LINKS]
+            for i in range(0, links.shape[0], CHUNK_LINKS)]
 
 
 def _power_cache_for(graph: Graph, config: SamplingOperatorSet) -> dict:
@@ -476,11 +518,10 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
     links = np.asarray(links, dtype=np.int64).reshape(-1, 3)
     out_path = Path(out_path)
     t0 = time.monotonic()
-    chunks = [links[i:i + 64] for i in range(0, links.shape[0], 64)]
     p_max = 0
     with _RecordWriter(out_path) as out:
-        for blob, chunk_p_max in _built_chunks(graph, config, seed, chunks,
-                                               worker_count):
+        for blob, chunk_p_max in _built_chunks(graph, config, seed,
+                                               _chunks(links), worker_count):
             out.write(blob)
             p_max = max(p_max, chunk_p_max)
     elapsed = time.monotonic() - t0
@@ -526,12 +567,11 @@ def storage_comparison(graph: Graph, links, config: SamplingOperatorSet) -> Stor
     r1 = config.num_operators
     record_bytes = _FILE_HEADER.size
     seal_bytes = 0
-    for u, v, label in links:
-        u, v = int(u), int(v)
-        p = _pooled_global_ids(graph, u, v, config).shape[0]
-        record_bytes += _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-        sub = extract_h_hop(graph, u, v, config.h)
-        seal_bytes += sub.num_edges * 2 * 4 + sub.num_nodes * w * 4
+    for chunk in _chunks(links):
+        for sub in hop_subgraphs(graph, chunk[:, 0], chunk[:, 1], config.h):
+            seal_bytes += sub.num_edges * 2 * 4 + sub.num_nodes * w * 4
+        p = np.diff(_pooled_ids(graph, chunk[:, 0], chunk[:, 1], config)[1])
+        record_bytes += int((_REC_HEADER.size + 4 * p + 4 * r1 * p * w).sum())
     reduction = ((seal_bytes - record_bytes) / seal_bytes * 100.0
                  if seal_bytes else float("nan"))
     return StorageReport(int(links.shape[0]), record_bytes, seal_bytes,

@@ -1,11 +1,16 @@
-"""Per-link subgraph extraction: hop neighborhoods, graph powers, random walks.
+"""Link subgraph extraction: hop neighborhoods, graph powers, random walks.
 
-All neighborhood work runs on one array primitive, ``hop_distances``: a
-multi-source frontier expansion over a CSR neighbor gather. Every extractor
-removes the target edge (u, v) from the returned subgraph, so positive and
+Extraction works a chunk of links at a time. The node sets of all links
+are found at once (h-hop reach as boolean sparse powers of A + I, or each
+link's seeded random walks), and the induced subgraphs are laid out as one
+disjoint-union (block-diagonal) CSR graph, a ``Subgraph`` with one block
+per link. Every block has its target edge (u, v) removed, so positive and
 negative links are structurally indistinguishable to downstream stages.
-Node 0 of a subgraph is always u and node 1 is always v; remaining nodes
-appear in ascending global id order.
+Inside a block, node 0 is u, node 1 is v and the rest follow in ascending
+global id order. ``extract_h_hop`` and ``random_walk_subgraph`` are the
+one-link calls into the same code. ``hop_distances`` is the neighborhood
+primitive for labeling: a multi-source frontier expansion over a CSR
+neighbor gather.
 """
 from __future__ import annotations
 
@@ -21,16 +26,19 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True, eq=False)
 class Subgraph:
-    """Induced subgraph around a target link, in local CSR form.
+    """Link subgraphs as one disjoint-union graph in local CSR form.
 
-    ``global_ids[i]`` maps local node i back to the parent graph;
-    ``global_ids[0]`` and ``global_ids[1]`` are the link endpoints. Rows of
-    ``indices`` are sorted and the (0, 1) target edge is absent.
+    Block b holds the union nodes ``starts[b]:starts[b + 1]``; its first
+    two nodes are the link endpoints u and v. ``global_ids[i]`` maps union
+    node i back to the parent graph. Rows of ``indices`` are sorted, no
+    edge leaves its block and no block holds its (u, v) edge. A one-link
+    subgraph has ``starts == [0, num_nodes]``.
     """
 
     global_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    starts: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -39,6 +47,21 @@ class Subgraph:
     @property
     def num_edges(self) -> int:
         return self.indices.shape[0] // 2
+
+    def locate(self, blocks, nodes) -> np.ndarray:
+        """Union position of global node ``nodes[i]`` in block ``blocks[i]``,
+        or -1 where that block does not hold it."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if self.num_nodes == 0:
+            return np.full(nodes.shape[0], -1, dtype=np.int64)
+        span = int(max(self.global_ids.max(), nodes.max(initial=0))) + 1
+        block = np.repeat(np.arange(self.starts.shape[0] - 1), np.diff(self.starts))
+        keys = block * span + self.global_ids
+        want = np.asarray(blocks, dtype=np.int64) * span + nodes
+        order = np.argsort(keys)
+        pos = order[np.minimum(np.searchsorted(keys, want, sorter=order),
+                               self.num_nodes - 1)]
+        return np.where(keys[pos] == want, pos, -1)
 
     def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
         data = np.ones(self.indices.shape[0], dtype=dtype)
@@ -59,18 +82,20 @@ def _gather(indptr: np.ndarray, indices: np.ndarray,
 
 def hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
                   max_depth: int | None = None,
-                  blocked: int | None = None) -> np.ndarray:
+                  blocked=None) -> np.ndarray:
     """Hop distance from the nearest of ``sources`` for every node of a CSR graph.
 
     UNREACHABLE (-1) where no source is within ``max_depth`` hops (no limit
-    when None). ``blocked`` removes one node entirely: it is never reached
-    and never expanded, even when it is a source.
+    when None). ``blocked`` (one node id or an array of them) removes those
+    nodes entirely: they are never reached and never expanded, even when
+    they are sources.
     """
     dist = np.full(indptr.shape[0] - 1, UNREACHABLE, dtype=np.int32)
     frontier = np.unique(np.asarray(sources, dtype=np.int64))
     if blocked is not None:
-        frontier = frontier[frontier != blocked]
+        blocked = np.asarray(blocked, dtype=np.int64)
         dist[blocked] = 0  # counts as visited until the end
+        frontier = frontier[dist[frontier] == UNREACHABLE]
     dist[frontier] = 0
     depth = 0
     while frontier.shape[0] and (max_depth is None or depth < max_depth):
@@ -83,51 +108,105 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
     return dist
 
 
-def _induced(graph: Graph, u: int, v: int, nodes: np.ndarray) -> Subgraph:
-    """Induced subgraph on {u, v} and ``nodes``, minus the (u, v) edge."""
-    ids = np.concatenate(([u, v], np.setdiff1d(nodes, (u, v)))).astype(np.int64)
-    n_sub = ids.shape[0]
-    order = np.argsort(ids)
-    sorted_ids = ids[order]
-    nb = _gather(graph.indptr, graph.indices, ids)
-    src = np.repeat(np.arange(n_sub), graph.indptr[ids + 1] - graph.indptr[ids])
-    pos = np.minimum(np.searchsorted(sorted_ids, nb), n_sub - 1)
-    inside = sorted_ids[pos] == nb
-    src, dst = src[inside], order[pos[inside]]
-    # No self-loops, so src + dst == 1 exactly for the local (0, 1) edge.
-    keep = src + dst != 1
-    src, dst = src[keep], dst[keep]
-    rows = np.lexsort((dst, src))
-    indptr = np.zeros(n_sub + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_sub), out=indptr[1:])
-    return Subgraph(ids, indptr, dst[rows].astype(np.int32))
+def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
+                 keys: np.ndarray) -> Subgraph:
+    """Union of the subgraphs induced on each link's node set, minus (u, v).
 
-
-def extract_h_hop(graph: Graph, u: int, v: int, h: int) -> Subgraph:
-    """Enclosing subgraph: nodes within h hops of u or v, (u, v) edge removed.
-
-    One expansion starts from both endpoints at depth 0, so the (u, v)
-    edge never pulls a node in: the hop limit holds on the graph without
-    the target edge.
+    ``keys`` are the sorted distinct ``b * num_nodes + node`` codes of the
+    nodes of every link b, each set holding u[b] and v[b].
     """
-    _check_link(graph, u, v)
+    n = graph.num_nodes
+    blk, ids = np.divmod(keys, n)
+    tier = np.where(ids == u[blk], 0, np.where(ids == v[blk], 1, 2))
+    order = np.argsort(blk * 3 + tier, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.shape[0])
+    blk, ids = blk[order], ids[order]
+    starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
+    counts = graph.indptr[ids + 1] - graph.indptr[ids]
+    want = np.repeat(blk * n, counts) + _gather(graph.indptr, graph.indices, ids)
+    hit = np.minimum(np.searchsorted(keys, want), keys.shape[0] - 1)
+    inside = keys[hit] == want
+    src = np.repeat(np.arange(ids.shape[0]), counts)[inside]
+    dst = position[hit[inside]]
+    first = np.repeat(starts[blk], counts)[inside]
+    # No self-loops, so local ids sum to 1 exactly for a block's (u, v) edge.
+    keep = src + dst - 2 * first != 1
+    src, dst, first = src[keep], dst[keep], first[keep]
+    # Each row lists its neighbors by global id; u and v (local 0 and 1)
+    # move to the front, which sorts the row by union position.
+    dst = dst[np.argsort(3 * src + np.minimum(dst - first, 2), kind="stable")]
+    indptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=ids.shape[0]), out=indptr[1:])
+    return Subgraph(ids, indptr, dst.astype(np.int32), starts)
+
+
+# Neighbor-list entries one union may gather. A chunk of links on a sparse
+# graph fits in one union; on a dense one (SoP's graph powers) it is split
+# into runs of consecutive links, which bounds the memory of a union.
+UNION_ENTRIES = 1 << 18
+
+
+def _unions(graph: Graph, u: np.ndarray, v: np.ndarray, keys: np.ndarray):
+    """Link subgraphs over ``keys``, one union per run of consecutive links.
+
+    A run starts wherever the neighbor entries gathered so far cross a
+    multiple of UNION_ENTRIES, so a union gathers fewer than UNION_ENTRIES
+    plus one link's entries.
+    """
+    n = graph.num_nodes
+    volume = np.bincount(keys // n, weights=graph.degrees()[keys % n],
+                         minlength=u.shape[0])
+    before = np.cumsum(volume) - volume
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(before // UNION_ENTRIES)) + 1, [u.shape[0]]))
+    key_bounds = np.searchsorted(keys, bounds * n)
+    for lo, hi, k_lo, k_hi in zip(bounds, bounds[1:], key_bounds, key_bounds[1:]):
+        yield _link_blocks(graph, u[lo:hi], v[lo:hi], keys[k_lo:k_hi] - lo * n)
+
+
+def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
+    u = np.asarray(u, dtype=np.int64).reshape(-1)
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    n = graph.num_nodes
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if bad.shape[0]:
+        raise ValueError(f"node id out of range: ({u[bad[0]]}, {v[bad[0]]})")
+    if (u == v).any():
+        raise ValueError("target link endpoints must differ")
+    return u, v
+
+
+def hop_subgraphs(graph: Graph, u, v, h: int):
+    """Enclosing subgraphs of links (u[b], v[b]): nodes within h hops of
+    u[b] or v[b], each (u, v) edge removed; one block per link.
+
+    Yields Subgraph unions of consecutive links, in link order; sparse
+    graphs give one union for the lot (see UNION_ENTRIES). Links are
+    checked before this returns. The reach starts from both endpoints at
+    depth 0, so a target edge never pulls a node in: the hop limit holds
+    on the graph without that edge.
+    """
+    u, v = _link_arrays(graph, u, v)
     if h < 1:
         raise ValueError("h must be >= 1")
-    dist = hop_distances(graph.indptr, graph.indices, (u, v), max_depth=h)
-    return _induced(graph, u, v, np.flatnonzero(dist != UNREACHABLE))
+    links = np.arange(u.shape[0])
+    reach = sp.csr_matrix(
+        (np.ones(2 * links.shape[0], dtype=bool),
+         (np.repeat(links, 2), np.stack([u, v], axis=1).ravel())),
+        shape=(links.shape[0], graph.num_nodes))
+    step = _reach_step(graph)
+    for _ in range(h):
+        reach = reach @ step
+    reach = reach.tocoo()
+    keys = np.sort(reach.row.astype(np.int64) * graph.num_nodes + reach.col)
+    return _unions(graph, u, v, keys)
 
 
-def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
-                         seed: int) -> Subgraph:
-    """Union of k uniform random walks of length l from each endpoint.
-
-    The (u, v) edge is removed before walking, so a walk at u never steps
-    directly to v and vice versa. Walks from a dead end terminate in place.
-    Node count is bounded by 2*k*l + 2.
-    """
-    _check_link(graph, u, v)
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+def _walk_nodes(graph: Graph, u: int, v: int, k: int, l: int,
+                seed: int) -> list:
+    """Nodes visited by k uniform random walks of length l from each endpoint,
+    never stepping along (u, v); a walk at a dead end stops in place."""
     rng = np.random.default_rng(seed)
     visited = []
     for root in (u, v):
@@ -143,7 +222,46 @@ def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
                     break
                 x = int(nbrs[rng.integers(nbrs.shape[0])])
                 visited.append(x)
-    return _induced(graph, u, v, np.asarray(visited, dtype=np.int64))
+    return visited
+
+
+def walk_subgraphs(graph: Graph, u, v, k: int, l: int, seeds):
+    """Subgraphs induced on the union of k random walks of length l from
+    each endpoint of every link (u[b], v[b]), walk b seeded by ``seeds[b]``;
+    one block per link, each (u, v) edge removed.
+
+    Yields Subgraph unions as ``hop_subgraphs`` does. Walks never step
+    along their link's (u, v) edge, and a block holds at most 2*k*l + 2
+    nodes.
+    """
+    u, v = _link_arrays(graph, u, v)
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    if len(seeds) != u.shape[0]:
+        raise ValueError("walk_subgraphs needs one seed per link")
+    keys = [b * graph.num_nodes + np.asarray(
+                [u[b], v[b], *_walk_nodes(graph, int(u[b]), int(v[b]), k, l, int(seed))],
+                dtype=np.int64)
+            for b, seed in enumerate(seeds)]
+    keys = np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+    return _unions(graph, u, v, keys)
+
+
+def extract_h_hop(graph: Graph, u: int, v: int, h: int) -> Subgraph:
+    """Enclosing subgraph of one link: ``hop_subgraphs`` for (u, v) alone."""
+    return next(hop_subgraphs(graph, [u], [v], h))
+
+
+def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
+                         seed: int) -> Subgraph:
+    """Walk-sampled subgraph of one link: ``walk_subgraphs`` for (u, v) alone."""
+    return next(walk_subgraphs(graph, [u], [v], k, l, [seed]))
+
+
+def _reach_step(graph: Graph) -> sp.csr_matrix:
+    """Boolean A + I: one product with it extends reach sets by one hop."""
+    return graph.adjacency(bool) + sp.identity(graph.num_nodes, dtype=bool,
+                                               format="csr")
 
 
 def graph_power(graph: Graph, i: int) -> Graph:
@@ -157,8 +275,7 @@ def graph_power(graph: Graph, i: int) -> Graph:
     if i == 1:
         return Graph(graph.num_nodes, graph.indptr.copy(),
                      graph.indices.copy(), graph.features)
-    step = graph.adjacency(bool) + sp.identity(graph.num_nodes, dtype=bool,
-                                               format="csr")
+    step = _reach_step(graph)
     reach = step
     for _ in range(i - 1):
         reach = reach @ step
@@ -166,29 +283,3 @@ def graph_power(graph: Graph, i: int) -> Graph:
     keep = reach.row < reach.col
     edges = np.stack([reach.row[keep], reach.col[keep]], axis=1)
     return build_graph(graph.num_nodes, edges, features=graph.features)
-
-
-def sop_subgraph(graph: Graph, u: int, v: int, i: int, h: int,
-                 power_graph: Graph | None = None) -> Subgraph:
-    """h-hop enclosing subgraph of the i-th graph power around (u, v).
-
-    Power 0 means the base graph itself. ``power_graph`` may supply a
-    precomputed ``graph_power(graph, i)`` to avoid recomputation.
-    """
-    if i < 0:
-        raise ValueError("power index must be >= 0")
-    if i <= 1:
-        g = graph
-    elif power_graph is not None:
-        g = power_graph
-    else:
-        g = graph_power(graph, i)
-    return extract_h_hop(g, u, v, h)
-
-
-def _check_link(graph: Graph, u: int, v: int) -> None:
-    n = graph.num_nodes
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"node id out of range: ({u}, {v})")
-    if u == v:
-        raise ValueError("target link endpoints must differ")

@@ -168,6 +168,18 @@ def test_report_config_is_not_the_callers_config(tmp_path):
     assert json.dumps(again, sort_keys=True) == first
 
 
+def test_report_to_dict_is_a_snapshot(tmp_path):
+    report = run_experiment(_toy_config(tmp_path, runs={"seeds": [0]}))
+    snapshot = report.to_dict()
+    frozen = json.dumps(snapshot, sort_keys=True)
+    report.config["dataset"]["name"] = "edited"
+    report.config["eval"]["hits_k"].append(1)
+    report.runs[0]["seed"] = 99
+    report.runs[0]["extra"] = 1.0
+    report.aggregate.clear()
+    assert json.dumps(snapshot, sort_keys=True) == frozen
+
+
 def test_run_experiment_heuristics_mode(tmp_path):
     cfg = _toy_config(tmp_path, mode="heuristics",
                       heuristics=["CN", "AA"])

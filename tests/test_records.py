@@ -4,14 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from difflink import (LabelScheme, LinkRecord, Pooling, RecordFile,
+from difflink import (LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
-                      augment_features, build_graph, build_link_record,
-                      extract_h_hop, pooled_power_series, precompute_dataset,
-                      read_records, serialize_record, storage_comparison,
-                      write_records)
-from difflink.labeling import LabeledFeatures
-from difflink.records import deserialize_record, manifest_path
+                      build_graph, build_link_record, graph_power,
+                      precompute_dataset, random_walk_subgraph, read_records,
+                      serialize_record, storage_comparison, write_records)
+from difflink.records import (CHUNK_LINKS, _walk_seed, deserialize_record,
+                              manifest_path)
 
 from conftest import gnp_graph, random_pair
 from oracles import dense_record_blocks
@@ -56,44 +55,72 @@ def test_operator_set_echo_round_trips():
     assert json.loads(json.dumps(echo)) == echo
 
 
-def test_pooled_rows_identity_power():
+def test_record_identity_block():
+    # operator 0 holds the labeled feature rows of the pooled nodes:
+    # the targets (label 1) and, under CCN, common neighbor 2 (label 0)
     g = _triangle()
-    sub = extract_h_hop(g, 0, 1, 1)
-    feats = augment_features(sub, None, LabelScheme.ZERO_ONE)
-    series = pooled_power_series(sub, feats, 0, [0, 2])
-    assert len(series) == 1
-    assert np.array_equal(series[0], feats.matrix[[0, 2]].astype(np.float64))
+    for variant in ("PoS", "PoSPlus"):
+        cfg = SamplingOperatorSet(variant=variant, r=1, h=1)
+        rec = build_link_record(g, (0, 1, 1), cfg)
+        expected = [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+        assert rec.blocks[0].tolist() == expected[:rec.pooled_count]
+        assert np.array_equal(rec.blocks, dense_record_blocks(g, (0, 1, 1), cfg))
+    assert rec.pooled_ids.tolist() == [0, 1, 2]
 
 
-def test_pooled_rows_triangle_two_walks():
+def test_record_triangle_two_walks():
     # triangle minus the target edge is a path; two 2-walks from each end
     g = _triangle()
-    sub = extract_h_hop(g, 0, 1, 1)
-    feats = LabeledFeatures(np.ones((3, 1), dtype=np.float32),
-                            LabelScheme.ZERO_ONE, 0)
-    series = pooled_power_series(sub, feats, 2, [0])
-    assert [rows.tolist() for rows in series] == [[[1.0]], [[1.0]], [[2.0]]]
+    cfg = SamplingOperatorSet(variant="PoS", r=2, h=1)
+    rec = build_link_record(g, (0, 1, 1), cfg)
+    # the raw (implicit all-ones) column counts walks of length 0, 1, 2
+    assert rec.blocks[:, 0, -1].tolist() == [1.0, 1.0, 2.0]
+    assert rec.blocks[:, 1, -1].tolist() == [1.0, 1.0, 2.0]
+    assert np.array_equal(rec.blocks, dense_record_blocks(g, (0, 1, 1), cfg))
 
 
-def test_pooled_rows_matches_dense_power():
+def test_record_blocks_match_dense_power():
+    # every power of every pooled row (targets and common neighbors)
+    # against dense matrix powers of the dense induced subgraph
     rng = np.random.default_rng(41)
     for trial in range(60):
-        g = gnp_graph(rng)
+        g = gnp_graph(rng, features=2 if trial % 2 else None)
         u, v = random_pair(rng, g.num_nodes)
-        sub = extract_h_hop(g, u, v, 2)
-        feats = augment_features(sub, None, LabelScheme.ZERO_ONE)
         r = int(rng.integers(1, 4))
-        ids = list(range(sub.num_nodes))
-        series = pooled_power_series(sub, feats, r, ids)
-        assert len(series) == r + 1
-        for power, got in enumerate(series):
-            dense = np.linalg.matrix_power(sub.adjacency().toarray(), power)
-            expected = dense @ feats.matrix.astype(np.float64)
-            assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
-    with pytest.raises(ValueError):
-        pooled_power_series(sub, feats, -1, [0])
-    with pytest.raises(ValueError):
-        pooled_power_series(sub, feats, 1, [sub.num_nodes])
+        variant = "PoSPlus" if trial % 3 else "PoS"
+        cfg = SamplingOperatorSet(variant=variant, r=r, h=2)
+        rec = build_link_record(g, (u, v, int(trial % 2)), cfg)
+        assert rec.blocks.shape[0] == r + 1
+        expected = dense_record_blocks(g, (u, v, 0), cfg)
+        assert np.allclose(rec.blocks, expected, rtol=1e-6, atol=1e-6)
+    with pytest.raises(ValueError, match="r must be"):
+        SamplingOperatorSet(variant="PoS", r=-1, h=2)
+    with pytest.raises(ValueError, match="out of range"):
+        build_link_record(g, (0, g.num_nodes, 1), cfg)
+
+
+def test_sop_operators_use_power_subgraphs():
+    # path 0-1-2-3-4, link (0, 4), h=1: operator 1 works on the 1-hop
+    # subgraph of G and operator 2 on the 1-hop subgraph of G^2
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    cfg = SamplingOperatorSet(variant="SoP", r=2, h=1, labeling="drnl")
+    rec = build_link_record(g, (0, 4, 0), cfg)
+    assert np.array_equal(rec.blocks, dense_record_blocks(g, (0, 4, 0), cfg))
+    label_dim = cfg.label_dim()
+    # in G, nodes 1 and 3 each see one target; in G^2, node 2 sees both
+    # (distances 1 and 1, DRNL label 2), nodes 1 and 3 too (1 and 2: label 3)
+    assert rec.blocks[1, 0, :label_dim].nonzero()[0].tolist() == [0]
+    assert rec.blocks[2, 0, :label_dim].nonzero()[0].tolist() == [2, 3]
+    assert rec.blocks[2, 0, -1] == 2.0  # u's neighbors in G^2 minus v
+    p2 = graph_power(g, 2)
+    cached = build_link_record(g, (0, 4, 0), cfg, power_cache={2: p2})
+    assert np.array_equal(cached.blocks, rec.blocks)
+    # a supplied power graph is used verbatim: G itself as "G^2" repeats
+    # operator 1 in operator 2
+    fake = build_link_record(g, (0, 4, 0), cfg, power_cache={2: g})
+    assert np.array_equal(fake.blocks[2], rec.blocks[1])
+    with pytest.raises(ValueError, match="r must be"):
+        SamplingOperatorSet(variant="SoP", r=0, h=1)
 
 
 def test_center_record_shapes():
@@ -146,8 +173,6 @@ def test_scaled_absent_pooled_nodes_get_zero_rows():
         u, v = random_pair(rng, g.num_nodes)
         cfg = SamplingOperatorSet(variant="PoSPlusScaLed", r=2, h=1, k=1, l=1)
         rec = build_link_record(g, (u, v, 1), cfg, seed=trial)
-        from difflink.records import _walk_seed
-        from difflink import random_walk_subgraph
         sub = random_walk_subgraph(g, u, v, 1, 1, _walk_seed(trial, u, v, 1))
         present = set(sub.global_ids.tolist())
         for j, gid in enumerate(rec.pooled_ids.tolist()):
@@ -320,22 +345,39 @@ def test_precompute_manifest(tmp_path):
         RecordFile(path)
 
 
+def _mixed_links(rng, g, count):
+    """``count`` links, positives (edges of g) and negatives interleaved."""
+    edges = g.edge_array()
+    pos = edges[rng.choice(edges.shape[0], count // 2, replace=False)]
+    neg = np.asarray([random_pair(rng, g.num_nodes) for _ in range(count - count // 2)])
+    links = np.concatenate([np.column_stack([pos, np.ones(len(pos), np.int64)]),
+                            np.column_stack([neg, np.zeros(len(neg), np.int64)])])
+    return links[rng.permutation(count)]
+
+
 @pytest.mark.parametrize("variant,extra", [
     ("PoS", {}),
     ("PoSScaLed", {"k": 2, "l": 2}),
     ("SoP", {}),
+    ("PoSPlus", {}),
+    ("PoSPlusScaLed", {"k": 2, "l": 2}),
+    ("PoS", {"labeling": "drnl"}),
+    ("PoSPlus", {"labeling": "drnl"}),
+    ("SoP", {"labeling": "drnl"}),
 ])
 def test_precompute_worker_count_invariance(tmp_path, variant, extra):
+    # 150 links span three chunks, so the pool splits the work
     rng = np.random.default_rng(51)
-    g = gnp_graph(rng, n_lo=14, n_hi=14, p=0.3)
+    g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12, features=2)
     cfg = SamplingOperatorSet(variant=variant, r=2, h=2, **extra)
-    edges = g.edge_array()[:6]
-    links = np.concatenate([edges, np.ones((6, 1), dtype=np.int64)], axis=1)
+    links = _mixed_links(rng, g, 150)
+    assert links.shape[0] > 2 * CHUNK_LINKS
     p1 = tmp_path / "w1.rec"
     p4 = tmp_path / "w4.rec"
     precompute_dataset(g, links, cfg, p1, worker_count=1, seed=9)
     precompute_dataset(g, links, cfg, p4, worker_count=4, seed=9)
     assert p1.read_bytes() == p4.read_bytes()
+    assert [[r.u, r.v, r.label] for r in RecordFile(p1)] == links.tolist()
 
 
 def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
@@ -349,16 +391,17 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
     precompute_dataset(g, links, cfg, kept)
     before = kept.read_bytes()
 
-    real = records.build_link_record
+    first = build_link_record(g, (0, 1, 1), cfg)
+    real = records._link_records
     calls = []
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 70:  # partway through the second 64-link chunk
+        if len(calls) > 1:  # the second 64-link chunk
             raise RuntimeError("build failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(records, "build_link_record", failing)
+    monkeypatch.setattr(records, "_link_records", failing)
     for target in (kept, tmp_path / "fresh.rec"):
         calls.clear()
         with pytest.raises(RuntimeError, match="build failed"):
@@ -368,7 +411,7 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
     assert not (tmp_path / "fresh.rec").exists()
 
     def some_records():
-        yield real(g, (0, 1, 1), cfg)
+        yield first
         raise RuntimeError("source failed")
 
     with pytest.raises(RuntimeError, match="source failed"):
@@ -407,3 +450,88 @@ def test_storage_reduction_grows_with_subgraph_size():
     links = np.concatenate([edges, np.ones((20, 1), dtype=np.int64)], axis=1)
     report = storage_comparison(g, links, cfg)
     assert report.reduction_pct > 50
+
+
+def _edge_case_chunk(rng):
+    """A graph with an isolated node and one chunk of awkward links."""
+    g0 = gnp_graph(rng, n_lo=16, n_hi=16, p=0.35, features=2)
+    n = g0.num_nodes + 1                       # node n - 1 is isolated
+    feats = np.concatenate([g0.features, rng.random((1, 2), dtype=np.float32)])
+    g = build_graph(n, g0.edge_array(), features=feats)
+    a, b = (int(x) for x in g.edge_array()[0])
+    c, d = random_pair(rng, n - 1)
+    links = [(a, b, 1), (a, b, 1),             # duplicate link
+             (b, a, 1),                        # (v, u) next to (u, v)
+             (a, b, 0),                        # same pair as a negative
+             (c, n - 1, 0), (n - 1, d, 1),     # an isolated endpoint
+             (c, d, 0), (c, d, 1)]
+    links += [(*random_pair(rng, n), int(rng.integers(2))) for _ in range(40)]
+    return g, np.asarray(links, dtype=np.int64)
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_chunk_record_equals_record_built_alone(tmp_path, variant, labeling):
+    rng = np.random.default_rng(54)
+    g, links = _edge_case_chunk(rng)
+    walk = {"k": 1, "l": 1} if "ScaLed" in variant else {}
+    cfg = SamplingOperatorSet(variant=variant, r=3, h=2, labeling=labeling,
+                              **walk)
+    path = tmp_path / "chunk.rec"
+    precompute_dataset(g, links, cfg, path, seed=4)
+    recs = read_records(path)
+    assert len(recs) == links.shape[0] <= CHUNK_LINKS
+    absent_rows = 0
+    for rec, link in zip(recs, links.tolist()):
+        alone = build_link_record(g, link, cfg, seed=4)
+        assert serialize_record(rec) == serialize_record(alone)
+        if walk:
+            sub = random_walk_subgraph(g, link[0], link[1], 1, 1,
+                                       _walk_seed(4, *link))
+            absent = ~np.isin(rec.pooled_ids, sub.global_ids)
+            assert not rec.blocks[:, absent].any()
+            absent_rows += int(absent.sum())
+    if variant == "PoSPlusScaLed":
+        assert absent_rows > 0  # a pooled node missed by the walks
+    # the isolated endpoint's record: only u and v, no diffusion mass
+    # between them
+    iso = recs[4]
+    assert iso.pooled_count == 2 and not iso.blocks[1:, 1].any()
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_chunk_engine_on_empty_link_list(tmp_path, variant):
+    g = _triangle()
+    walk = {"k": 1, "l": 1} if "ScaLed" in variant else {}
+    cfg = SamplingOperatorSet(variant=variant, r=2, h=1, **walk)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    stats = precompute_dataset(g, empty, cfg, tmp_path / "e.rec")
+    assert (stats.record_count, stats.total_bytes) == (0, 6)
+    report = storage_comparison(g, empty, cfg)
+    assert (report.num_links, report.record_bytes, report.seal_bytes) == (0, 6, 0)
+    assert np.isnan(report.reduction_pct)
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_records_do_not_depend_on_how_a_chunk_is_split(tmp_path, monkeypatch,
+                                                       variant):
+    # dense graphs split a chunk into several unions, wide features are
+    # gathered a slice of columns at a time; neither may change a byte
+    import difflink.records as records
+    import difflink.sampling as sampling
+
+    rng = np.random.default_rng(55)
+    g, links = _edge_case_chunk(rng)
+    walk = {"k": 2, "l": 2} if "ScaLed" in variant else {}
+    cfg = SamplingOperatorSet(variant=variant, r=3, h=2, labeling="drnl",
+                              **walk)
+    whole = tmp_path / "whole.rec"
+    precompute_dataset(g, links, cfg, whole, seed=2)
+    monkeypatch.setattr(sampling, "UNION_ENTRIES", 16)
+    monkeypatch.setattr(records, "_FEATURE_COLUMNS", 1)
+    unions = list(sampling.hop_subgraphs(g, links[:, 0], links[:, 1], 2))
+    assert len(unions) > 1
+    assert sum(len(sub.starts) - 1 for sub in unions) == links.shape[0]
+    split = tmp_path / "split.rec"
+    precompute_dataset(g, links, cfg, split, seed=2)
+    assert split.read_bytes() == whole.read_bytes()

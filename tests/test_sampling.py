@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from difflink import (UNREACHABLE, build_graph, extract_h_hop, graph_power,
-                      random_walk_subgraph, sop_subgraph)
+                      hop_subgraphs, random_walk_subgraph, walk_subgraphs)
 from difflink.sampling import hop_distances
 
 from conftest import gnp_graph, random_pair
@@ -71,18 +71,22 @@ def test_extract_matches_oracle_node_sets_and_structure():
 
 
 def test_hop_distances_matches_networkx():
-    # depth limits, several sources and a blocked node, against networkx
+    # depth limits, several sources and blocked nodes, against networkx
     rng = np.random.default_rng(26)
     for trial in range(120):
         g = gnp_graph(rng)
         n = g.num_nodes
         sources = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
         depth = None if trial % 3 == 0 else int(rng.integers(0, 4))
-        blocked = int(rng.integers(n)) if trial % 2 else None
+        blocked = None
+        if trial % 4 == 1:
+            blocked = int(rng.integers(n))
+        elif trial % 4 == 3:
+            blocked = rng.choice(n, size=2, replace=False)
         nxg = to_nx(g)
         if blocked is not None:
-            nxg.remove_node(blocked)
-        live = [int(s) for s in sources if s != blocked]
+            nxg.remove_nodes_from(np.atleast_1d(blocked).tolist())
+        live = [int(s) for s in sources if s in nxg]
         want = (nx.multi_source_dijkstra_path_length(nxg, live, cutoff=depth)
                 if live else {})
         got = hop_distances(g.indptr, g.indices, sources, max_depth=depth,
@@ -105,6 +109,8 @@ def test_hop_distances_small_cases():
     assert d([0], blocked=2) == [0, 1, -1, -1, -1]
     assert d([0, 4], blocked=2) == [0, 1, -1, 1, 0]
     assert d([2], blocked=2) == [-1] * 5
+    assert d([0, 4], blocked=[1, 3]) == [0, -1, -1, -1, 0]
+    assert d([0, 2], blocked=[2, 4]) == [0, 1, -1, -1, -1]
 
 
 def test_extract_validates_arguments():
@@ -192,18 +198,59 @@ def test_graph_power_carries_features():
         graph_power(g, 0)
 
 
-def test_sop_subgraph():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    s0 = sop_subgraph(g, 0, 4, i=0, h=1)
-    direct = extract_h_hop(g, 0, 4, 1)
-    assert np.array_equal(s0.global_ids, direct.global_ids)
-    p2 = graph_power(g, 2)
-    s2 = sop_subgraph(g, 0, 4, i=2, h=1)
-    via_power = extract_h_hop(p2, 0, 4, 1)
-    assert np.array_equal(s2.global_ids, via_power.global_ids)
-    assert np.array_equal(s2.indices, via_power.indices)
-    # a precomputed power graph is used verbatim
-    s2b = sop_subgraph(g, 0, 4, i=2, h=1, power_graph=p2)
-    assert np.array_equal(s2b.global_ids, s2.global_ids)
-    with pytest.raises(ValueError):
-        sop_subgraph(g, 0, 4, i=-1, h=1)
+def _blocks(sub):
+    """(global ids, dense adjacency) of every block of a union subgraph."""
+    a = sub.adjacency().toarray()
+    out = []
+    for lo, hi in zip(sub.starts[:-1], sub.starts[1:]):
+        # no edge leaves a block
+        assert a[lo:hi].sum() == a[lo:hi, lo:hi].sum()
+        out.append((sub.global_ids[lo:hi], a[lo:hi, lo:hi]))
+    return out
+
+
+def test_hop_subgraphs_blocks_match_oracle():
+    # a chunk with duplicate and reversed links; each block must be the
+    # link's own enclosing subgraph
+    rng = np.random.default_rng(27)
+    for trial in range(40):
+        g = gnp_graph(rng)
+        pairs = [random_pair(rng, g.num_nodes) for _ in range(4)]
+        pairs += [pairs[0], pairs[1][::-1]]
+        u, v = np.asarray(pairs).T
+        h = int(rng.integers(1, 4))
+        [sub] = hop_subgraphs(g, u, v, h)
+        for lo, hi in zip(sub.indptr[:-1], sub.indptr[1:]):
+            assert np.all(np.diff(sub.indices[lo:hi]) > 0)
+        nxg = to_nx(g)
+        blocks = _blocks(sub)
+        assert len(blocks) == len(pairs)
+        for (ids, dense), (a, b) in zip(blocks, pairs):
+            assert ids[0] == a and ids[1] == b
+            assert np.all(np.diff(ids[2:]) > 0)
+            assert sorted(ids.tolist()) == hop_nodes(nxg, a, b, h)
+            assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
+            one = extract_h_hop(g, a, b, h)
+            assert np.array_equal(one.global_ids, ids)
+            assert np.array_equal(one.adjacency().toarray(), dense)
+    [empty] = hop_subgraphs(g, [], [], 2)
+    assert empty.num_nodes == 0 and empty.starts.tolist() == [0]
+
+
+def test_walk_subgraphs_blocks_match_one_link_walks():
+    rng = np.random.default_rng(28)
+    for trial in range(30):
+        g = gnp_graph(rng)
+        pairs = [random_pair(rng, g.num_nodes) for _ in range(3)]
+        pairs.append(pairs[0])
+        seeds = [11, 12, 13, 11 if trial % 2 else 14]
+        u, v = np.asarray(pairs).T
+        [sub] = walk_subgraphs(g, u, v, 2, 3, seeds)
+        for (ids, dense), (a, b), seed in zip(_blocks(sub), pairs, seeds):
+            one = random_walk_subgraph(g, a, b, 2, 3, seed)
+            assert np.array_equal(one.global_ids, ids)
+            assert np.array_equal(one.adjacency().toarray(), dense)
+    with pytest.raises(ValueError, match="differ"):
+        walk_subgraphs(g, [0, 1], [1, 1], 2, 3, [0, 0])
+    with pytest.raises(ValueError, match="one seed per link"):
+        walk_subgraphs(g, [0, 1], [1, 0], 2, 3, [0])
