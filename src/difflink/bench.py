@@ -124,6 +124,10 @@ def parse_config(cfg: dict) -> ExperimentSpec:
         "lr": _pick(t, "training", "lr", 1e-3, float),
         "agg": _pick(t, "training", "agg", "mean", str),
     }
+    try:
+        TrainConfig(**training)
+    except ValueError as exc:   # its messages start with the field name
+        raise ConfigError(f"training.{exc}") from None
 
     e = _section(cfg, "eval", {})
     hits_k = e.get("hits_k", [])

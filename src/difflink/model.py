@@ -11,6 +11,7 @@ float64 parameters are supported for gradient checking only.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,12 +72,24 @@ class TrainConfig:
     pooling: Pooling | None = None
 
     def __post_init__(self):
+        # every message starts with the field name, so config parsing can
+        # report it as ``training.<field>``
+        for name in ("d_prime", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: expected an integer >= 1, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ValueError(f"dropout: expected a value in [0, 1), got {self.dropout!r}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr: expected a finite value >= 0, got {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: expected a value in [0, 1), "
+                                 f"got {getattr(self, name)!r}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps: expected a value > 0, got {self.eps!r}")
         if self.agg not in ("mean", "sum", "max"):
-            raise ValueError(f"unknown aggregation {self.agg!r}")
+            raise ValueError(f"agg: unknown aggregation {self.agg!r}")
         if self.pooling is not None:
             object.__setattr__(self, "pooling", Pooling(self.pooling))
 
@@ -125,7 +138,10 @@ def stack_records(records, dtype=np.float32):
 def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
     """Logits plus every intermediate needed for the backward pass."""
     ccn = params.pooling is Pooling.CCN
-    h = np.maximum(z @ params.W, 0.0)          # (B, p, d')
+    b, p, width = z.shape
+    # one GEMM over all B*p rows: a 3-D ``z @ W`` runs one small GEMM per
+    # record, each streaming the whole of W again
+    h = np.maximum(z.reshape(b * p, width) @ params.W, 0.0).reshape(b, p, -1)
     qc = h[:, 0] * h[:, 1]                     # Hadamard of target rows
     cn_idx = None
     if ccn:
@@ -159,14 +175,9 @@ def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
 def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
     z, mask, h = cache["z"], cache["mask"], cache["h"]
     d_prime = params.d_prime
-    grads = ModelParams(**{k: np.zeros_like(v) for k, v in params.tensors().items()})
-    grads.out_b = np.asarray(dlogit.sum(), dtype=z.dtype)
-    grads.out_w = cache["hid_d"].T @ dlogit
     dhid_d = dlogit[:, None] * params.out_w[None, :]
     dhid = dhid_d if cache["dropout_mask"] is None else dhid_d * cache["dropout_mask"]
     dhid_pre = dhid * (cache["hid"] > 0)
-    grads.hidden_b = dhid_pre.sum(axis=0)
-    grads.hidden_w = cache["q"].T @ dhid_pre
     dq = dhid_pre @ params.hidden_w.T
     dh = np.zeros_like(h)
     dqc = dq[:, :d_prime]
@@ -181,13 +192,17 @@ def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
         elif agg == "sum":
             dh[:, 2:] += dqn[:, None, :] * mask[:, 2:, None]
         else:
+            # each (b, 2 + cn_idx[b, f], f) target is distinct, since f is
             b_idx = np.arange(z.shape[0])[:, None]
             f_idx = np.arange(d_prime)[None, :]
-            np.add.at(dh, (b_idx, 2 + cache["cn_idx"], f_idx), dqn)
+            dh[b_idx, 2 + cache["cn_idx"], f_idx] += dqn
     dh_pre = dh * (h > 0)
     bp = z.shape[0] * z.shape[1]
-    grads.W = z.reshape(bp, -1).T @ dh_pre.reshape(bp, d_prime)
-    return grads
+    return ModelParams(W=z.reshape(bp, -1).T @ dh_pre.reshape(bp, d_prime),
+                       hidden_w=cache["q"].T @ dhid_pre,
+                       hidden_b=dhid_pre.sum(axis=0),
+                       out_w=cache["hid_d"].T @ dlogit,
+                       out_b=np.asarray(dlogit.sum(), dtype=z.dtype))
 
 
 def _sigmoid(x):
@@ -250,27 +265,62 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
     return loss, grads
 
 
+ADAM_BLOCK = 32768   # elements per in-place Adam update block
+
+
 class Adam:
-    """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps).
+
+    Moments and parameters are updated in place, on flat views, in blocks of
+    ``ADAM_BLOCK`` elements through two block-sized scratch buffers, so a
+    step allocates no full-size temporaries. The operation order is the
+    textbook one, so results are bit-identical to the whole-array form.
+    """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        self.m = {k: np.zeros(v.shape, v.dtype) for k, v in params.tensors().items()}
+        self.v = {k: np.zeros(v.shape, v.dtype) for k, v in params.tensors().items()}
+        self._scratch = {t.dtype: np.empty((2, ADAM_BLOCK), t.dtype)
+                         for t in params.tensors().values()}
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         gt = grads.tensors()
-        pt = params.tensors()
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for k, g in gt.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            update = self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
-            pt[k] -= update.astype(pt[k].dtype)
+        for k, p in params.tensors().items():
+            contiguous = p.flags.c_contiguous
+            flat = p.reshape(-1)   # a view unless p is not contiguous
+            g = gt[k].reshape(-1)
+            m, v = self.m[k].reshape(-1), self.v[k].reshape(-1)
+            buf = self._scratch[p.dtype]
+            for lo in range(0, flat.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, flat.size)
+                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
+                s1, s2 = buf[0, :hi - lo], buf[1, :hi - lo]
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1.0 - b1, out=s1)
+                np.add(mb, s1, out=mb)
+                # v = b2 * v + ((1 - b2) * g) * g
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1.0 - b2, out=s1)
+                np.multiply(s1, gb, out=s1)
+                np.add(vb, s1, out=vb)
+                # p -= ((m / bc1) * lr) / (sqrt(v / bc2) + eps)
+                np.divide(mb, bc1, out=s1)
+                np.multiply(s1, lr, out=s1)
+                np.divide(vb, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, eps, out=s2)
+                np.divide(s1, s2, out=s1)
+                np.subtract(pb, s1, out=pb)
+            if not contiguous:
+                p[...] = flat.reshape(p.shape)
 
 
 def _load_records(dataset):
@@ -339,6 +389,8 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
 def predict(dataset, params: ModelParams, agg: str = "mean",
             batch_size: int = 256) -> np.ndarray:
     """Eval-mode probabilities for every record, in file order."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size: expected an integer >= 1, got {batch_size!r}")
     records = _load_records(dataset)
     scores = np.zeros(len(records), dtype=np.float64)
     dtype = params.W.dtype

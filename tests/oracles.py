@@ -244,3 +244,18 @@ def scalar_forward(record, params, agg: str = "mean") -> float:
     for j in range(d_prime):
         logit += hid[j] * float(params.out_w[j])
     return 1.0 / (1.0 + math.exp(-logit))
+
+
+def adam_reference(params: dict, m: dict, v: dict, grads: dict, t: int,
+                   lr: float, beta1: float, beta2: float, eps: float):
+    """One whole-array Adam step in the textbook form; returns new
+    (params, m, v) dicts and leaves its inputs untouched."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    new_p, new_m, new_v = {}, {}, {}
+    for k, g in grads.items():
+        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        update = lr * (new_m[k] / bc1) / (np.sqrt(new_v[k] / bc2) + eps)
+        new_p[k] = params[k] - update.astype(params[k].dtype)
+    return new_p, new_m, new_v

@@ -66,6 +66,13 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x"}, "sampling": {"r": 65535}}, "sampling.r"),
     ({"dataset": {"name": "x"}, "sampling": {"ccn_cap": 65534}},
      "sampling.ccn_cap"),
+    ({"dataset": {"name": "x"}, "training": {"d_prime": 0}}, "training.d_prime"),
+    ({"dataset": {"name": "x"}, "training": {"dropout": 1.0}}, "training.dropout"),
+    ({"dataset": {"name": "x"}, "training": {"epochs": 0}}, "training.epochs"),
+    ({"dataset": {"name": "x"}, "training": {"batch_size": 0}},
+     "training.batch_size"),
+    ({"dataset": {"name": "x"}, "training": {"lr": -0.1}}, "training.lr"),
+    ({"dataset": {"name": "x"}, "training": {"agg": "median"}}, "training.agg"),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

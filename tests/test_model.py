@@ -7,9 +7,9 @@ from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       loss_and_gradients, predict, save_params, train,
                       write_records)
 from difflink.metrics import ScoredPairs
-from difflink.model import stack_records
+from difflink.model import ADAM_BLOCK, _forward_batch, stack_records
 
-from oracles import scalar_forward
+from oracles import adam_reference, scalar_forward
 
 
 def _random_record(rng, r1=3, p=4, w=5, label=1):
@@ -184,6 +184,76 @@ def test_adam_hand_trace():
         assert np.allclose(t, expected, atol=1e-6), k
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_whole_array_reference(dtype):
+    # W spans two full blocks and a partial one; out_b is 0-d
+    rng = np.random.default_rng(17)
+    rows = 2 * ADAM_BLOCK // 64 + 3
+    shapes = {"W": (rows, 64), "hidden_w": (6, 5), "hidden_b": (5,),
+              "out_w": (5,), "out_b": ()}
+    assert (rows * 64) % ADAM_BLOCK != 0
+
+    def draw():
+        return {k: np.asarray(rng.normal(size=s), dtype=dtype)
+                for k, s in shapes.items()}
+
+    params = ModelParams(**draw())
+    ref_p = {k: t.copy() for k, t in params.tensors().items()}
+    ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-7)
+    for t in range(1, 5):
+        grads = ModelParams(**draw())
+        before = {k: g.copy() for k, g in grads.tensors().items()}
+        opt.step(params, grads)
+        ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, before, t,
+                                             0.01, 0.8, 0.95, 1e-7)
+        for k, g in grads.tensors().items():
+            assert np.array_equal(g, before[k]), k
+        for k, tensor in params.tensors().items():
+            assert tensor.dtype == dtype and tensor.shape == shapes[k], k
+            assert np.array_equal(tensor, ref_p[k]), (t, k)
+            assert np.array_equal(opt.m[k], ref_m[k]), (t, k)
+            assert np.array_equal(opt.v[k], ref_v[k]), (t, k)
+
+
+def test_adam_updates_non_contiguous_params():
+    rng = np.random.default_rng(18)
+    tensors = {"W": np.asfortranarray(rng.normal(size=(7, 3))),
+               "hidden_w": rng.normal(size=(3, 3)), "hidden_b": np.zeros(3),
+               "out_w": rng.normal(size=(6,))[::2], "out_b": np.asarray(0.5)}
+    params = ModelParams(**tensors)
+    grads = ModelParams(**{k: rng.normal(size=t.shape)
+                           for k, t in tensors.items()})
+    zeros = {k: np.zeros(t.shape) for k, t in tensors.items()}
+    expected, _, _ = adam_reference({k: t.copy() for k, t in tensors.items()},
+                                    zeros, zeros, grads.tensors(), 1,
+                                    0.1, 0.9, 0.999, 1e-8)
+    Adam(params, lr=0.1).step(params, grads)
+    for k, t in params.tensors().items():
+        assert t is tensors[k]
+        assert np.array_equal(t, expected[k]), k
+
+
+@pytest.mark.parametrize("pooling,agg", [
+    (Pooling.CENTER, "mean"),
+    (Pooling.CCN, "mean"),
+    (Pooling.CCN, "sum"),
+    (Pooling.CCN, "max"),
+])
+def test_logit_does_not_depend_on_batch_padding(pooling, agg):
+    rng = np.random.default_rng(19)
+    small = _random_record(rng, r1=3, p=2 if pooling is Pooling.CENTER else 3, w=7)
+    larger = [_random_record(rng, r1=3, p=p, w=7, label=0) for p in (6, 9, 4)]
+    params = _random_params(rng, 21, 16, pooling)
+    z, mask, _ = stack_records([small])
+    alone, _ = _forward_batch(z, mask, params, None, agg)
+    z, mask, _ = stack_records([larger[0], small] + larger[1:])
+    padded, _ = _forward_batch(z, mask, params, None, agg)
+    assert z.shape[1] == 9 and not mask[1, small.pooled_count:].any()
+    np.testing.assert_allclose(padded[1], alone[0], rtol=1e-6)
+
+
 def _toy_dataset(n_links, seed, separation=3.0):
     """Records whose block values carry the label directly."""
     rng = np.random.default_rng(seed)
@@ -275,6 +345,10 @@ def test_predict_from_file_matches_records(tmp_path):
     assert np.array_equal(from_file, from_list)
     assert np.all((from_file > 0) & (from_file < 1))
     assert from_file[0] == pytest.approx(forward(recs[0], params)[0])
+    assert np.array_equal(predict(recs, params, batch_size=1), from_list)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            predict(recs, params, batch_size=bad)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -303,13 +377,16 @@ def test_stack_records_rejects_width_mismatch():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(dropout=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(agg="median")
+    # each message starts with the field name (config parsing relies on it)
+    for field, bad in [("d_prime", 0), ("d_prime", -4), ("epochs", 0),
+                       ("batch_size", 0), ("dropout", 1.0), ("dropout", -0.1),
+                       ("dropout", float("nan")), ("lr", -1e-3),
+                       ("lr", float("inf")), ("lr", float("nan")),
+                       ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+                       ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
+                       ("agg", "median")]:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            TrainConfig(**{field: bad})
+    TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, dropout=0.0, d_prime=1)
     cfg = TrainConfig(pooling="ccn")
     assert cfg.pooling is Pooling.CCN
