@@ -37,10 +37,14 @@ _SECTIONS = ("dataset", "split", "variant", "sampling", "training", "eval",
              "runs", "mode", "heuristics", "workers", "storage")
 
 
-def _section(cfg: dict, name: str, default):
-    val = cfg.get(name, default)
-    if default is not None and not isinstance(val, type(default)):
-        raise ConfigError(f"{name}: expected {type(default).__name__}")
+def _section(cfg: dict, name: str, keys: tuple) -> dict:
+    """Section ``name`` of ``cfg`` (empty when absent); it may hold only ``keys``."""
+    val = cfg.get(name, {})
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name}: expected dict")
+    for key in val:
+        if key not in keys:
+            raise ConfigError(f"{name}.{key}: unknown key, expected one of {list(keys)}")
     return val
 
 
@@ -80,12 +84,12 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    dataset = _section(cfg, "dataset", {})
+    dataset = cfg.get("dataset", {})
     if not isinstance(dataset, dict) or not dataset.get("name"):
         raise ConfigError("dataset.name: required")
     dataset = dict(dataset)
 
-    split = _section(cfg, "split", {})
+    split = _section(cfg, "split", ("ratios",))
     ratios = split.get("ratios", [0.85, 0.05, 0.10])
     if (not isinstance(ratios, (list, tuple)) or len(ratios) != 3
             or not all(isinstance(r, (int, float)) and r > 0 for r in ratios)):
@@ -99,7 +103,8 @@ def parse_config(cfg: dict) -> ExperimentSpec:
             f"variant: {variant!r} is not one of "
             f"{[v.value for v in Variant]}") from None
 
-    s = _section(cfg, "sampling", {})
+    s = _section(cfg, "sampling", ("r", "h", "k", "l", "labeling", "label_cap",
+                                   "normalized", "ccn_cap"))
     sampling = {
         "r": _pick(s, "sampling", "r", 3, int),
         "h": _pick(s, "sampling", "h", None, int),
@@ -115,7 +120,8 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     if not 0 <= sampling["ccn_cap"] <= MAX_CCN_CAP:
         raise ConfigError(f"sampling.ccn_cap: expected 0..{MAX_CCN_CAP}")
 
-    t = _section(cfg, "training", {})
+    t = _section(cfg, "training", ("d_prime", "dropout", "epochs", "batch_size",
+                                   "lr", "agg"))
     training = {
         "d_prime": _pick(t, "training", "d_prime", 256, int),
         "dropout": _pick(t, "training", "dropout", 0.5, float),
@@ -129,14 +135,14 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     except ValueError as exc:   # its messages start with the field name
         raise ConfigError(f"training.{exc}") from None
 
-    e = _section(cfg, "eval", {})
+    e = _section(cfg, "eval", ("hits_k", "mrr"))
     hits_k = e.get("hits_k", [])
     if not isinstance(hits_k, list) or not all(
             isinstance(k, int) and k >= 1 for k in hits_k):
         raise ConfigError("eval.hits_k: expected a list of positive integers")
     eval_opts = {"hits_k": list(hits_k), "mrr": _pick(e, "eval", "mrr", False, bool)}
 
-    runs = _section(cfg, "runs", {})
+    runs = _section(cfg, "runs", ("seeds",))
     seeds = runs.get("seeds", _DEFAULT_SEEDS)
     if not isinstance(seeds, list) or not seeds or not all(
             isinstance(x, int) for x in seeds):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,17 @@ class Graph:
             (data, self.indices.astype(np.int64), self.indptr),
             shape=(self.num_nodes, self.num_nodes),
         )
+
+    @cached_property
+    def _closed_adjacency(self) -> sp.csr_matrix:
+        """Boolean A + I, built on first use and kept with the graph.
+
+        One product with it extends reach sets by one hop, and a row pair's
+        product gives common neighbours. Chunked precompute reads it for
+        every chunk, so it is built once per graph, not once per chunk.
+        """
+        return self.adjacency(bool) + sp.identity(self.num_nodes, dtype=bool,
+                                                  format="csr")
 
     def same_structure(self, other: "Graph") -> bool:
         """True if both graphs have identical node count and adjacency."""

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 
 from .graphs import Graph, normalized_adjacency
 from .labeling import LabelScheme, label_dim_for, node_labels
-from .sampling import Subgraph, graph_power, hop_subgraphs, walk_subgraphs
+from .sampling import (Subgraph, _unique, graph_power, hop_subgraphs,
+                       walk_subgraphs)
 
 _MAGIC = b"S3GR"
 _VERSION = 1
@@ -209,10 +210,14 @@ def _pooled_ids(graph: Graph, u: np.ndarray, v: np.ndarray,
     links = np.arange(u.shape[0])
     cn_link = cn = np.zeros(0, dtype=np.int64)
     if config.pooling is Pooling.CCN:
-        adj = graph.adjacency(np.int8)
-        common = adj[u].multiply(adj[v]).tocoo()
-        order = np.lexsort((common.col, -graph.degrees()[common.col], common.row))
-        cn_link, cn = common.row[order], common.col[order].astype(np.int64)
+        closed = graph._closed_adjacency
+        common = closed[u].multiply(closed[v]).tocoo()
+        # A + I also pairs u and v themselves when they are adjacent.
+        keep = (common.col != u[common.row]) & (common.col != v[common.row])
+        cn_link, cn = common.row[keep], common.col[keep].astype(np.int64)
+        degree = graph.indptr[cn + 1] - graph.indptr[cn]
+        order = np.lexsort((cn, -degree, cn_link))
+        cn_link, cn = cn_link[order], cn[order]
         rank = np.arange(cn.shape[0]) - np.searchsorted(cn_link, cn_link)
         cn_link, cn = cn_link[rank < config.ccn_cap], cn[rank < config.ccn_cap]
     order = np.argsort(np.concatenate([3 * links, 3 * links + 1, 3 * cn_link + 2]),
@@ -253,7 +258,10 @@ def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
             row * label_dim + labels[y.indices], weights=y.data,
             minlength=p * label_dim).reshape(p, label_dim)
     # All powers against the feature rows they touch, in column slices.
-    touched = np.unique(sub.global_ids[np.concatenate([y.indices for y in series])])
+    reached = np.zeros(sub.num_nodes, dtype=bool)
+    for y in series:
+        reached[y.indices] = True
+    touched = _unique(sub.global_ids[reached])
     column = np.searchsorted(touched, sub.global_ids)
     by_id = sp.vstack([sp.csr_matrix((y.data, column[y.indices], y.indptr),
                                      shape=(p, touched.shape[0]))
@@ -485,8 +493,13 @@ def _build_chunk(links) -> tuple[bytes, int]:
 
 def _built_chunks(graph, config, seed, chunks, worker_count):
     """_build_chunk over ``chunks`` in input order, on a pool if asked."""
-    args = (graph, config, seed, _power_cache_for(graph, config))
+    power_cache = _power_cache_for(graph, config)
+    args = (graph, config, seed, power_cache)
     if worker_count > 1 and chunks:
+        # Build each graph's A + I before the fork, so the workers share
+        # one copy instead of each building its own.
+        for g in (graph, *power_cache.values()):
+            g._closed_adjacency
         ctx = mp.get_context("fork")
         with ctx.Pool(worker_count, initializer=_init_worker,
                       initargs=args) as pool:

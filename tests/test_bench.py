@@ -73,10 +73,24 @@ def test_parse_config_fills_defaults():
      "training.batch_size"),
     ({"dataset": {"name": "x"}, "training": {"lr": -0.1}}, "training.lr"),
     ({"dataset": {"name": "x"}, "training": {"agg": "median"}}, "training.agg"),
+    ({"dataset": {"name": "x"}, "training": {"epoch": 5}}, r"training\.epoch: unknown"),
+    ({"dataset": {"name": "x"}, "sampling": {"hh": 2}}, r"sampling\.hh: unknown"),
+    ({"dataset": {"name": "x"}, "split": {"ratio": [0.8, 0.1, 0.1]}},
+     r"split\.ratio: unknown"),
+    ({"dataset": {"name": "x"}, "eval": {"hits": [10]}}, r"eval\.hits: unknown"),
+    ({"dataset": {"name": "x"}, "runs": {"seed": [0]}}, r"runs\.seed: unknown"),
+    ({"dataset": {"name": "x"}, "sampling": []}, "sampling: expected dict"),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(cfg)
+
+
+def test_parse_config_keeps_dataset_keys_open():
+    # dataset keys depend on the dataset, so they are passed through as given
+    spec = parse_config({"dataset": {"name": "x", "edge_list": "e.txt",
+                                     "anything": 1}})
+    assert spec.dataset == {"name": "x", "edge_list": "e.txt", "anything": 1}
 
 
 def test_load_config_rejects_bad_json(tmp_path):

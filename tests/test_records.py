@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from difflink import (LinkRecord, Pooling, RecordFile,
+from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
                       build_graph, build_link_record, graph_power,
                       precompute_dataset, random_walk_subgraph, read_records,
@@ -378,6 +378,37 @@ def test_precompute_worker_count_invariance(tmp_path, variant, extra):
     precompute_dataset(g, links, cfg, p4, worker_count=4, seed=9)
     assert p1.read_bytes() == p4.read_bytes()
     assert [[r.u, r.v, r.label] for r in RecordFile(p1)] == links.tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("variant,graphs", [("PoS", 1), ("PoSPlus", 1),
+                                            ("SoP", 3)])
+def test_operands_are_built_once_per_graph(tmp_path, monkeypatch, workers,
+                                           variant, graphs):
+    # 150 links are three chunks. A + I (reach steps, graph powers, CCN
+    # common neighbours) is built once for G, and SoP builds one more for
+    # each of its power graphs G^2 and G^3, never one per chunk.
+    rng = np.random.default_rng(57)
+    g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12)
+    links = _mixed_links(rng, g, 150)
+    assert links.shape[0] > 2 * CHUNK_LINKS
+    builds = []
+    adjacency = Graph.adjacency
+
+    def counted(self, dtype=np.float64):
+        builds.append(self)
+        return adjacency(self, dtype)
+
+    monkeypatch.setattr(Graph, "adjacency", counted)
+    cfg = SamplingOperatorSet(variant=variant, r=3, h=1)
+    precompute_dataset(g, links, cfg, tmp_path / "a.rec", worker_count=workers)
+    assert len(builds) == graphs
+    assert len({id(graph) for graph in builds}) == graphs
+    assert builds[0] is g
+    builds.clear()
+    fresh = Graph(g.num_nodes, g.indptr, g.indices)
+    storage_comparison(fresh, links, cfg)
+    assert len(builds) == 1 and builds[0] is fresh
 
 
 def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):

@@ -2,8 +2,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from difflink import (UNREACHABLE, build_graph, extract_h_hop, graph_power,
-                      hop_subgraphs, random_walk_subgraph, walk_subgraphs)
+from difflink import (UNREACHABLE, Graph, build_graph, extract_h_hop,
+                      graph_power, hop_subgraphs, random_walk_subgraph,
+                      walk_subgraphs)
 from difflink.sampling import hop_distances
 
 from conftest import gnp_graph, random_pair
@@ -254,3 +255,99 @@ def test_walk_subgraphs_blocks_match_one_link_walks():
         walk_subgraphs(g, [0, 1], [1, 1], 2, 3, [0, 0])
     with pytest.raises(ValueError, match="one seed per link"):
         walk_subgraphs(g, [0, 1], [1, 0], 2, 3, [0])
+
+
+def _hub_graph(rng, leaves=30):
+    """A star on node 0 plus as many random edges among its leaves."""
+    ends = rng.integers(1, leaves + 1, size=(leaves, 2))
+    edges = np.concatenate([np.column_stack([np.zeros(leaves, np.int64),
+                                             np.arange(1, leaves + 1)]), ends])
+    return build_graph(leaves + 1, edges)
+
+
+def _hub_links(rng, n):
+    """(u, v) arrays: hub links, leaf pairs, and duplicate and reversed
+    copies of both."""
+    pairs = [(0, int(x)) for x in rng.choice(np.arange(1, n), 4, replace=False)]
+    pairs += [random_pair(rng, n) for _ in range(4)]
+    pairs += [pairs[0], pairs[1][::-1], pairs[4][::-1], pairs[4]]
+    return tuple(np.asarray(pairs).T)
+
+
+@pytest.mark.parametrize("union_entries", [None, 16])
+def test_hop_subgraphs_hub_blocks_match_oracle(monkeypatch, union_entries):
+    # Every block holds the hub, so most nodes sit in many blocks of one
+    # union; with 16 entries per union the chunk also spans many unions.
+    # A position left stamped by an earlier block would pull a foreign node
+    # or edge into a later one.
+    import difflink.sampling as sampling
+
+    if union_entries is not None:
+        monkeypatch.setattr(sampling, "UNION_ENTRIES", union_entries)
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        g = _hub_graph(rng)
+        u, v = _hub_links(rng, g.num_nodes)
+        h = 1 + trial % 3
+        subs = list(hop_subgraphs(g, u, v, h))
+        assert (len(subs) > 1) == (union_entries is not None)
+        blocks = [block for sub in subs for block in _blocks(sub)]
+        assert len(blocks) == len(u)
+        nxg = to_nx(g)
+        for (ids, dense), a, b in zip(blocks, u, v):
+            assert ids[0] == a and ids[1] == b
+            assert np.all(np.diff(ids[2:]) > 0)
+            assert sorted(ids.tolist()) == hop_nodes(nxg, a, b, h)
+            assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
+
+
+def test_walk_subgraphs_hub_blocks_are_induced():
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        g = _hub_graph(rng)
+        u, v = _hub_links(rng, g.num_nodes)
+        seeds = list(range(trial, trial + len(u)))
+        [sub] = walk_subgraphs(g, u, v, 3, 2, seeds)
+        nxg = to_nx(g)
+        for (ids, dense), a, b, seed in zip(_blocks(sub), u, v, seeds):
+            assert ids[0] == a and ids[1] == b
+            assert np.all(np.diff(ids[2:]) > 0)
+            assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
+            one = random_walk_subgraph(g, a, b, 3, 2, seed)
+            assert np.array_equal(one.global_ids, ids)
+
+
+@pytest.mark.parametrize("how", ["hop", "walk"])
+def test_link_sets_built_in_turn_match_sets_built_alone(monkeypatch, how):
+    # One link set built right after another on the same graph, or with the
+    # unions of two calls interleaved, gets the blocks it gets on its own.
+    import difflink.sampling as sampling
+
+    def build(graph, links):
+        u, v = links
+        if how == "hop":
+            return hop_subgraphs(graph, u, v, 2)
+        return walk_subgraphs(graph, u, v, 3, 2, list(range(len(u))))
+
+    def blocks(unions):
+        return [block for sub in unions for block in _blocks(sub)]
+
+    def same(xs, ys):
+        return len(xs) == len(ys) and all(
+            np.array_equal(a, c) and np.array_equal(b, d)
+            for (a, b), (c, d) in zip(xs, ys))
+
+    rng = np.random.default_rng(32)
+    for trial in range(6):
+        g = _hub_graph(rng)
+        first, second = _hub_links(rng, g.num_nodes), _hub_links(rng, g.num_nodes)
+        alone = blocks(build(Graph(g.num_nodes, g.indptr.copy(),
+                                   g.indices.copy()), second))
+        blocks(build(g, first))
+        assert same(blocks(build(g, second)), alone)
+        monkeypatch.setattr(sampling, "UNION_ENTRIES", 16)
+        a, b = build(g, first), build(g, second)
+        mixed = [(x, y) for x, y in zip(a, b)]
+        interleaved = [y for _, y in mixed] + list(b)
+        assert same(blocks(interleaved), alone)
+        monkeypatch.undo()
