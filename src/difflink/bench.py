@@ -24,8 +24,8 @@ from .datasets import resolve_dataset
 from .graphs import EdgeSplit, Graph, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
 from .model import ModelParams, TrainConfig, predict, train
-from .records import (MAX_CCN_CAP, MAX_R, SamplingOperatorSet, Variant,
-                      precompute_dataset, read_records, storage_comparison)
+from .records import (MAX_CCN_CAP, MAX_R, RecordFile, SamplingOperatorSet,
+                      Variant, precompute_dataset, storage_comparison)
 
 
 class ConfigError(ValueError):
@@ -266,12 +266,11 @@ def train_run(spec: ExperimentSpec, config: SamplingOperatorSet, seed: int,
 def evaluate_run(spec: ExperimentSpec, params: ModelParams,
                  run_dir) -> tuple[dict, float]:
     """Score ``run_dir``'s test records; returns (metrics, predict seconds)."""
-    records = read_records(Path(run_dir) / "test.rec")
+    records = RecordFile(Path(run_dir) / "test.rec")
     t0 = time.monotonic()
     scores = predict(records, params, agg=spec.training["agg"])
     inference_s = time.monotonic() - t0
-    labels = np.asarray([rec.label for rec in records])
-    return _eval_scores(scores, labels, spec.eval_opts), inference_s
+    return _eval_scores(scores, records.labels, spec.eval_opts), inference_s
 
 
 @dataclass
@@ -482,7 +481,7 @@ def timing_probe(config_path, max_links: int = 512) -> dict:
                                replace(config, h=h), path,
                                worker_count=spec.workers, seed=seed)
             probe[f"preprocess_s_h{h}"] = time.monotonic() - t0
-            recs = read_records(path)
+            recs = RecordFile(path)
             probe[f"per_record_inference_s_h{h}"] = _per_record_inference_s(
                 recs, run.params, spec.training["agg"])
         ratio = (probe["per_record_inference_s_h3"]

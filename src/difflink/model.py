@@ -19,12 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import LinkRecord, Pooling, RecordFile, manifest_path
+from .records import LinkRecord, Pooling, _record_buffer, manifest_path
+
+_ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
 
 @dataclass
 class ModelParams:
-    """Learnable tensors. pool_dim = d' (Center) or 2 d' (CCN)."""
+    """Learnable tensors. pool_dim = d' (Center) or 2 d' (CCN).
+
+    The model's own parameters and gradients are consecutive views of one
+    flat buffer, in ``W, hidden_w, hidden_b, out_w, out_b`` order, so the
+    optimizer makes one pass over them. Tensors set by hand may be
+    separate arrays.
+    """
 
     W: np.ndarray          # ((r+1)*w, d') reduction matrix
     hidden_w: np.ndarray   # (pool_dim, d')
@@ -49,10 +57,40 @@ class ModelParams:
                 "out_w": self.out_w, "out_b": self.out_b}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.tensors().items()})
+        return _flat_params(self.tensors())
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(**{k: v.astype(dtype) for k, v in self.tensors().items()})
+        return _flat_params(self.tensors(), dtype)
+
+
+def _flat_params(tensors: dict, dtype=None, copy: bool = True) -> ModelParams:
+    """ModelParams over one new flat buffer, shaped like ``tensors`` and
+    holding a copy of them (uninitialised when ``copy`` is False). The
+    buffer's dtype is ``dtype``, else the tensors' common one."""
+    if dtype is None:
+        dtype = np.result_type(*tensors.values())
+    flat = np.empty(sum(tensors[k].size for k in _ORDER), dtype=dtype)
+    views, lo = [], 0
+    for k in _ORDER:
+        t = tensors[k]
+        views.append(flat[lo:lo + t.size].reshape(t.shape))
+        if copy:
+            views[-1][...] = t
+        lo += t.size
+    params = ModelParams(*views)
+    params._buffer = (flat, views)
+    return params
+
+
+def _flat(params: ModelParams) -> np.ndarray | None:
+    """The flat buffer ``params`` were made over, while every tensor is
+    still a view of it as made; else None (tensors set by hand, or a copy
+    that no longer shares the buffer)."""
+    flat, views = getattr(params, "_buffer", (None, ()))
+    if flat is None or any(getattr(params, k) is not t or t.base is not flat
+                           for k, t in zip(_ORDER, views)):
+        return None
+    return flat
 
 
 @dataclass(frozen=True)
@@ -103,36 +141,25 @@ def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(dtype)
 
-    return ModelParams(
-        W=glorot(in_dim, d_prime),
-        hidden_w=glorot(pool_dim, d_prime),
-        hidden_b=np.zeros(d_prime, dtype=dtype),
-        out_w=glorot(d_prime, 1)[:, 0],
-        out_b=np.zeros((), dtype=dtype),
-    )
+    return _flat_params({
+        "W": glorot(in_dim, d_prime),
+        "hidden_w": glorot(pool_dim, d_prime),
+        "hidden_b": np.zeros(d_prime, dtype=dtype),
+        "out_w": glorot(d_prime, 1)[:, 0],
+        "out_b": np.zeros((), dtype=dtype),
+    }, dtype)
 
 
 def stack_records(records, dtype=np.float32):
-    """Pad records to a common pooled count.
+    """Pad records to a common pooled count: ``RecordFile.batch`` over all
+    of ``records`` (a LinkRecord sequence, a record file or its path).
 
     Returns (z, mask, labels): z is (B, p_max, (r+1)*w) with each pooled
     node's blocks concatenated operator-major; mask flags real (unpadded)
     rows; labels is float (B,).
     """
-    p_max = max(rec.pooled_count for rec in records)
-    r1, _, w = records[0].blocks.shape
-    b = len(records)
-    z = np.zeros((b, p_max, r1 * w), dtype=dtype)
-    mask = np.zeros((b, p_max), dtype=bool)
-    labels = np.zeros(b, dtype=dtype)
-    for i, rec in enumerate(records):
-        if rec.blocks.shape[0] != r1 or rec.blocks.shape[2] != w:
-            raise ValueError("records disagree on operator count or block width")
-        p = rec.pooled_count
-        z[i, :p] = rec.blocks.transpose(1, 0, 2).reshape(p, r1 * w)
-        mask[i, :p] = True
-        labels[i] = rec.label
-    return z, mask, labels
+    records = _record_buffer(records)
+    return records.batch(np.arange(len(records)), dtype)
 
 
 def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
@@ -173,6 +200,7 @@ def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
 
 
 def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
+    """Exact gradients, written into one new flat buffer."""
     z, mask, h = cache["z"], cache["mask"], cache["h"]
     d_prime = params.d_prime
     dhid_d = dlogit[:, None] * params.out_w[None, :]
@@ -198,11 +226,13 @@ def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
             dh[b_idx, 2 + cache["cn_idx"], f_idx] += dqn
     dh_pre = dh * (h > 0)
     bp = z.shape[0] * z.shape[1]
-    return ModelParams(W=z.reshape(bp, -1).T @ dh_pre.reshape(bp, d_prime),
-                       hidden_w=cache["q"].T @ dhid_pre,
-                       hidden_b=dhid_pre.sum(axis=0),
-                       out_w=cache["hid_d"].T @ dlogit,
-                       out_b=np.asarray(dlogit.sum(), dtype=z.dtype))
+    grads = _flat_params(params.tensors(), z.dtype, copy=False)
+    np.matmul(z.reshape(bp, -1).T, dh_pre.reshape(bp, d_prime), out=grads.W)
+    np.matmul(cache["q"].T, dhid_pre, out=grads.hidden_w)
+    grads.hidden_b[...] = dhid_pre.sum(axis=0)
+    np.matmul(cache["hid_d"].T, dlogit, out=grads.out_w)
+    grads.out_b[...] = dlogit.sum()
+    return grads
 
 
 def _sigmoid(x):
@@ -243,14 +273,18 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
                        rng: np.random.Generator | None = None):
     """Mean binary cross-entropy over a batch and exact gradients.
 
-    The sigmoid and BCE are fused in log space (softplus form), so extreme
-    logits cannot overflow. The dropout mask is drawn once and shared
-    between forward and backward.
+    ``batch`` is a LinkRecord sequence or the (z, mask, labels) arrays of
+    ``RecordFile.batch``. The sigmoid and BCE are fused in log space
+    (softplus form), so extreme logits cannot overflow. The dropout mask
+    is drawn once and shared between forward and backward.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     dtype = params.W.dtype
-    z, mask, y = stack_records(batch, dtype=dtype)
+    if isinstance(batch[0], np.ndarray):
+        z, mask, y = batch
+    else:
+        z, mask, y = stack_records(batch, dtype=dtype)
     dmask = None
     if config.dropout > 0.0:
         if rng is None:
@@ -260,7 +294,7 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
     logit, cache = _forward_batch(z, mask, params, dmask, config.agg)
     # loss_i = softplus(logit) - y * logit;  dloss/dlogit = sigmoid(logit) - y
     loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
-    dlogit = (_sigmoid(logit) - y) / len(batch)
+    dlogit = (_sigmoid(logit) - y) / z.shape[0]
     grads = _backward_batch(dlogit, cache, params)
     return loss, grads
 
@@ -271,62 +305,65 @@ ADAM_BLOCK = 32768   # elements per in-place Adam update block
 class Adam:
     """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps).
 
-    Moments and parameters are updated in place, on flat views, in blocks of
-    ``ADAM_BLOCK`` elements through two block-sized scratch buffers, so a
-    step allocates no full-size temporaries. The operation order is the
-    textbook one, so results are bit-identical to the whole-array form.
+    The moments live in one flat buffer each (``m`` and ``v`` map tensor
+    names to views of them). A step is one pass over the flat parameters
+    and gradients, in place, in blocks of ``ADAM_BLOCK`` elements through
+    two block-sized scratch buffers, so it allocates no full-size
+    temporaries. Parameters or gradients that are not one flat buffer are
+    gathered into one and the parameters written back. The operation
+    order is the textbook one, so results are bit-identical to the
+    whole-array form.
     """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros(v.shape, v.dtype) for k, v in params.tensors().items()}
-        self.v = {k: np.zeros(v.shape, v.dtype) for k, v in params.tensors().items()}
-        self._scratch = {t.dtype: np.empty((2, ADAM_BLOCK), t.dtype)
-                         for t in params.tensors().values()}
+        moments = [_flat_params(params.tensors(), copy=False) for _ in range(2)]
+        self._m, self._v = (_flat(x) for x in moments)
+        self._m[...] = 0.0
+        self._v[...] = 0.0
+        self.m, self.v = (x.tensors() for x in moments)
+        self._scratch = np.empty((2, ADAM_BLOCK), self._m.dtype)
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        gt = grads.tensors()
-        for k, p in params.tensors().items():
-            contiguous = p.flags.c_contiguous
-            flat = p.reshape(-1)   # a view unless p is not contiguous
-            g = gt[k].reshape(-1)
-            m, v = self.m[k].reshape(-1), self.v[k].reshape(-1)
-            buf = self._scratch[p.dtype]
-            for lo in range(0, flat.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, flat.size)
-                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
-                s1, s2 = buf[0, :hi - lo], buf[1, :hi - lo]
-                # m = b1 * m + (1 - b1) * g
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1.0 - b1, out=s1)
-                np.add(mb, s1, out=mb)
-                # v = b2 * v + ((1 - b2) * g) * g
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, 1.0 - b2, out=s1)
-                np.multiply(s1, gb, out=s1)
-                np.add(vb, s1, out=vb)
-                # p -= ((m / bc1) * lr) / (sqrt(v / bc2) + eps)
-                np.divide(mb, bc1, out=s1)
-                np.multiply(s1, lr, out=s1)
-                np.divide(vb, bc2, out=s2)
-                np.sqrt(s2, out=s2)
-                np.add(s2, eps, out=s2)
-                np.divide(s1, s2, out=s1)
-                np.subtract(pb, s1, out=pb)
-            if not contiguous:
-                p[...] = flat.reshape(p.shape)
-
-
-def _load_records(dataset):
-    if isinstance(dataset, (str, Path)):
-        return list(RecordFile(dataset))
-    return list(dataset)
+        work = params
+        flat = _flat(params)
+        if flat is None or flat.dtype != self._m.dtype:
+            work = _flat_params(params.tensors(), self._m.dtype)
+            flat = _flat(work)
+        g = _flat(grads)
+        if g is None:
+            g = _flat(_flat_params(grads.tensors()))
+        m, v, buf = self._m, self._v, self._scratch
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, flat.size)
+            gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
+            s1, s2 = buf[0, :hi - lo], buf[1, :hi - lo]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=s1)
+            np.add(mb, s1, out=mb)
+            # v = b2 * v + ((1 - b2) * g) * g
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1.0 - b2, out=s1)
+            np.multiply(s1, gb, out=s1)
+            np.add(vb, s1, out=vb)
+            # p -= ((m / bc1) * lr) / (sqrt(v / bc2) + eps)
+            np.divide(mb, bc1, out=s1)
+            np.multiply(s1, lr, out=s1)
+            np.divide(vb, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(pb, s1, out=pb)
+        if work is not params:
+            for t, updated in zip(params.tensors().values(), work.tensors().values()):
+                t[...] = updated
 
 
 def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
@@ -337,7 +374,7 @@ def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
         if mpath.exists():
             with open(mpath) as fh:
                 return Pooling(json.load(fh)["config"]["pooling"])
-    if any(rec.pooled_count > 2 for rec in records):
+    if (records.p > 2).any():
         return Pooling.CCN
     return Pooling.CENTER
 
@@ -345,22 +382,24 @@ def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
 def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
     """Fit the head; returns (best params, per-epoch history).
 
-    ``dataset`` and ``valid`` are record file paths or record sequences.
-    One seeded rng drives init, shuffling and dropout, so runs are exactly
+    ``dataset`` and ``valid`` are record file paths, RecordFiles or record
+    sequences; batches come from ``RecordFile.batch`` either way. One
+    seeded rng drives init, shuffling and dropout, so runs are exactly
     repeatable. The returned parameters are those of the epoch with the
     highest validation AUC (earliest epoch on ties). ``epoch_times``, when
     given, collects per-epoch wall seconds without touching the history.
     """
-    records = _load_records(dataset)
-    valid_records = _load_records(valid)
-    if not records or not valid_records:
+    records = _record_buffer(dataset)
+    valid_records = _record_buffer(valid)
+    if not len(records) or not len(valid_records):
         raise ValueError("train and valid record sets must be nonempty")
     pooling = _pooling_hint(dataset, config, records)
-    in_dim = records[0].num_operators * records[0].block_width
     rng = np.random.default_rng(config.seed)
-    params = init_params(rng, in_dim, config.d_prime, pooling, dtype=np.float32)
+    params = init_params(rng, records.row_width, config.d_prime, pooling,
+                         dtype=np.float32)
     opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
     n = len(records)
+    labels = valid_records.labels
     best_auc = -1.0
     best_params = params.copy()
     history = []
@@ -369,14 +408,14 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
-            batch = [records[i] for i in perm[start:start + config.batch_size]]
+            index = perm[start:start + config.batch_size]
+            batch = records.batch(index, params.W.dtype)
             loss, grads = loss_and_gradients(batch, params, config, rng)
             opt.step(params, grads)
-            total += loss * len(batch)
+            total += loss * index.shape[0]
         if epoch_times is not None:
             epoch_times.append(time.monotonic() - t0)
         scores = predict(valid_records, params, agg=config.agg)
-        labels = np.array([rec.label for rec in valid_records])
         val_auc = auc(ScoredPairs(scores[labels == 1], scores[labels == 0]))
         history.append({"epoch": epoch, "train_loss": total / n,
                         "valid_auc": val_auc})
@@ -391,30 +430,26 @@ def predict(dataset, params: ModelParams, agg: str = "mean",
     """Eval-mode probabilities for every record, in file order."""
     if batch_size < 1:
         raise ValueError(f"batch_size: expected an integer >= 1, got {batch_size!r}")
-    records = _load_records(dataset)
-    scores = np.zeros(len(records), dtype=np.float64)
+    records = _record_buffer(dataset)
+    n = len(records)
+    scores = np.zeros(n, dtype=np.float64)
     dtype = params.W.dtype
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
-        if not chunk:
-            break
-        z, mask, _ = stack_records(chunk, dtype=dtype)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        z, mask, _ = records.batch(np.arange(start, stop), dtype)
         if z.shape[2] != params.W.shape[0]:
             raise ValueError(
                 f"record width {z.shape[2]} does not match W rows {params.W.shape[0]}")
         logit, _ = _forward_batch(z, mask, params, None, agg)
-        scores[start:start + len(chunk)] = _sigmoid(logit.astype(np.float64))
+        scores[start:stop] = _sigmoid(logit.astype(np.float64))
     return scores
-
-
-_CKPT_ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
 
 def save_params(path, params: ModelParams, extra: dict | None = None) -> None:
     """Checkpoint: one JSON header line, then little-endian float32 tensors."""
     tensors = params.tensors()
     header = {
-        "tensors": {k: list(tensors[k].shape) for k in _CKPT_ORDER},
+        "tensors": {k: list(tensors[k].shape) for k in _ORDER},
         "dtype": "float32",
         "d_prime": params.d_prime,
         "pool_dim": params.pool_dim,
@@ -422,7 +457,7 @@ def save_params(path, params: ModelParams, extra: dict | None = None) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for k in _CKPT_ORDER:
+        for k in _ORDER:
             fh.write(np.ascontiguousarray(tensors[k], dtype="<f4").tobytes())
 
 
@@ -431,11 +466,11 @@ def load_params(path):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         loaded = {}
-        for k in _CKPT_ORDER:
+        for k in _ORDER:
             shape = tuple(header["tensors"][k])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(4 * count)
             if len(buf) != 4 * count:
                 raise ValueError(f"{path}: truncated checkpoint tensor {k}")
-            loaded[k] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
-    return ModelParams(**loaded), header.get("extra", {})
+            loaded[k] = np.frombuffer(buf, dtype="<f4").reshape(shape)
+    return _flat_params(loaded, np.float32), header.get("extra", {})

@@ -34,13 +34,16 @@ import scipy.sparse as sp
 
 from .graphs import Graph, normalized_adjacency
 from .labeling import LabelScheme, label_dim_for, node_labels
-from .sampling import (Subgraph, _unique, graph_power, hop_subgraphs,
-                       walk_subgraphs)
+from .sampling import (Subgraph, _hop_sizes, _unique, graph_power,
+                       hop_subgraphs, walk_subgraphs)
 
 _MAGIC = b"S3GR"
 _VERSION = 1
 _FILE_HEADER = struct.Struct("<4sH")
 _REC_HEADER = struct.Struct("<IIBHHI")
+# The same record header as a packed numpy record, for arrays of headers.
+_HEADER = np.dtype([("u", "<u4"), ("v", "<u4"), ("label", "u1"), ("p", "<u2"),
+                    ("r1", "<u2"), ("w", "<u4")])
 
 
 class _CaseInsensitiveEnum(str, Enum):
@@ -243,8 +246,10 @@ def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
     label_dim = config.label_dim()
     at = sub.locate(pooled_link, pooled)
     p = pooled.shape[0]
-    rows = np.flatnonzero(at >= 0)
-    y = sp.csr_matrix((np.ones(rows.shape[0]), (rows, at[rows])),
+    found = at >= 0
+    indptr = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(found, out=indptr[1:])
+    y = sp.csr_matrix((np.ones(indptr[-1]), at[found], indptr),
                       shape=(p, sub.num_nodes))
     a = normalized_adjacency(sub) if config.normalized else sub.adjacency()
     series = [y]
@@ -263,9 +268,12 @@ def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
         reached[y.indices] = True
     touched = _unique(sub.global_ids[reached])
     column = np.searchsorted(touched, sub.global_ids)
-    by_id = sp.vstack([sp.csr_matrix((y.data, column[y.indices], y.indptr),
-                                     shape=(p, touched.shape[0]))
-                       for y in series], format="csr")
+    # All powers' rows stacked, operator-major, as one CSR matrix.
+    indptr = np.zeros((r + 1) * p + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(y.indptr) for y in series]), out=indptr[1:])
+    by_id = sp.csr_matrix((np.concatenate([y.data for y in series]),
+                           column[np.concatenate([y.indices for y in series])],
+                           indptr), shape=((r + 1) * p, touched.shape[0]))
     by_id.sort_indices()
     for lo in range(0, features.shape[1], _FEATURE_COLUMNS):
         hi = min(lo + _FEATURE_COLUMNS, features.shape[1])
@@ -275,8 +283,14 @@ def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
 
 
 def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
-                  seed: int, power_cache: dict | None) -> list:
-    """LinkRecords of every (u, v, label) row of ``links``, built together."""
+                  seed: int, power_cache: dict | None):
+    """Records of every (u, v, label) row of ``links``, built together, as
+    arrays: (pooled ids, block starts, blocks).
+
+    Link b pools ``pooled[starts[b]:starts[b + 1]]`` and its rows are
+    ``blocks[:, starts[b]:starts[b + 1]]`` of the (r+1, P, w) float32
+    ``blocks``.
+    """
     if not np.isin(links[:, 2], (0, 1)).all():
         raise ValueError("link label must be 0 or 1")
     u, v = links[:, 0], links[:, 1]
@@ -311,10 +325,7 @@ def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
         blocks = np.concatenate(blocks)
     else:
         blocks = rows(unions, config.r)
-    return [LinkRecord(int(u[b]), int(v[b]), int(links[b, 2]),
-                       pooled[starts[b]:starts[b + 1]],
-                       blocks[:, starts[b]:starts[b + 1]])
-            for b in range(links.shape[0])]
+    return pooled, starts, blocks
 
 
 def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
@@ -325,8 +336,10 @@ def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
     per-link walk stream for ScaLed variants. ``power_cache`` may map
     power index -> graph_power(graph, i) to share work across links.
     """
-    links = np.asarray([[int(x) for x in link]], dtype=np.int64)
-    return _link_records(graph, links, config, seed, power_cache)[0]
+    u, v, label = (int(x) for x in link)
+    links = np.asarray([[u, v, label]], dtype=np.int64)
+    pooled, _, blocks = _link_records(graph, links, config, seed, power_cache)
+    return LinkRecord(u, v, label, pooled, blocks)
 
 
 def serialize_record(rec: LinkRecord) -> bytes:
@@ -346,6 +359,36 @@ def deserialize_record(buf: bytes, offset: int = 0) -> tuple[LinkRecord, int]:
     offset += 4 * r1 * p * w
     blocks = blocks.reshape(r1, p, w).copy()
     return LinkRecord(u, v, label, ids, blocks), offset
+
+
+def _encode(links: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
+            blocks: np.ndarray) -> bytes:
+    """Record bytes of a chunk in the file layout, straight from its arrays
+    (as ``_link_records`` returns them): header, ids and blocks of each
+    link in turn."""
+    b = links.shape[0]
+    r1, total, w = blocks.shape
+    p = np.diff(starts)
+    head = np.empty(b, dtype=_HEADER)
+    head["u"], head["v"], head["label"] = links[:, 0], links[:, 1], links[:, 2]
+    head["p"], head["r1"], head["w"] = p, r1, w
+    ids = pooled.astype("<u4")
+    # Link b's payload is its (r1, p_b, w) slice, operator-major: for each
+    # operator a run of p_b rows of the (r1 * total, w) row stack.
+    run_start = (np.arange(r1) * total + starts[:-1, None]).ravel()
+    run_len = np.repeat(p, r1)
+    rows = (np.repeat(run_start - np.cumsum(run_len) + run_len, run_len)
+            + np.arange(run_len.sum()))
+    payload = np.ascontiguousarray(blocks.reshape(r1 * total, w)[rows], dtype="<f4")
+    head, ids, payload = (memoryview(a.view(np.uint8).reshape(-1))
+                          for a in (head, ids, payload))
+    id_at = (4 * starts).tolist()
+    pay_at = (4 * r1 * w * starts).tolist()
+    parts = []
+    for i in range(b):
+        parts += (head[_HEADER.itemsize * i:_HEADER.itemsize * (i + 1)],
+                  ids[id_at[i]:id_at[i + 1]], payload[pay_at[i]:pay_at[i + 1]])
+    return b"".join(parts)
 
 
 class _RecordWriter:
@@ -393,43 +436,123 @@ class RecordFormatError(ValueError):
     """Bad magic, version, truncation, or manifest mismatch."""
 
 
-class RecordFile:
-    """Sequential and random-access reader for a record file.
+class _RecordBuffer:
+    """Records in the file layout, held as one buffer and indexed by arrays.
 
-    Opens the file, verifies magic/version, and indexes record offsets.
-    When a sibling manifest exists its record count and checksum are
-    verified unless ``verify=False``. Safe for concurrent readers.
+    ``offsets``, ``p`` and ``labels`` give each record's byte offset,
+    pooled count and label. When every record has the same (p, r+1, w),
+    the stride is constant and the headers are read as one strided array
+    view; otherwise one pass walks them. ``batch`` writes model inputs for
+    any index array straight from the buffer.
+    """
+
+    def __init__(self, buf: bytes, name):
+        self._buf = buf
+        self._name = name
+        if len(buf) < _FILE_HEADER.size:
+            raise RecordFormatError(f"{name}: truncated header")
+        magic, version = _FILE_HEADER.unpack_from(buf, 0)
+        if magic != _MAGIC:
+            raise RecordFormatError(f"{name}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise RecordFormatError(f"{name}: unsupported version {version}")
+        head, self.offsets, self._payload = self._index()
+        self.p = head["p"].astype(np.int64)
+        self.labels = head["label"].copy()
+        self._r1, self._w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
+
+    def _index(self):
+        """Every record's header and offset, and when the stride is
+        constant the (n, r+1, p, w) float32 view of all blocks (else None)."""
+        buf, off, total = self._buf, _FILE_HEADER.size, len(self._buf)
+        if total - off >= _REC_HEADER.size:
+            _, _, _, p, r1, w = _REC_HEADER.unpack_from(buf, off)
+            stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+            n, rest = divmod(total - off, stride)
+            head = np.ndarray((n,), _HEADER, buf, off, (stride,))
+            if (rest == 0 and (head["p"] == p).all() and (head["r1"] == r1).all()
+                    and (head["w"] == w).all()):
+                payload = np.ndarray((n, r1, p, w), "<f4", buf,
+                                     off + _REC_HEADER.size + 4 * p,
+                                     (stride, 4 * p * w, 4 * w, 4))
+                return head, off + stride * np.arange(n, dtype=np.int64), payload
+        heads, offsets = [], []
+        while off < total:
+            if off + _REC_HEADER.size > total:
+                raise RecordFormatError(f"{self._name}: truncated record header")
+            head = _REC_HEADER.unpack_from(buf, off)
+            _, _, _, p, r1, w = head
+            size = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+            if off + size > total:
+                raise RecordFormatError(f"{self._name}: truncated record payload")
+            heads.append(head)
+            offsets.append(off)
+            off += size
+        return (np.array(heads, dtype=_HEADER), np.array(offsets, dtype=np.int64),
+                None)
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
+
+    def __getitem__(self, i: int) -> LinkRecord:
+        rec, _ = deserialize_record(self._buf, int(self.offsets[i]))
+        return rec
+
+    def __iter__(self):
+        for off in self.offsets.tolist():
+            rec, _ = deserialize_record(self._buf, off)
+            yield rec
+
+    @property
+    def row_width(self) -> int:
+        """(r+1) * w of the first record: the width of a batch row."""
+        return int(self._r1[0] * self._w[0]) if len(self) else 0
+
+    def batch(self, index, dtype=np.float32):
+        """Model inputs (z, mask, labels) of the records at ``index``.
+
+        z is (B, p_max, (r+1)*w), padded to the largest pooled count among
+        them, with each pooled node's blocks concatenated operator-major;
+        mask flags real (unpadded) rows; labels is float (B,).
+        """
+        index = np.asarray(index, dtype=np.int64).reshape(-1)
+        if index.shape[0] == 0:
+            raise ValueError("no records to batch")
+        r1, w = self._r1[index], self._w[index]
+        if (r1 != r1[0]).any() or (w != w[0]).any():
+            raise ValueError("records disagree on operator count or block width")
+        r1, w = int(r1[0]), int(w[0])
+        p = self.p[index]
+        p_max = int(p.max())
+        z = np.zeros((index.shape[0], p_max, r1 * w), dtype=dtype)
+        rows = z.reshape(index.shape[0], p_max, r1, w)
+        if self._payload is not None:
+            rows[...] = self._payload[index].transpose(0, 2, 1, 3)
+        else:
+            at = self.offsets[index] + _REC_HEADER.size + 4 * p
+            for row, off, count in zip(rows, at.tolist(), p.tolist()):
+                blocks = np.frombuffer(self._buf, "<f4", r1 * count * w, off)
+                row[:count] = blocks.reshape(r1, count, w).transpose(1, 0, 2)
+        mask = np.arange(p_max) < p[:, None]
+        return z, mask, self.labels[index].astype(dtype)
+
+
+class RecordFile(_RecordBuffer):
+    """Sequential, random-access and batch reader for a record file.
+
+    Reads the file, verifies magic/version, and indexes records as arrays.
+    When a sibling manifest exists its record count and checksum (over the
+    whole file, on every open) are verified unless ``verify=False``. Safe
+    for concurrent readers.
     """
 
     def __init__(self, path, verify: bool = True):
         self.path = Path(path)
         with open(self.path, "rb") as fh:
-            self._buf = fh.read()
-        if len(self._buf) < _FILE_HEADER.size:
-            raise RecordFormatError(f"{self.path}: truncated header")
-        magic, version = _FILE_HEADER.unpack_from(self._buf, 0)
-        if magic != _MAGIC:
-            raise RecordFormatError(f"{self.path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise RecordFormatError(f"{self.path}: unsupported version {version}")
-        self._offsets = self._scan()
+            buf = fh.read()
+        super().__init__(buf, self.path)
         if verify:
             self._check_manifest()
-
-    def _scan(self) -> list:
-        offsets = []
-        off = _FILE_HEADER.size
-        total = len(self._buf)
-        while off < total:
-            if off + _REC_HEADER.size > total:
-                raise RecordFormatError(f"{self.path}: truncated record header")
-            _, _, _, p, r1, w = _REC_HEADER.unpack_from(self._buf, off)
-            size = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-            if off + size > total:
-                raise RecordFormatError(f"{self.path}: truncated record payload")
-            offsets.append(off)
-            off += size
-        return offsets
 
     def _check_manifest(self) -> None:
         mpath = manifest_path(self.path)
@@ -437,24 +560,33 @@ class RecordFile:
             return
         with open(mpath) as fh:
             manifest = json.load(fh)
-        if manifest.get("counts", {}).get("records") != len(self._offsets):
+        if manifest.get("counts", {}).get("records") != len(self):
             raise RecordFormatError(
                 f"{self.path}: manifest record count mismatch")
         digest = "sha256:" + hashlib.sha256(self._buf).hexdigest()
         if manifest.get("checksum") not in (None, digest):
             raise RecordFormatError(f"{self.path}: manifest checksum mismatch")
 
-    def __len__(self) -> int:
-        return len(self._offsets)
 
-    def __getitem__(self, i: int) -> LinkRecord:
-        rec, _ = deserialize_record(self._buf, self._offsets[i])
-        return rec
-
-    def __iter__(self):
-        for off in self._offsets:
-            rec, _ = deserialize_record(self._buf, off)
-            yield rec
+def _record_buffer(records) -> _RecordBuffer:
+    """``records`` as a _RecordBuffer: a record file path is opened (and
+    verified), a _RecordBuffer is returned as it is, and a LinkRecord
+    sequence is encoded in memory."""
+    if isinstance(records, _RecordBuffer):
+        return records
+    if isinstance(records, (str, Path)):
+        return RecordFile(records)
+    records = list(records)
+    blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
+    if records:
+        if len({(rec.blocks.shape[0], rec.blocks.shape[2]) for rec in records}) > 1:
+            raise ValueError("records disagree on operator count or block width")
+        links = np.array([(rec.u, rec.v, rec.label) for rec in records], dtype=np.int64)
+        starts = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([rec.pooled_count for rec in records], out=starts[1:])
+        blob += _encode(links, np.concatenate([rec.pooled_ids for rec in records]),
+                        starts, np.concatenate([rec.blocks for rec in records], axis=1))
+    return _RecordBuffer(blob, "<records>")
 
 
 def read_records(path, verify: bool = True) -> list:
@@ -484,11 +616,10 @@ def _init_worker(graph, config, seed, power_cache):
 
 
 def _build_chunk(links) -> tuple[bytes, int]:
-    """Serialized records of ``links`` and their largest pooled count."""
+    """Record bytes of ``links`` and their largest pooled count."""
     graph, config, seed, power_cache = _WORKER["args"]
-    recs = _link_records(graph, links, config, seed, power_cache)
-    return (b"".join(serialize_record(rec) for rec in recs),
-            max(rec.pooled_count for rec in recs))
+    pooled, starts, blocks = _link_records(graph, links, config, seed, power_cache)
+    return _encode(links, pooled, starts, blocks), int(np.diff(starts).max())
 
 
 def _built_chunks(graph, config, seed, chunks, worker_count):
@@ -581,8 +712,8 @@ def storage_comparison(graph: Graph, links, config: SamplingOperatorSet) -> Stor
     record_bytes = _FILE_HEADER.size
     seal_bytes = 0
     for chunk in _chunks(links):
-        for sub in hop_subgraphs(graph, chunk[:, 0], chunk[:, 1], config.h):
-            seal_bytes += sub.num_edges * 2 * 4 + sub.num_nodes * w * 4
+        nodes, edges = _hop_sizes(graph, chunk[:, 0], chunk[:, 1], config.h)
+        seal_bytes += edges * 2 * 4 + nodes * w * 4
         p = np.diff(_pooled_ids(graph, chunk[:, 0], chunk[:, 1], config)[1])
         record_bytes += int((_REC_HEADER.size + 4 * p + 4 * r1 * p * w).sum())
     reduction = ((seal_bytes - record_bytes) / seal_bytes * 100.0

@@ -120,24 +120,18 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
     return dist
 
 
-def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
-                 keys: np.ndarray, table: np.ndarray) -> Subgraph:
-    """Union of the subgraphs induced on each link's node set, minus (u, v).
+def _block_positions(graph: Graph, ids: np.ndarray, starts: np.ndarray,
+                     table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each gathered neighbor of ``ids`` sits in its own block.
 
-    ``keys`` are the sorted distinct ``b * num_nodes + node`` codes of the
-    nodes of every link b, each set holding u[b] and v[b]. ``table`` is an
-    all -1 int32 array over the graph's nodes. Block by block, it takes the
-    block's union positions, answers "is this neighbor in my block, and
-    where?" for the block's gathered neighbors in O(1) each, and is
-    cleared again, so it is all -1 on return.
+    Block b holds the nodes ``ids[starts[b]:starts[b + 1]]``. Returns each
+    node's neighbor count and, per neighbor entry in gather order, the
+    neighbor's position in ``ids`` when the node's block holds it, else -1.
+    ``table`` is an all -1 int32 array over the graph's nodes. Block by
+    block, it takes the block's positions, answers "is this neighbor in
+    my block, and where?" in O(1) per entry, and is cleared again, so it
+    is all -1 on return.
     """
-    n = graph.num_nodes
-    blk, ids = np.divmod(keys, n)
-    # Tier 0 is each block's u, tier 1 its v and tier 2 the rest.
-    tier = np.where(ids == u[blk], 0, np.where(ids == v[blk], 1, 2))
-    order = np.argsort(blk * 3 + tier, kind="stable")
-    blk, ids, tier = blk[order], ids[order], tier[order]
-    starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
     counts = graph.indptr[ids + 1] - graph.indptr[ids]
     entry_starts = np.zeros(ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=entry_starts[1:])
@@ -149,6 +143,25 @@ def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
         table[ids[lo:hi]] = position[lo:hi]
         dst[e_lo:e_hi] = table[nbr[e_lo:e_hi]]
         table[ids[lo:hi]] = -1
+    return counts, dst
+
+
+def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
+                 keys: np.ndarray, table: np.ndarray) -> Subgraph:
+    """Union of the subgraphs induced on each link's node set, minus (u, v).
+
+    ``keys`` are the sorted distinct ``b * num_nodes + node`` codes of the
+    nodes of every link b, each set holding u[b] and v[b]. ``table`` is
+    the all -1 position table of ``_block_positions``.
+    """
+    n = graph.num_nodes
+    blk, ids = np.divmod(keys, n)
+    # Tier 0 is each block's u, tier 1 its v and tier 2 the rest.
+    tier = np.where(ids == u[blk], 0, np.where(ids == v[blk], 1, 2))
+    order = np.argsort(blk * 3 + tier, kind="stable")
+    blk, ids, tier = blk[order], ids[order], tier[order]
+    starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
+    counts, dst = _block_positions(graph, ids, starts, table)
     inside = dst >= 0
     src = np.repeat(np.arange(ids.shape[0]), counts)[inside]
     dst = dst[inside]
@@ -171,24 +184,33 @@ def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
 UNION_ENTRIES = 1 << 18
 
 
+def _runs(graph: Graph, ids: np.ndarray, key_starts: np.ndarray) -> np.ndarray:
+    """Link bounds of the runs of consecutive links one union takes.
+
+    Link b's nodes are ``ids[key_starts[b]:key_starts[b + 1]]``. A run
+    starts wherever the neighbor entries gathered so far cross a multiple
+    of UNION_ENTRIES, so a run gathers fewer than UNION_ENTRIES plus one
+    link's entries.
+    """
+    degree = graph.indptr[ids + 1] - graph.indptr[ids]
+    before = np.concatenate(([0], np.cumsum(degree)))[key_starts[:-1]]
+    return np.concatenate(([0], np.flatnonzero(np.diff(before // UNION_ENTRIES)) + 1,
+                           [key_starts.shape[0] - 1]))
+
+
 def _unions(graph: Graph, u: np.ndarray, v: np.ndarray, keys: np.ndarray):
     """Link subgraphs over ``keys``, one union per run of consecutive links.
 
-    A run starts wherever the neighbor entries gathered so far cross a
-    multiple of UNION_ENTRIES, so a union gathers fewer than UNION_ENTRIES
-    plus one link's entries. Apart from one position table for the call,
-    the work follows the links' node sets, not the graph's size.
+    Apart from one position table for the call, the work follows the
+    links' node sets, not the graph's size.
     """
     n = graph.num_nodes
     blk, ids = np.divmod(keys, n)
-    volume = np.bincount(blk, weights=graph.indptr[ids + 1] - graph.indptr[ids],
-                         minlength=u.shape[0])
-    before = np.cumsum(volume) - volume
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(np.diff(before // UNION_ENTRIES)) + 1, [u.shape[0]]))
-    key_bounds = np.searchsorted(keys, bounds * n)
+    key_starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
+    bounds = _runs(graph, ids, key_starts)
     table = np.full(n, -1, dtype=np.int32)
-    for lo, hi, k_lo, k_hi in zip(bounds, bounds[1:], key_bounds, key_bounds[1:]):
+    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()):
+        k_lo, k_hi = key_starts[lo], key_starts[hi]
         yield _link_blocks(graph, u[lo:hi], v[lo:hi], keys[k_lo:k_hi] - lo * n,
                            table)
 
@@ -205,30 +227,60 @@ def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _hop_reach(graph: Graph, u: np.ndarray, v: np.ndarray, h: int) -> sp.csr_matrix:
+    """Boolean (links x nodes) CSR matrix whose row b holds the nodes
+    within h hops of u[b] or v[b], in no particular order.
+
+    The reach starts from both endpoints at depth 0, so a target edge
+    never pulls a node in: the hop limit holds on the graph without it.
+    """
+    links = u.shape[0]
+    reach = sp.csr_matrix(
+        (np.ones(2 * links, dtype=bool), np.stack([u, v], axis=1).ravel(),
+         np.arange(0, 2 * links + 1, 2)),
+        shape=(links, graph.num_nodes))
+    step = graph._closed_adjacency
+    for _ in range(h):
+        reach = reach @ step
+    return reach
+
+
 def hop_subgraphs(graph: Graph, u, v, h: int):
     """Enclosing subgraphs of links (u[b], v[b]): nodes within h hops of
     u[b] or v[b], each (u, v) edge removed; one block per link.
 
     Yields Subgraph unions of consecutive links, in link order; sparse
     graphs give one union for the lot (see UNION_ENTRIES). Links are
-    checked before this returns. The reach starts from both endpoints at
-    depth 0, so a target edge never pulls a node in: the hop limit holds
-    on the graph without that edge.
+    checked before this returns.
     """
     u, v = _link_arrays(graph, u, v)
     if h < 1:
         raise ValueError("h must be >= 1")
-    links = np.arange(u.shape[0])
-    reach = sp.csr_matrix(
-        (np.ones(2 * links.shape[0], dtype=bool),
-         (np.repeat(links, 2), np.stack([u, v], axis=1).ravel())),
-        shape=(links.shape[0], graph.num_nodes))
-    step = graph._closed_adjacency
-    for _ in range(h):
-        reach = reach @ step
-    reach = reach.tocoo()
-    keys = np.sort(reach.row.astype(np.int64) * graph.num_nodes + reach.col)
+    reach = _hop_reach(graph, u, v, h)
+    keys = np.sort(np.repeat(np.arange(u.shape[0]) * graph.num_nodes,
+                             np.diff(reach.indptr)) + reach.indices)
     return _unions(graph, u, v, keys)
+
+
+def _hop_sizes(graph: Graph, u, v, h: int) -> tuple[int, int]:
+    """Total nodes and edges of the blocks ``hop_subgraphs`` gives for
+    links (u[b], v[b]), counted without building them.
+
+    Nodes come from the reach rows. Edges are the neighbor entries that
+    stay inside their block, halved, less one for every adjacent (u, v).
+    """
+    u, v = _link_arrays(graph, u, v)
+    reach = _hop_reach(graph, u, v, h)
+    bounds = _runs(graph, reach.indices, reach.indptr)
+    table = np.full(graph.num_nodes, -1, dtype=np.int32)
+    inside = 0
+    for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()):
+        k_lo, k_hi = reach.indptr[lo], reach.indptr[hi]
+        _, dst = _block_positions(graph, reach.indices[k_lo:k_hi],
+                                  reach.indptr[lo:hi + 1] - k_lo, table)
+        inside += int(np.count_nonzero(dst >= 0))
+    adjacent = np.count_nonzero(graph._closed_adjacency[u, v])
+    return reach.nnz, inside // 2 - int(adjacent)
 
 
 def _walk_nodes(graph: Graph, u: int, v: int, k: int, l: int,

@@ -18,6 +18,24 @@ def gnp_graph(rng, n_lo=4, n_hi=12, p=0.35, features=None):
             return build_graph(n, np.asarray(edges, dtype=np.int64), feats)
 
 
+def hub_graph(rng, leaves=30, isolated=False):
+    """A star on node 0 plus as many random edges among its leaves; with
+    ``isolated``, one more node (the last) that has no edge."""
+    ends = rng.integers(1, leaves + 1, size=(leaves, 2))
+    edges = np.concatenate([np.column_stack([np.zeros(leaves, np.int64),
+                                             np.arange(1, leaves + 1)]), ends])
+    return build_graph(leaves + 1 + int(isolated), edges)
+
+
+def hub_links(rng, n):
+    """(u, v) arrays: hub links, leaf pairs, and duplicate and reversed
+    copies of both."""
+    pairs = [(0, int(x)) for x in rng.choice(np.arange(1, n), 4, replace=False)]
+    pairs += [random_pair(rng, n) for _ in range(4)]
+    pairs += [pairs[0], pairs[1][::-1], pairs[4][::-1], pairs[4]]
+    return tuple(np.asarray(pairs).T)
+
+
 def random_pair(rng, n):
     u = int(rng.integers(n))
     v = int(rng.integers(n))

@@ -259,3 +259,31 @@ def adam_reference(params: dict, m: dict, v: dict, grads: dict, t: int,
         update = lr * (new_m[k] / bc1) / (np.sqrt(new_v[k] / bc2) + eps)
         new_p[k] = params[k] - update.astype(params[k].dtype)
     return new_p, new_m, new_v
+
+
+def stack_reference(records, dtype=np.float32):
+    """Model inputs (z, mask, labels) of a LinkRecord list, one record at
+    a time: rows padded to the largest pooled count, each pooled node's
+    blocks concatenated operator-major."""
+    p_max = max(rec.pooled_count for rec in records)
+    r1, _, w = records[0].blocks.shape
+    z = np.zeros((len(records), p_max, r1 * w), dtype=dtype)
+    mask = np.zeros((len(records), p_max), dtype=bool)
+    labels = np.zeros(len(records), dtype=dtype)
+    for i, rec in enumerate(records):
+        p = rec.pooled_count
+        z[i, :p] = rec.blocks.transpose(1, 0, 2).reshape(p, r1 * w)
+        mask[i, :p] = True
+        labels[i] = rec.label
+    return z, mask, labels
+
+
+def seal_bytes(g: nx.Graph, links, h: int, w: int) -> int:
+    """SEAL-style storage of each link's h-hop subgraph: two u32 ids per
+    edge, the (u, v) edge left out, plus w float32 values per node."""
+    total = 0
+    for u, v in links:
+        nodes = hop_nodes(g, u, v, h)
+        edges = g.subgraph(nodes).number_of_edges() - int(g.has_edge(u, v))
+        total += edges * 2 * 4 + len(nodes) * w * 4
+    return total

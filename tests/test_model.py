@@ -4,10 +4,12 @@ import pytest
 from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       SamplingOperatorSet, TrainConfig, auc, build_graph,
                       build_link_record, forward, init_params, load_params,
-                      loss_and_gradients, predict, save_params, train,
-                      write_records)
+                      loss_and_gradients, precompute_dataset, predict,
+                      save_params, train, write_records)
 from difflink.metrics import ScoredPairs
-from difflink.model import ADAM_BLOCK, _forward_batch, stack_records
+from difflink.model import (ADAM_BLOCK, _flat, _flat_params, _forward_batch,
+                            stack_records)
+from difflink.records import RecordFile
 
 from oracles import adam_reference, scalar_forward
 
@@ -186,35 +188,59 @@ def test_adam_hand_trace():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_matches_whole_array_reference(dtype):
-    # W spans two full blocks and a partial one; out_b is 0-d
-    rng = np.random.default_rng(17)
+    # W spans two full blocks and a partial one; out_b is 0-d. Tensors are
+    # separate arrays, then views of one flat buffer as train's are, where
+    # a block straddles tensor boundaries.
     rows = 2 * ADAM_BLOCK // 64 + 3
     shapes = {"W": (rows, 64), "hidden_w": (6, 5), "hidden_b": (5,),
               "out_w": (5,), "out_b": ()}
     assert (rows * 64) % ADAM_BLOCK != 0
+    for flat in (False, True):
+        rng = np.random.default_rng(17)
 
-    def draw():
-        return {k: np.asarray(rng.normal(size=s), dtype=dtype)
-                for k, s in shapes.items()}
+        def draw():
+            tensors = {k: np.asarray(rng.normal(size=s), dtype=dtype)
+                       for k, s in shapes.items()}
+            return _flat_params(tensors) if flat else ModelParams(**tensors)
 
-    params = ModelParams(**draw())
-    ref_p = {k: t.copy() for k, t in params.tensors().items()}
-    ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
-    ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
-    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-7)
-    for t in range(1, 5):
-        grads = ModelParams(**draw())
-        before = {k: g.copy() for k, g in grads.tensors().items()}
-        opt.step(params, grads)
-        ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, before, t,
-                                             0.01, 0.8, 0.95, 1e-7)
-        for k, g in grads.tensors().items():
-            assert np.array_equal(g, before[k]), k
-        for k, tensor in params.tensors().items():
-            assert tensor.dtype == dtype and tensor.shape == shapes[k], k
-            assert np.array_equal(tensor, ref_p[k]), (t, k)
-            assert np.array_equal(opt.m[k], ref_m[k]), (t, k)
-            assert np.array_equal(opt.v[k], ref_v[k]), (t, k)
+        params = draw()
+        buffer = _flat(params)
+        assert (buffer is not None) == flat
+        ref_p = {k: t.copy() for k, t in params.tensors().items()}
+        ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-7)
+        for t in range(1, 5):
+            grads = draw()
+            before = {k: g.copy() for k, g in grads.tensors().items()}
+            opt.step(params, grads)
+            ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, before, t,
+                                                 0.01, 0.8, 0.95, 1e-7)
+            for k, g in grads.tensors().items():
+                assert np.array_equal(g, before[k]), k
+            for k, tensor in params.tensors().items():
+                assert tensor.dtype == dtype and tensor.shape == shapes[k], k
+                assert np.array_equal(tensor, ref_p[k]), (flat, t, k)
+                assert np.array_equal(opt.m[k], ref_m[k]), (flat, t, k)
+                assert np.array_equal(opt.v[k], ref_v[k]), (flat, t, k)
+        assert _flat(params) is buffer
+
+
+def test_params_and_gradients_are_flat_buffers():
+    rng = np.random.default_rng(20)
+    batch = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
+             for i, p in enumerate((2, 5, 3))]
+    params = _random_params(rng, 8, 5, Pooling.CCN)
+    assert _flat(params) is None        # biases were replaced by hand
+    for p in (params.copy(), init_params(rng, 8, 5, Pooling.CCN)):
+        flat = _flat(p)
+        assert flat is not None and flat.size == sum(t.size for t in p.tensors().values())
+    cfg = TrainConfig(d_prime=5, dropout=0.0, epochs=1)
+    _, grads = loss_and_gradients(batch, params, cfg)
+    assert _flat(grads) is not None
+    _, same = loss_and_gradients(stack_records(batch), params, cfg)
+    for k, g in grads.tensors().items():
+        assert np.array_equal(g, same.tensors()[k])
 
 
 def test_adam_updates_non_contiguous_params():
@@ -327,6 +353,30 @@ def test_train_epoch_times_out_param():
     _, history = train(recs[:12], recs[12:], cfg, epoch_times=times)
     assert len(times) == 3 and all(t >= 0 for t in times)
     assert all("time" not in h for h in history)
+
+
+@pytest.mark.parametrize("variant", ["PoS", "PoSPlus"])
+def test_train_from_file_equals_train_from_records(tmp_path, variant):
+    rng = np.random.default_rng(21)
+    g = build_graph(30, rng.integers(30, size=(90, 2)))
+    cfg = SamplingOperatorSet(variant=variant, r=2, h=1, labeling="drnl")
+    edges = g.edge_array()
+    paths = []
+    for name, lo in (("train", 0), ("valid", 24)):
+        pos = edges[lo:lo + 12]
+        neg = rng.integers(30, size=(12, 2))
+        neg = neg[neg[:, 0] != neg[:, 1]]
+        links = np.concatenate([np.column_stack([pos, np.ones(len(pos), int)]),
+                                np.column_stack([neg, np.zeros(len(neg), int)])])
+        paths.append(tmp_path / f"{name}.rec")
+        precompute_dataset(g, links, cfg, paths[-1])
+    tc = TrainConfig(d_prime=8, dropout=0.5, epochs=3, batch_size=5, lr=0.01,
+                     seed=4, pooling=cfg.pooling)
+    p1, h1 = train(*paths, tc)
+    p2, h2 = train(*(list(RecordFile(p)) for p in paths), tc)
+    assert h1 == h2
+    for k, t in p1.tensors().items():
+        assert np.array_equal(t, p2.tensors()[k]), k
 
 
 def test_predict_from_file_matches_records(tmp_path):

@@ -9,11 +9,12 @@ from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       build_graph, build_link_record, graph_power,
                       precompute_dataset, random_walk_subgraph, read_records,
                       serialize_record, storage_comparison, write_records)
-from difflink.records import (CHUNK_LINKS, _walk_seed, deserialize_record,
-                              manifest_path)
+from difflink.model import TrainConfig, stack_records, train
+from difflink.records import (CHUNK_LINKS, _encode, _link_records, _walk_seed,
+                              deserialize_record, manifest_path)
 
-from conftest import gnp_graph, random_pair
-from oracles import dense_record_blocks
+from conftest import gnp_graph, hub_graph, hub_links, random_pair
+from oracles import dense_record_blocks, seal_bytes, stack_reference, to_nx
 
 
 def _triangle():
@@ -473,6 +474,28 @@ def test_storage_comparison_degenerate_not_clamped():
     assert report.reduction_pct < 0
 
 
+@pytest.mark.parametrize("union_entries", [None, 16])
+def test_storage_comparison_matches_networkx_oracle(monkeypatch, union_entries):
+    # seal_bytes is counted from reach rows and the position table, without
+    # building any union; it must match per-link networkx subgraphs
+    import difflink.sampling as sampling
+
+    if union_entries is not None:
+        monkeypatch.setattr(sampling, "UNION_ENTRIES", union_entries)
+    rng = np.random.default_rng(58)
+    for trial in range(9):
+        g = hub_graph(rng, isolated=True)
+        n = g.num_nodes
+        pairs = list(zip(*hub_links(rng, n - 1)))
+        pairs += [(n - 1, 0), (3, n - 1)]          # an isolated endpoint
+        links = np.asarray([(a, b, i % 2) for i, (a, b) in enumerate(pairs)])
+        h = 1 + trial % 3
+        cfg = SamplingOperatorSet(variant="PoS", r=2, h=h)
+        w = cfg.block_width(g)
+        report = storage_comparison(g, links, cfg)
+        assert report.seal_bytes == seal_bytes(to_nx(g), pairs, h, w)
+
+
 def test_storage_reduction_grows_with_subgraph_size():
     rng = np.random.default_rng(53)
     g = gnp_graph(rng, n_lo=60, n_hi=60, p=0.15)
@@ -566,3 +589,67 @@ def test_records_do_not_depend_on_how_a_chunk_is_split(tmp_path, monkeypatch,
     split = tmp_path / "split.rec"
     precompute_dataset(g, links, cfg, split, seed=2)
     assert split.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_chunk_encoder_matches_serialize_record(variant, labeling):
+    rng = np.random.default_rng(59)
+    g, links = _edge_case_chunk(rng)
+    walk = {"k": 2, "l": 2} if "ScaLed" in variant else {}
+    cfg = SamplingOperatorSet(variant=variant, r=3, h=2, labeling=labeling,
+                              **walk)
+    pooled, starts, blocks = _link_records(g, links, cfg, 4, None)
+    want = b"".join(
+        serialize_record(LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi]))
+        for (u, v, label), lo, hi in zip(links.tolist(), starts, starts[1:]))
+    assert _encode(links, pooled, starts, blocks) == want
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert _encode(empty, pooled[:0], starts[:1], blocks[:, :0]) == b""
+
+
+@pytest.mark.parametrize("variant", ["PoS", "PoSPlus"])
+def test_record_file_batch_matches_stack_records(tmp_path, variant):
+    # Center files have one stride and are indexed as one strided view;
+    # CCN files with mixed pooled counts are indexed by a header pass
+    rng = np.random.default_rng(60)
+    g, links = _edge_case_chunk(rng)
+    links = np.concatenate([links, links[:30]])    # two chunks
+    cfg = SamplingOperatorSet(variant=variant, r=2, h=2, labeling="drnl")
+    path = tmp_path / "d.rec"
+    precompute_dataset(g, links, cfg, path)
+    rf = RecordFile(path)
+    recs = list(rf)
+    assert (len(set(rf.p.tolist())) > 1) == (variant == "PoSPlus")
+    sizes = [len(serialize_record(rec)) for rec in recs]
+    assert rf.offsets.tolist() == (6 + np.cumsum([0] + sizes[:-1])).tolist()
+    assert rf.p.tolist() == [rec.pooled_count for rec in recs]
+    assert rf.labels.tolist() == links[:, 2].tolist()
+    for index in (rng.permutation(len(rf)), rng.integers(len(rf), size=40),
+                  np.array([5]), np.array([7, 7, 7])):
+        picked = [recs[i] for i in index]
+        for dtype in (np.float32, np.float64):
+            got = rf.batch(index, dtype)
+            for want in (stack_reference(picked, dtype),
+                         stack_records(picked, dtype)):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_flipped_payload_byte_fails_checksum(tmp_path):
+    rng = np.random.default_rng(61)
+    g = gnp_graph(rng, n_lo=14, n_hi=14, p=0.3, features=2)
+    cfg = SamplingOperatorSet(variant="PoS", r=2, h=1)
+    links = _mixed_links(rng, g, 20)
+    for name in ("train.rec", "valid.rec"):
+        precompute_dataset(g, links, cfg, tmp_path / name)
+    path = tmp_path / "train.rec"
+    assert len(RecordFile(path)) == 20            # verified once already
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x10                              # a payload float's bits
+    path.write_bytes(bytes(data))
+    assert len(RecordFile(path, verify=False)) == 20
+    with pytest.raises(RecordFormatError, match="checksum mismatch"):
+        RecordFile(path)
+    with pytest.raises(RecordFormatError, match="checksum mismatch"):
+        train(path, tmp_path / "valid.rec", TrainConfig(d_prime=4, epochs=1))

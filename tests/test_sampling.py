@@ -7,7 +7,7 @@ from difflink import (UNREACHABLE, Graph, build_graph, extract_h_hop,
                       walk_subgraphs)
 from difflink.sampling import hop_distances
 
-from conftest import gnp_graph, random_pair
+from conftest import gnp_graph, hub_graph, hub_links, random_pair
 from oracles import hop_nodes, induced_dense, power_edges, to_nx
 
 
@@ -257,23 +257,6 @@ def test_walk_subgraphs_blocks_match_one_link_walks():
         walk_subgraphs(g, [0, 1], [1, 0], 2, 3, [0])
 
 
-def _hub_graph(rng, leaves=30):
-    """A star on node 0 plus as many random edges among its leaves."""
-    ends = rng.integers(1, leaves + 1, size=(leaves, 2))
-    edges = np.concatenate([np.column_stack([np.zeros(leaves, np.int64),
-                                             np.arange(1, leaves + 1)]), ends])
-    return build_graph(leaves + 1, edges)
-
-
-def _hub_links(rng, n):
-    """(u, v) arrays: hub links, leaf pairs, and duplicate and reversed
-    copies of both."""
-    pairs = [(0, int(x)) for x in rng.choice(np.arange(1, n), 4, replace=False)]
-    pairs += [random_pair(rng, n) for _ in range(4)]
-    pairs += [pairs[0], pairs[1][::-1], pairs[4][::-1], pairs[4]]
-    return tuple(np.asarray(pairs).T)
-
-
 @pytest.mark.parametrize("union_entries", [None, 16])
 def test_hop_subgraphs_hub_blocks_match_oracle(monkeypatch, union_entries):
     # Every block holds the hub, so most nodes sit in many blocks of one
@@ -286,8 +269,8 @@ def test_hop_subgraphs_hub_blocks_match_oracle(monkeypatch, union_entries):
         monkeypatch.setattr(sampling, "UNION_ENTRIES", union_entries)
     rng = np.random.default_rng(29)
     for trial in range(12):
-        g = _hub_graph(rng)
-        u, v = _hub_links(rng, g.num_nodes)
+        g = hub_graph(rng)
+        u, v = hub_links(rng, g.num_nodes)
         h = 1 + trial % 3
         subs = list(hop_subgraphs(g, u, v, h))
         assert (len(subs) > 1) == (union_entries is not None)
@@ -304,8 +287,8 @@ def test_hop_subgraphs_hub_blocks_match_oracle(monkeypatch, union_entries):
 def test_walk_subgraphs_hub_blocks_are_induced():
     rng = np.random.default_rng(31)
     for trial in range(12):
-        g = _hub_graph(rng)
-        u, v = _hub_links(rng, g.num_nodes)
+        g = hub_graph(rng)
+        u, v = hub_links(rng, g.num_nodes)
         seeds = list(range(trial, trial + len(u)))
         [sub] = walk_subgraphs(g, u, v, 3, 2, seeds)
         nxg = to_nx(g)
@@ -339,8 +322,8 @@ def test_link_sets_built_in_turn_match_sets_built_alone(monkeypatch, how):
 
     rng = np.random.default_rng(32)
     for trial in range(6):
-        g = _hub_graph(rng)
-        first, second = _hub_links(rng, g.num_nodes), _hub_links(rng, g.num_nodes)
+        g = hub_graph(rng)
+        first, second = hub_links(rng, g.num_nodes), hub_links(rng, g.num_nodes)
         alone = blocks(build(Graph(g.num_nodes, g.indptr.copy(),
                                    g.indices.copy()), second))
         blocks(build(g, first))
