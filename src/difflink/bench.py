@@ -266,10 +266,10 @@ def train_run(spec: ExperimentSpec, config: SamplingOperatorSet, seed: int,
 def evaluate_run(spec: ExperimentSpec, params: ModelParams,
                  run_dir) -> tuple[dict, float]:
     """Score ``run_dir``'s test records; returns (metrics, predict seconds)."""
-    records = RecordFile(Path(run_dir) / "test.rec")
-    t0 = time.monotonic()
-    scores = predict(records, params, agg=spec.training["agg"])
-    inference_s = time.monotonic() - t0
+    with RecordFile(Path(run_dir) / "test.rec") as records:
+        t0 = time.monotonic()
+        scores = predict(records, params, agg=spec.training["agg"])
+        inference_s = time.monotonic() - t0
     return _eval_scores(scores, records.labels, spec.eval_opts), inference_s
 
 
@@ -481,9 +481,9 @@ def timing_probe(config_path, max_links: int = 512) -> dict:
                                replace(config, h=h), path,
                                worker_count=spec.workers, seed=seed)
             probe[f"preprocess_s_h{h}"] = time.monotonic() - t0
-            recs = RecordFile(path)
-            probe[f"per_record_inference_s_h{h}"] = _per_record_inference_s(
-                recs, run.params, spec.training["agg"])
+            with RecordFile(path) as recs:
+                probe[f"per_record_inference_s_h{h}"] = _per_record_inference_s(
+                    recs, run.params, spec.training["agg"])
         ratio = (probe["per_record_inference_s_h3"]
                  / probe["per_record_inference_s_h1"])
         probe["inference_ratio_h3_vs_h1"] = ratio

@@ -158,8 +158,8 @@ def stack_records(records, dtype=np.float32):
     node's blocks concatenated operator-major; mask flags real (unpadded)
     rows; labels is float (B,).
     """
-    records = _record_buffer(records)
-    return records.batch(np.arange(len(records)), dtype)
+    with _record_buffer(records) as records:
+        return records.batch(np.arange(len(records)), dtype)
 
 
 def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
@@ -389,39 +389,42 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
     highest validation AUC (earliest epoch on ties). ``epoch_times``, when
     given, collects per-epoch wall seconds without touching the history.
     """
-    records = _record_buffer(dataset)
-    valid_records = _record_buffer(valid)
-    if not len(records) or not len(valid_records):
-        raise ValueError("train and valid record sets must be nonempty")
-    pooling = _pooling_hint(dataset, config, records)
-    rng = np.random.default_rng(config.seed)
-    params = init_params(rng, records.row_width, config.d_prime, pooling,
-                         dtype=np.float32)
-    opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
-    n = len(records)
-    labels = valid_records.labels
-    best_auc = -1.0
-    best_params = params.copy()
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.monotonic()
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            index = perm[start:start + config.batch_size]
-            batch = records.batch(index, params.W.dtype)
-            loss, grads = loss_and_gradients(batch, params, config, rng)
-            opt.step(params, grads)
-            total += loss * index.shape[0]
-        if epoch_times is not None:
-            epoch_times.append(time.monotonic() - t0)
-        scores = predict(valid_records, params, agg=config.agg)
-        val_auc = auc(ScoredPairs(scores[labels == 1], scores[labels == 0]))
-        history.append({"epoch": epoch, "train_loss": total / n,
-                        "valid_auc": val_auc})
-        if val_auc > best_auc:
-            best_auc = val_auc
-            best_params = params.copy()
+    with _record_buffer(dataset) as records, _record_buffer(valid) as valid_records:
+        if not len(records) or not len(valid_records):
+            raise ValueError("train and valid record sets must be nonempty")
+        pooling = _pooling_hint(dataset, config, records)
+        rng = np.random.default_rng(config.seed)
+        params = init_params(rng, records.row_width, config.d_prime, pooling,
+                             dtype=np.float32)
+        opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+        n = len(records)
+        labels = valid_records.labels
+        best_auc = -1.0
+        # one kept buffer that improved parameters are copied into
+        best_params = params.copy()
+        history = []
+        for epoch in range(1, config.epochs + 1):
+            t0 = time.monotonic()
+            perm = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                index = perm[start:start + config.batch_size]
+                # no name keeps the batch or the gradients past the step,
+                # so the next step's are built after they are freed
+                loss, grads = loss_and_gradients(records.batch(index, params.W.dtype),
+                                                 params, config, rng)
+                opt.step(params, grads)
+                del grads
+                total += loss * index.shape[0]
+            if epoch_times is not None:
+                epoch_times.append(time.monotonic() - t0)
+            scores = predict(valid_records, params, agg=config.agg)
+            val_auc = auc(ScoredPairs(scores[labels == 1], scores[labels == 0]))
+            history.append({"epoch": epoch, "train_loss": total / n,
+                            "valid_auc": val_auc})
+            if val_auc > best_auc:
+                best_auc = val_auc
+                np.copyto(_flat(best_params), _flat(params))
     return best_params, history
 
 
@@ -430,18 +433,19 @@ def predict(dataset, params: ModelParams, agg: str = "mean",
     """Eval-mode probabilities for every record, in file order."""
     if batch_size < 1:
         raise ValueError(f"batch_size: expected an integer >= 1, got {batch_size!r}")
-    records = _record_buffer(dataset)
-    n = len(records)
-    scores = np.zeros(n, dtype=np.float64)
     dtype = params.W.dtype
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        z, mask, _ = records.batch(np.arange(start, stop), dtype)
-        if z.shape[2] != params.W.shape[0]:
-            raise ValueError(
-                f"record width {z.shape[2]} does not match W rows {params.W.shape[0]}")
-        logit, _ = _forward_batch(z, mask, params, None, agg)
-        scores[start:stop] = _sigmoid(logit.astype(np.float64))
+    with _record_buffer(dataset) as records:
+        n = len(records)
+        scores = np.zeros(n, dtype=np.float64)
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
+            z, mask, _ = records.batch(np.arange(start, stop), dtype)
+            if z.shape[2] != params.W.shape[0]:
+                raise ValueError(f"record width {z.shape[2]} does not match "
+                                 f"W rows {params.W.shape[0]}")
+            logit = _forward_batch(z, mask, params, None, agg)[0]
+            del z, mask             # freed before the next batch is built
+            scores[start:stop] = _sigmoid(logit.astype(np.float64))
     return scores
 
 

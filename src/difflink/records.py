@@ -25,6 +25,8 @@ import os
 import struct
 import time
 import uuid
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -83,6 +85,9 @@ MAX_CCN_CAP = 0xFFFF - 2
 
 # Links built together by the chunk engine; bounds its memory.
 CHUNK_LINKS = 64
+# Bytes a RecordFile reads at a time while it verifies and indexes a file;
+# a file that fits in one piece is kept whole. Bounds a reader's memory.
+READ_PIECE = 2 << 20
 # Feature columns gathered (as float64) per sparse product, which bounds
 # the gather for wide features.
 _FEATURE_COLUMNS = 256
@@ -436,72 +441,109 @@ class RecordFormatError(ValueError):
     """Bad magic, version, truncation, or manifest mismatch."""
 
 
+def _check_file_header(buf, name) -> None:
+    if len(buf) < _FILE_HEADER.size:
+        raise RecordFormatError(f"{name}: truncated header")
+    magic, version = _FILE_HEADER.unpack_from(buf, 0)
+    if magic != _MAGIC:
+        raise RecordFormatError(f"{name}: bad magic {magic!r}")
+    if version != _VERSION:
+        raise RecordFormatError(f"{name}: unsupported version {version}")
+
+
+def _scan(buf, base: int, off: int):
+    """Headers of the records whose header lies wholly in ``buf``, which
+    holds the file bytes from offset ``base`` on, from the record at file
+    offset ``off`` on.
+
+    Returns the headers (a list of ``_HEADER`` arrays), their offsets (a
+    list of int64 arrays) and the offset of the record after them, which
+    may lie past ``buf``. A run of records of one shape, such as all of a
+    Center file, is read as one strided view of their headers; other
+    records one at a time.
+    """
+    heads, offsets, single = [], [], []      # single: (header, offset) pairs
+
+    def flush():
+        if single:
+            heads.append(np.array([h for h, _ in single], dtype=_HEADER))
+            offsets.append(np.array([o for _, o in single], dtype=np.int64))
+            single.clear()
+
+    last = base + len(buf) - _REC_HEADER.size      # the last offset a header fits at
+    while off <= last:
+        head = _REC_HEADER.unpack_from(buf, off - base)
+        p, r1, w = shape = head[3:]
+        stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+        if (off + stride > last
+                or _REC_HEADER.unpack_from(buf, off + stride - base)[3:] != shape):
+            single.append((head, off))
+            off += stride
+            continue
+        flush()
+        n = (last - off) // stride + 1
+        run = np.ndarray((n,), _HEADER, buf, off - base, (stride,))
+        same = (run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)
+        n = n if same.all() else int(same.argmin())
+        heads.append(run[:n].copy())
+        offsets.append(off + stride * np.arange(n, dtype=np.int64))
+        off += stride * n
+    flush()
+    return heads, offsets, off
+
+
 class _RecordBuffer:
-    """Records in the file layout, held as one buffer and indexed by arrays.
+    """Records in the file layout, indexed by arrays and read through one
+    primitive, ``_read(offset, size)``: the bytes at an offset.
 
     ``offsets``, ``p`` and ``labels`` give each record's byte offset,
-    pooled count and label. When every record has the same (p, r+1, w),
-    the stride is constant and the headers are read as one strided array
-    view; otherwise one pass walks them. ``batch`` writes model inputs for
-    any index array straight from the buffer.
+    pooled count and label. This class holds the bytes in memory; when
+    every record has the same (p, r+1, w) all blocks are also one strided
+    array view. ``batch`` writes model inputs for any index array.
     """
 
-    def __init__(self, buf: bytes, name):
-        self._buf = buf
-        self._name = name
-        if len(buf) < _FILE_HEADER.size:
-            raise RecordFormatError(f"{name}: truncated header")
-        magic, version = _FILE_HEADER.unpack_from(buf, 0)
-        if magic != _MAGIC:
-            raise RecordFormatError(f"{name}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise RecordFormatError(f"{name}: unsupported version {version}")
-        head, self.offsets, self._payload = self._index()
+    def __init__(self, buf, name):
+        self._buf, self._name = buf, name
+        _check_file_header(buf, name)
+        self._set_index(*_scan(buf, 0, _FILE_HEADER.size), len(buf))
+
+    def _set_index(self, heads, offsets, end: int, total: int) -> None:
+        """Index from ``_scan``'s output over a file of ``total`` bytes whose
+        last record ends at ``end``; also the strided block view of held
+        bytes, when there is one."""
+        if end < total:
+            raise RecordFormatError(f"{self._name}: truncated record header")
+        if end > total:
+            raise RecordFormatError(f"{self._name}: truncated record payload")
+        head = np.concatenate(heads or [np.zeros(0, dtype=_HEADER)])
+        self.offsets = np.concatenate(offsets or [np.zeros(0, dtype=np.int64)])
         self.p = head["p"].astype(np.int64)
         self.labels = head["label"].copy()
         self._r1, self._w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
+        self._size = _REC_HEADER.size + 4 * self.p + 4 * self._r1 * self.p * self._w
+        self._payload = None
+        if self._buf is not None and len(self) and all(
+                (a == a[0]).all() for a in (self.p, self._r1, self._w)):
+            p, r1, w = int(self.p[0]), int(self._r1[0]), int(self._w[0])
+            self._payload = np.ndarray(
+                (len(self), r1, p, w), "<f4", self._buf,
+                int(self.offsets[0]) + _REC_HEADER.size + 4 * p,
+                (int(self._size[0]), 4 * p * w, 4 * w, 4))
 
-    def _index(self):
-        """Every record's header and offset, and when the stride is
-        constant the (n, r+1, p, w) float32 view of all blocks (else None)."""
-        buf, off, total = self._buf, _FILE_HEADER.size, len(self._buf)
-        if total - off >= _REC_HEADER.size:
-            _, _, _, p, r1, w = _REC_HEADER.unpack_from(buf, off)
-            stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-            n, rest = divmod(total - off, stride)
-            head = np.ndarray((n,), _HEADER, buf, off, (stride,))
-            if (rest == 0 and (head["p"] == p).all() and (head["r1"] == r1).all()
-                    and (head["w"] == w).all()):
-                payload = np.ndarray((n, r1, p, w), "<f4", buf,
-                                     off + _REC_HEADER.size + 4 * p,
-                                     (stride, 4 * p * w, 4 * w, 4))
-                return head, off + stride * np.arange(n, dtype=np.int64), payload
-        heads, offsets = [], []
-        while off < total:
-            if off + _REC_HEADER.size > total:
-                raise RecordFormatError(f"{self._name}: truncated record header")
-            head = _REC_HEADER.unpack_from(buf, off)
-            _, _, _, p, r1, w = head
-            size = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-            if off + size > total:
-                raise RecordFormatError(f"{self._name}: truncated record payload")
-            heads.append(head)
-            offsets.append(off)
-            off += size
-        return (np.array(heads, dtype=_HEADER), np.array(offsets, dtype=np.int64),
-                None)
+    def _read(self, offset: int, size: int):
+        """The ``size`` bytes at file offset ``offset``."""
+        return memoryview(self._buf)[offset:offset + size]
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
     def __getitem__(self, i: int) -> LinkRecord:
-        rec, _ = deserialize_record(self._buf, int(self.offsets[i]))
+        rec, _ = deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])))
         return rec
 
     def __iter__(self):
-        for off in self.offsets.tolist():
-            rec, _ = deserialize_record(self._buf, off)
-            yield rec
+        for off, size in zip(self.offsets.tolist(), self._size.tolist()):
+            yield deserialize_record(self._read(off, size))[0]
 
     @property
     def row_width(self) -> int:
@@ -531,7 +573,7 @@ class _RecordBuffer:
         else:
             at = self.offsets[index] + _REC_HEADER.size + 4 * p
             for row, off, count in zip(rows, at.tolist(), p.tolist()):
-                blocks = np.frombuffer(self._buf, "<f4", r1 * count * w, off)
+                blocks = np.frombuffer(self._read(off, 4 * r1 * count * w), "<f4")
                 row[:count] = blocks.reshape(r1, count, w).transpose(1, 0, 2)
         mask = np.arange(p_max) < p[:, None]
         return z, mask, self.labels[index].astype(dtype)
@@ -540,42 +582,118 @@ class _RecordBuffer:
 class RecordFile(_RecordBuffer):
     """Sequential, random-access and batch reader for a record file.
 
-    Reads the file, verifies magic/version, and indexes records as arrays.
-    When a sibling manifest exists its record count and checksum (over the
-    whole file, on every open) are verified unless ``verify=False``. Safe
-    for concurrent readers.
+    Opening makes one pass over the file in pieces of at most
+    ``READ_PIECE`` bytes. The pass checks magic and version, indexes the
+    records as arrays and, when a sibling manifest exists, checks its
+    record count and hashes every byte against its checksum (on every
+    open, unless ``verify=False``). A file that fits in one piece is kept
+    as that piece and its descriptor closed. A larger file keeps its
+    descriptor, and records are read from it by position, so memory stays
+    bounded by a piece and a batch, and reads come from the file that was
+    verified even after its path is replaced. ``close()`` or a ``with``
+    block releases the descriptor; an unclosed one is closed when the
+    reader is collected. Safe for concurrent readers.
     """
 
     def __init__(self, path, verify: bool = True):
         self.path = Path(path)
-        with open(self.path, "rb") as fh:
-            buf = fh.read()
-        super().__init__(buf, self.path)
-        if verify:
-            self._check_manifest()
-
-    def _check_manifest(self) -> None:
+        self._name, self._buf, self._fd, self._closer = self.path, None, None, None
+        manifest = None
         mpath = manifest_path(self.path)
-        if not mpath.exists():
-            return
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        if manifest.get("counts", {}).get("records") != len(self):
-            raise RecordFormatError(
-                f"{self.path}: manifest record count mismatch")
-        digest = "sha256:" + hashlib.sha256(self._buf).hexdigest()
-        if manifest.get("checksum") not in (None, digest):
-            raise RecordFormatError(f"{self.path}: manifest checksum mismatch")
+        if verify and mpath.exists():
+            with open(mpath) as fh:
+                manifest = json.load(fh)
+        checksum = manifest.get("checksum") if manifest is not None else None
+        sha = hashlib.sha256() if checksum is not None else None
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            whole = self._read_pass(fd, sha)
+            if manifest is not None and manifest.get("counts", {}).get("records") != len(self):
+                raise RecordFormatError(f"{self.path}: manifest record count mismatch")
+            if sha is not None and checksum != "sha256:" + sha.hexdigest():
+                raise RecordFormatError(f"{self.path}: manifest checksum mismatch")
+        except BaseException:
+            os.close(fd)
+            raise
+        if whole:
+            os.close(fd)
+        else:
+            self._fd = fd
+            self._closer = weakref.finalize(self, os.close, fd)
+
+    def _read_pass(self, fd: int, sha) -> bool:
+        """One pass over ``fd`` in pieces: hash into ``sha`` (when given),
+        check the file header and index every record. Returns whether the
+        file came in one piece, which is then kept as ``_buf``."""
+        size = os.fstat(fd).st_size
+        piece = np.empty(_REC_HEADER.size + min(size, READ_PIECE), dtype=np.uint8)
+        heads, offsets = [], []
+        base = pos = pieces = 0       # piece[0] is at file offset base
+        off = _FILE_HEADER.size
+        while True:
+            # piece[:pos - base] holds a header the last piece cut short
+            n = os.preadv(fd, [piece[pos - base:]], pos)
+            if n == 0:
+                break
+            if sha is not None:
+                sha.update(piece[pos - base:pos - base + n])
+            pos += n
+            pieces += 1
+            data = piece[:pos - base]
+            if pieces == 1:
+                _check_file_header(data, self.path)
+            more_heads, more_offsets, off = _scan(data, base, off)
+            heads += more_heads
+            offsets += more_offsets
+            if off < pos:
+                piece[:pos - off] = data[off - base:].copy()
+            base = min(off, pos)
+        if pos < _FILE_HEADER.size:
+            raise RecordFormatError(f"{self.path}: truncated header")
+        whole = pieces == 1
+        if whole:
+            self._buf = piece[:pos]
+        self._set_index(heads, offsets, off, pos)
+        return whole
+
+    def _read(self, offset: int, size: int):
+        if self._buf is not None:
+            return super()._read(offset, size)
+        if self._fd is None:
+            raise ValueError(f"{self.path}: record file is closed")
+        out = np.empty(size, dtype=np.uint8)
+        if os.preadv(self._fd, [out], offset) != size:
+            raise RecordFormatError(f"{self.path}: file ends inside the record "
+                                    f"at byte {offset}")
+        return out
+
+    def close(self) -> None:
+        """Release the descriptor and any held bytes; the index stays, and
+        later reads raise ValueError."""
+        self._buf = self._payload = self._fd = None
+        if self._closer is not None:
+            self._closer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
 
 
-def _record_buffer(records) -> _RecordBuffer:
-    """``records`` as a _RecordBuffer: a record file path is opened (and
-    verified), a _RecordBuffer is returned as it is, and a LinkRecord
-    sequence is encoded in memory."""
+@contextmanager
+def _record_buffer(records):
+    """``records`` as a _RecordBuffer for a ``with`` block: a _RecordBuffer
+    is used as it is, a record file path is opened (and verified) and
+    closed after the block, and a LinkRecord sequence is encoded in
+    memory."""
     if isinstance(records, _RecordBuffer):
-        return records
+        yield records
+        return
     if isinstance(records, (str, Path)):
-        return RecordFile(records)
+        with RecordFile(records) as opened:
+            yield opened
+        return
     records = list(records)
     blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
     if records:
@@ -586,12 +704,13 @@ def _record_buffer(records) -> _RecordBuffer:
         np.cumsum([rec.pooled_count for rec in records], out=starts[1:])
         blob += _encode(links, np.concatenate([rec.pooled_ids for rec in records]),
                         starts, np.concatenate([rec.blocks for rec in records], axis=1))
-    return _RecordBuffer(blob, "<records>")
+    yield _RecordBuffer(blob, "<records>")
 
 
 def read_records(path, verify: bool = True) -> list:
     """All records of a file as a list, in file order."""
-    return list(RecordFile(path, verify=verify))
+    with RecordFile(path, verify=verify) as records:
+        return list(records)
 
 
 def manifest_path(record_path) -> Path:
