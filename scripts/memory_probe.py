@@ -1,11 +1,11 @@
 """Peak resident memory after each phase of the benchmark pipelines, as JSON.
 
 Each workload (perfbench's ``ns_pos`` and ``cora_plus``) runs in a fresh
-spawned process: it builds the workload's inputs, then runs the pipeline
-``--iterations`` times. After the inputs and after every phase of every
-iteration (precompute, storage, train, score, evaluate) the process
-records its peak RSS so far (``ru_maxrss``), so the first phase whose row
-rises is the one that set the peak. As in the benchmark, each iteration
+spawned process: it builds the workload's inputs with seed 0, then runs
+the pipeline ``--iterations`` times (3 by default). After the inputs and
+after every phase of every iteration (precompute, storage, train, score,
+evaluate) the process records its peak RSS so far (``ru_maxrss``), so the
+first phase whose row rises is the one that set the peak. As in the benchmark, each iteration
 ends with perfbench's output checks, which read every record file back
 (the ``check`` row). BLAS threads are capped as the benchmark caps them.
 
@@ -31,12 +31,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import WORKLOAD_NAMES, cap_blas_threads  # noqa: E402  (perfbench/run.py)
 
+SEED = 0
+
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def probe(name: str, seed: int, iterations: int, pairs: int | None) -> list:
+def probe(name: str, iterations: int, pairs: int | None) -> list:
     """(phase, iteration, peak RSS in MB) rows of one workload, in order."""
     import checks
     from workloads import WORKLOADS as DEFINED, make_inputs, run_iteration
@@ -45,7 +47,7 @@ def probe(name: str, seed: int, iterations: int, pairs: int | None) -> list:
     if pairs is not None:
         w = dataclasses.replace(w, pairs=(pairs,) * len(w.pairs))
     rows = []
-    inputs = make_inputs(w, seed)
+    inputs = make_inputs(w, SEED)
     rows.append({"phase": "inputs", "iteration": 0, "peak_rss_mb": peak_rss_mb()})
     with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
         for i in range(iterations):
@@ -58,7 +60,7 @@ def probe(name: str, seed: int, iterations: int, pairs: int | None) -> list:
 
             workdir = Path(tmp) / f"it{i}"
             workdir.mkdir()
-            it = run_iteration(w, inputs, seed, workdir, phase)
+            it = run_iteration(w, inputs, SEED, workdir, phase)
             with phase("check"):
                 checks.check_model_iteration(checks.Gate(), inputs, it)
     return rows
@@ -66,10 +68,7 @@ def probe(name: str, seed: int, iterations: int, pairs: int | None) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES,
-                    default=list(WORKLOAD_NAMES))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--iterations", type=int, default=2)
+    ap.add_argument("--iterations", type=int, default=3)
     ap.add_argument("--pairs", type=int, default=None)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
@@ -79,13 +78,13 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1")
 
     cap_blas_threads()
-    result = {"seed": args.seed, "iterations": args.iterations,
+    result = {"seed": SEED, "iterations": args.iterations,
               "pairs": args.pairs, "workloads": {}}
     ctx = mp.get_context("spawn")
-    for name in args.workloads:
+    for name in WORKLOAD_NAMES:
         # a new process per workload, so each peak is that workload's own
         with ctx.Pool(1) as pool:
-            rows = pool.apply(probe, (name, args.seed, args.iterations, args.pairs))
+            rows = pool.apply(probe, (name, args.iterations, args.pairs))
         result["workloads"][name] = rows
         for row in rows:
             print(f"{name:10s} it{row['iteration']} {row['phase']:10s} "

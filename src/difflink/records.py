@@ -456,40 +456,28 @@ def _scan(buf, base: int, off: int):
     holds the file bytes from offset ``base`` on, from the record at file
     offset ``off`` on.
 
-    Returns the headers (a list of ``_HEADER`` arrays), their offsets (a
-    list of int64 arrays) and the offset of the record after them, which
-    may lie past ``buf``. A run of records of one shape, such as all of a
-    Center file, is read as one strided view of their headers; other
-    records one at a time.
+    Returns the headers (a ``_HEADER`` array), their offsets (int64) and
+    the offset of the record after them, which may lie past ``buf``. When
+    every header in ``buf`` has the first one's shape, as in a Center
+    file, they are read as one strided view; otherwise one at a time.
     """
-    heads, offsets, single = [], [], []      # single: (header, offset) pairs
-
-    def flush():
-        if single:
-            heads.append(np.array([h for h, _ in single], dtype=_HEADER))
-            offsets.append(np.array([o for _, o in single], dtype=np.int64))
-            single.clear()
-
     last = base + len(buf) - _REC_HEADER.size      # the last offset a header fits at
+    if off > last:
+        return np.zeros(0, dtype=_HEADER), np.zeros(0, dtype=np.int64), off
+    p, r1, w = _REC_HEADER.unpack_from(buf, off - base)[3:]
+    stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+    n = (last - off) // stride + 1
+    run = np.ndarray((n,), _HEADER, buf, off - base, (stride,))
+    if ((run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)).all():
+        return run.copy(), off + stride * np.arange(n, dtype=np.int64), off + stride * n
+    heads, offsets = [], []
     while off <= last:
         head = _REC_HEADER.unpack_from(buf, off - base)
-        p, r1, w = shape = head[3:]
-        stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-        if (off + stride > last
-                or _REC_HEADER.unpack_from(buf, off + stride - base)[3:] != shape):
-            single.append((head, off))
-            off += stride
-            continue
-        flush()
-        n = (last - off) // stride + 1
-        run = np.ndarray((n,), _HEADER, buf, off - base, (stride,))
-        same = (run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)
-        n = n if same.all() else int(same.argmin())
-        heads.append(run[:n].copy())
-        offsets.append(off + stride * np.arange(n, dtype=np.int64))
-        off += stride * n
-    flush()
-    return heads, offsets, off
+        heads.append(head)
+        offsets.append(off)
+        p, r1, w = head[3:]
+        off += _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+    return np.array(heads, dtype=_HEADER), np.array(offsets, dtype=np.int64), off
 
 
 class _RecordBuffer:
@@ -505,18 +493,19 @@ class _RecordBuffer:
     def __init__(self, buf, name):
         self._buf, self._name = buf, name
         _check_file_header(buf, name)
-        self._set_index(*_scan(buf, 0, _FILE_HEADER.size), len(buf))
+        heads, offsets, end = _scan(buf, 0, _FILE_HEADER.size)
+        self._set_index([heads], [offsets], end, len(buf))
 
     def _set_index(self, heads, offsets, end: int, total: int) -> None:
-        """Index from ``_scan``'s output over a file of ``total`` bytes whose
-        last record ends at ``end``; also the strided block view of held
-        bytes, when there is one."""
+        """Index from the headers and offsets ``_scan`` found in each piece
+        of a file of ``total`` bytes whose last record ends at ``end``;
+        also the strided block view of held bytes, when there is one."""
         if end < total:
             raise RecordFormatError(f"{self._name}: truncated record header")
         if end > total:
             raise RecordFormatError(f"{self._name}: truncated record payload")
-        head = np.concatenate(heads or [np.zeros(0, dtype=_HEADER)])
-        self.offsets = np.concatenate(offsets or [np.zeros(0, dtype=np.int64)])
+        head = np.concatenate(heads)
+        self.offsets = np.concatenate(offsets)
         self.p = head["p"].astype(np.int64)
         self.labels = head["label"].copy()
         self._r1, self._w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
@@ -589,8 +578,10 @@ class RecordFile(_RecordBuffer):
     open, unless ``verify=False``). A file that fits in one piece is kept
     as that piece and its descriptor closed. A larger file keeps its
     descriptor, and records are read from it by position, so memory stays
-    bounded by a piece and a batch, and reads come from the file that was
-    verified even after its path is replaced. ``close()`` or a ``with``
+    bounded by a piece and a batch, and reads come from the verified inode
+    even after its path is replaced. Only replacing the path is guarded
+    against: an in-place edit of the file after open is not detected, and
+    such reads return bytes that were never hashed. ``close()`` or a ``with``
     block releases the descriptor; an unclosed one is closed when the
     reader is collected. Safe for concurrent readers.
     """
@@ -643,8 +634,8 @@ class RecordFile(_RecordBuffer):
             if pieces == 1:
                 _check_file_header(data, self.path)
             more_heads, more_offsets, off = _scan(data, base, off)
-            heads += more_heads
-            offsets += more_offsets
+            heads.append(more_heads)
+            offsets.append(more_offsets)
             if off < pos:
                 piece[:pos - off] = data[off - base:].copy()
             base = min(off, pos)

@@ -86,6 +86,31 @@ def test_streamed_ccn_index_equals_header_walk(tmp_path, monkeypatch, piece):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("piece", SMALL_PIECES + [None])
+def test_short_runs_of_one_shape_index_like_a_header_walk(tmp_path, monkeypatch,
+                                                          piece):
+    # runs of 1-3 records of one pooled count, alternating between counts
+    rng = np.random.default_rng(74)
+    ps = [p for i, run in enumerate(rng.integers(1, 4, 40))
+          for p in [2 + i % 2] * int(run)]
+    path = tmp_path / "runs.rec"
+    write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
+                                    rng.random((3, p, 2), dtype=np.float32))
+                         for i, p in enumerate(ps)))
+    data = path.read_bytes()
+    offsets, walked_ps, labels = _header_walk(data)
+    assert walked_ps == ps
+    if piece is not None:
+        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    with RecordFile(path) as rf:
+        held = records_module._RecordBuffer(data, "<records>")
+        for index in (rf, held):
+            assert index.offsets.tolist() == offsets
+            assert index.p.tolist() == ps
+            assert index.labels.tolist() == labels
+        assert [serialize_record(r) for r in rf] == [serialize_record(r) for r in held]
+
+
 @pytest.mark.parametrize("piece", SMALL_PIECES)
 def test_streamed_open_rejects_corruption_naming_the_file(tmp_path, monkeypatch,
                                                           piece):
