@@ -24,7 +24,7 @@ from .records import (CCN_CAP, DatasetStats, LinkRecord, Pooling, RecordFile,
 from .model import (Adam, ModelParams, TrainConfig, forward, init_params,
                     load_params, loss_and_gradients, predict, save_params,
                     stack_records, train)
-from .metrics import (Heuristic, PPRScorer, ScoredPairs, auc, heuristic_score,
+from .metrics import (Heuristic, ScoredPairs, auc, heuristic_score,
                       hits_at_k, mrr, ppr_vector, score_pairs)
 from .bench import (ConfigError, ExperimentReport, ExperimentSpec,
                     labeled_links, load_config, operator_config, parse_config,
@@ -38,7 +38,7 @@ __all__ = [
     "Adam", "CCN_CAP", "ConfigError", "DatasetStats", "EdgeSplit",
     "ExperimentReport", "ExperimentSpec", "Graph", "GraphFormatError",
     "Heuristic", "LabelScheme", "LabeledFeatures", "LinkRecord",
-    "ModelParams", "PPRScorer", "Pooling", "RecordFile", "RecordFormatError",
+    "ModelParams", "Pooling", "RecordFile", "RecordFormatError",
     "SamplingOperatorSet", "ScoredPairs", "StorageReport", "Subgraph",
     "TrainConfig", "UNREACHABLE", "Variant", "auc", "augment_features",
     "build_graph", "build_link_record", "common_neighbors", "datasets",

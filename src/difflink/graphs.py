@@ -418,12 +418,32 @@ def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
     return sp.csr_matrix(out)
 
 
+def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Flat int64 pair arrays; ValueError for an id out of range or u == v."""
+    u = np.asarray(u, dtype=np.int64).reshape(-1)
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    n = graph.num_nodes
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if bad.shape[0]:
+        raise ValueError(f"node id out of range: ({u[bad[0]]}, {v[bad[0]]})")
+    if (u == v).any():
+        raise ValueError("target link endpoints must differ")
+    return u, v
+
+
+def _common_neighbors(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Common neighbours of every pair (u[b], v[b]) from one sparse A[u] * A[v]
+    product, as (pair index, node id) int64 arrays sorted by pair, then id."""
+    u, v = _link_arrays(graph, u, v)
+    closed = graph._closed_adjacency
+    common = closed[u].multiply(closed[v])
+    common.sort_indices()
+    common = common.tocoo()
+    # A + I also pairs u and v themselves when they are adjacent.
+    keep = (common.col != u[common.row]) & (common.col != v[common.row])
+    return common.row[keep].astype(np.int64), common.col[keep].astype(np.int64)
+
+
 def common_neighbors(graph: Graph, u: int, v: int) -> np.ndarray:
     """Sorted ids adjacent to both u and v. Requires u != v."""
-    n = graph.num_nodes
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"node id out of range: ({u}, {v})")
-    if u == v:
-        raise ValueError("common_neighbors requires two distinct nodes")
-    return np.intersect1d(graph.neighbors(u), graph.neighbors(v),
-                          assume_unique=True)
+    return _common_neighbors(graph, [u], [v])[1]

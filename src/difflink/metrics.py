@@ -8,13 +8,12 @@ same information as a trained model.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, common_neighbors
+from .graphs import Graph, _common_neighbors, _link_arrays
 
 
 @dataclass(frozen=True)
@@ -92,82 +91,58 @@ def ppr_vector(graph: Graph, src: int, alpha: float = 0.15,
     walk; mass at dangling nodes returns to the source. Iterates until the
     L1 change is below ``tol``. The result is nonnegative and sums to 1.
     """
-    n = graph.num_nodes
-    if not 0 <= src < n:
+    if not 0 <= src < graph.num_nodes:
         raise ValueError(f"node id out of range: {src}")
+    return next(_ppr_vectors(graph, [src], alpha, tol, max_iter))
+
+
+def _ppr_vectors(graph: Graph, sources, alpha=0.15, tol=1e-6, max_iter=1000):
+    """``ppr_vector`` of each source in turn, over one walk operator."""
+    n = graph.num_nodes
     a = graph.adjacency(np.float64)
     deg = graph.degrees().astype(np.float64)
     nonzero = deg > 0
-    inv_deg = np.zeros(n)
-    inv_deg[nonzero] = 1.0 / deg[nonzero]
-    pi = np.zeros(n)
-    pi[src] = 1.0
-    for _ in range(max_iter):
-        spread = a.T @ (pi * inv_deg)
-        spread[src] += pi[~nonzero].sum()   # dangling mass back to source
-        new = (1.0 - alpha) * spread
-        new[src] += alpha
-        if np.abs(new - pi).sum() < tol:
-            return new
-        pi = new
-    return pi
+    inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=nonzero)
+    for src in sources:
+        pi = np.zeros(n)
+        pi[src] = 1.0
+        for _ in range(max_iter):
+            spread = a.T @ (pi * inv_deg)
+            spread[src] += pi[~nonzero].sum()   # dangling mass back to source
+            new = (1.0 - alpha) * spread
+            new[src] += alpha
+            pi, old = new, pi
+            if np.abs(pi - old).sum() < tol:
+                break
+        yield pi
 
 
-class PPRScorer:
-    """PPR vectors with a bounded per-source memo (insertion-order eviction)."""
-
-    def __init__(self, graph: Graph, alpha: float = 0.15, tol: float = 1e-6,
-                 max_cached: int = 1024):
-        self.graph = graph
-        self.alpha = alpha
-        self.tol = tol
-        self.max_cached = max_cached
-        self._cache: OrderedDict = OrderedDict()
-
-    def vector(self, src: int) -> np.ndarray:
-        hit = self._cache.get(src)
-        if hit is not None:
-            self._cache.move_to_end(src)
-            return hit
-        vec = ppr_vector(self.graph, src, self.alpha, self.tol)
-        self._cache[src] = vec
-        if len(self._cache) > self.max_cached:
-            self._cache.popitem(last=False)
-        return vec
-
-    def score(self, u: int, v: int) -> float:
-        return float(self.vector(u)[v] + self.vector(v)[u])
+def heuristic_score(graph: Graph, u: int, v: int, method: Heuristic) -> float:
+    """Score one candidate pair: ``score_pairs`` for (u, v) alone."""
+    return float(score_pairs(graph, [[u, v]], method)[0])
 
 
-def heuristic_score(graph: Graph, u: int, v: int, method: Heuristic,
-                    ppr_params: tuple = (0.15, 1e-6),
-                    scorer: PPRScorer | None = None) -> float:
-    """Score one candidate pair with a parameter-free heuristic.
+def score_pairs(graph: Graph, pairs, method: Heuristic) -> np.ndarray:
+    """Float64 heuristic scores of an (n, 2) pair array; ValueError for an
+    id out of range or a pair with u == v.
 
-    CN counts common neighbors; AA weights each by 1/ln(degree); PPR sums
-    the two personalized PageRank masses. Pass a shared PPRScorer to reuse
-    vectors across many pairs.
+    CN counts common neighbors (one batched product for all pairs) and AA
+    weights each by 1/ln(degree). PPR sums pi_u[v] + pi_v[u], with one
+    vector per distinct endpoint, read in both directions.
     """
     method = Heuristic(method)
+    u, v = _link_arrays(graph, *np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
     if method is Heuristic.PPR:
-        if scorer is None:
-            scorer = PPRScorer(graph, *ppr_params)
-        return scorer.score(u, v)
-    cn = common_neighbors(graph, u, v)
+        sources = np.unique(np.concatenate([u, v])).tolist()
+        score = np.zeros(u.shape[0])
+        for src, pi in zip(sources, _ppr_vectors(graph, sources)):
+            at_u, at_v = u == src, v == src
+            score[at_u] += pi[v[at_u]]
+            score[at_v] += pi[u[at_v]]
+        return score
+    pair, cn = _common_neighbors(graph, u, v)
     if method is Heuristic.CN:
-        return float(cn.shape[0])
-    degs = graph.degrees()[cn]
-    # A common neighbor is adjacent to both endpoints, so degree >= 2 and
-    # the log never vanishes.
-    assert (degs >= 2).all()
-    return float(np.sum(1.0 / np.log(degs)))
-
-
-def score_pairs(graph: Graph, pairs: np.ndarray, method: Heuristic,
-                ppr_params: tuple = (0.15, 1e-6)) -> np.ndarray:
-    """Vector of heuristic scores for an (n, 2) pair array."""
-    method = Heuristic(method)
-    scorer = PPRScorer(graph, *ppr_params) if method is Heuristic.PPR else None
-    return np.asarray([heuristic_score(graph, int(u), int(v), method,
-                                       ppr_params, scorer=scorer)
-                       for u, v in np.asarray(pairs).reshape(-1, 2)])
+        return np.bincount(pair, minlength=u.shape[0]).astype(np.float64)
+    # a common neighbor has degree >= 2, so the log never vanishes
+    return np.bincount(pair, weights=1.0 / np.log(graph.degrees()[cn]),
+                       minlength=u.shape[0])

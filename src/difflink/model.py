@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import LinkRecord, Pooling, _record_buffer, manifest_path
+from .records import LinkRecord, Pooling, _read_manifest, _record_buffer
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
@@ -370,13 +370,10 @@ def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
     if config.pooling is not None:
         return config.pooling
     if isinstance(dataset, (str, Path)):
-        mpath = manifest_path(dataset)
-        if mpath.exists():
-            with open(mpath) as fh:
-                return Pooling(json.load(fh)["config"]["pooling"])
-    if (records.p > 2).any():
-        return Pooling.CCN
-    return Pooling.CENTER
+        manifest = _read_manifest(dataset, "config.pooling")
+        if manifest is not None:
+            return Pooling(manifest["config"]["pooling"])
+    return Pooling.CCN if (records.p > 2).any() else Pooling.CENTER
 
 
 def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):

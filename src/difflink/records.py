@@ -19,6 +19,7 @@ Record file layout (little-endian):
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing as mp
 import os
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, normalized_adjacency
+from .graphs import Graph, _common_neighbors, normalized_adjacency
 from .labeling import LabelScheme, label_dim_for, node_labels
 from .sampling import (Subgraph, _hop_sizes, _unique, graph_power,
                        hop_subgraphs, walk_subgraphs)
@@ -42,10 +43,15 @@ from .sampling import (Subgraph, _hop_sizes, _unique, graph_power,
 _MAGIC = b"S3GR"
 _VERSION = 1
 _FILE_HEADER = struct.Struct("<4sH")
-_REC_HEADER = struct.Struct("<IIBHHI")
-# The same record header as a packed numpy record, for arrays of headers.
+# The record header, a packed numpy record; the file layout above.
 _HEADER = np.dtype([("u", "<u4"), ("v", "<u4"), ("label", "u1"), ("p", "<u2"),
                     ("r1", "<u2"), ("w", "<u4")])
+_SHAPE = _HEADER[["p", "r1", "w"]]      # its shape fields, at their offsets
+
+
+def _record_bytes(p, r1, w):
+    """Bytes of a record of p pooled rows, r1 operators and width w."""
+    return _HEADER.itemsize + 4 * p + 4 * r1 * p * w
 
 
 class _CaseInsensitiveEnum(str, Enum):
@@ -200,7 +206,7 @@ class LinkRecord:
     def byte_size(self) -> int:
         """Serialized size in bytes; a function of (r, p, w) only."""
         r1, p, w = self.blocks.shape
-        return _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+        return _record_bytes(p, r1, w)
 
 
 def _walk_seed(seed: int, u: int, v: int, label: int) -> int:
@@ -218,11 +224,7 @@ def _pooled_ids(graph: Graph, u: np.ndarray, v: np.ndarray,
     links = np.arange(u.shape[0])
     cn_link = cn = np.zeros(0, dtype=np.int64)
     if config.pooling is Pooling.CCN:
-        closed = graph._closed_adjacency
-        common = closed[u].multiply(closed[v]).tocoo()
-        # A + I also pairs u and v themselves when they are adjacent.
-        keep = (common.col != u[common.row]) & (common.col != v[common.row])
-        cn_link, cn = common.row[keep], common.col[keep].astype(np.int64)
+        cn_link, cn = _common_neighbors(graph, u, v)
         degree = graph.indptr[cn + 1] - graph.indptr[cn]
         order = np.lexsort((cn, -degree, cn_link))
         cn_link, cn = cn_link[order], cn[order]
@@ -348,22 +350,29 @@ def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
 
 
 def serialize_record(rec: LinkRecord) -> bytes:
-    r1, p, w = rec.blocks.shape
-    head = _REC_HEADER.pack(rec.u, rec.v, rec.label, p, r1, w)
-    ids = rec.pooled_ids.astype("<u4").tobytes()
-    payload = np.ascontiguousarray(rec.blocks, dtype="<f4").tobytes()
-    return head + ids + payload
+    """One record's bytes: ``_encode`` of a one-record chunk."""
+    return _encode(*_record_arrays([rec]))
 
 
 def deserialize_record(buf: bytes, offset: int = 0) -> tuple[LinkRecord, int]:
-    u, v, label, p, r1, w = _REC_HEADER.unpack_from(buf, offset)
-    offset += _REC_HEADER.size
-    ids = np.frombuffer(buf, dtype="<u4", count=p, offset=offset).astype(np.int64)
-    offset += 4 * p
-    blocks = np.frombuffer(buf, dtype="<f4", count=r1 * p * w, offset=offset)
-    offset += 4 * r1 * p * w
-    blocks = blocks.reshape(r1, p, w).copy()
-    return LinkRecord(u, v, label, ids, blocks), offset
+    """The record at ``offset`` of ``buf``, and the offset after it."""
+    u, v, label, p, r1, w = np.frombuffer(buf, _HEADER, 1, offset).item()
+    at = offset + _HEADER.itemsize
+    ids = np.frombuffer(buf, "<u4", p, at).astype(np.int64)
+    blocks = np.frombuffer(buf, "<f4", r1 * p * w, at + 4 * p).reshape(r1, p, w)
+    return LinkRecord(u, v, label, ids, blocks.copy()), offset + _record_bytes(p, r1, w)
+
+
+def _record_arrays(records: list):
+    """LinkRecords as the arrays ``_encode`` takes: (links, pooled ids, block
+    starts, blocks); ValueError if they disagree on operator count or width."""
+    if len({(rec.blocks.shape[0], rec.blocks.shape[2]) for rec in records}) > 1:
+        raise ValueError("records disagree on operator count or block width")
+    links = np.array([(rec.u, rec.v, rec.label) for rec in records], dtype=np.int64)
+    starts = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([rec.pooled_count for rec in records], out=starts[1:])
+    return (links, np.concatenate([rec.pooled_ids for rec in records]), starts,
+            np.concatenate([rec.blocks for rec in records], axis=1))
 
 
 def _encode(links: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
@@ -431,9 +440,10 @@ def write_records(path, records) -> int:
     """Write records to ``path`` in iteration order; returns count."""
     count = 0
     with _RecordWriter(path) as out:
-        for rec in records:
-            out.write(serialize_record(rec))
-            count += 1
+        for _, run in itertools.groupby(records, lambda rec: rec.blocks.shape[::2]):
+            while chunk := list(itertools.islice(run, CHUNK_LINKS)):
+                out.write(_encode(*_record_arrays(chunk)))
+                count += len(chunk)
     return count
 
 
@@ -461,23 +471,24 @@ def _scan(buf, base: int, off: int):
     every header in ``buf`` has the first one's shape, as in a Center
     file, they are read as one strided view; otherwise one at a time.
     """
-    last = base + len(buf) - _REC_HEADER.size      # the last offset a header fits at
+    last = base + len(buf) - _HEADER.itemsize      # the last offset a header fits at
     if off > last:
         return np.zeros(0, dtype=_HEADER), np.zeros(0, dtype=np.int64), off
-    p, r1, w = _REC_HEADER.unpack_from(buf, off - base)[3:]
-    stride = _REC_HEADER.size + 4 * p + 4 * r1 * p * w
+    # The header (and its shape) at every byte of ``buf`` that can hold one.
+    head_at = np.ndarray((last - base + 1,), _HEADER, buf, 0, (1,))
+    shape_at = head_at.view(_SHAPE)
+    p, r1, w = shape_at[off - base].item()
+    stride = _record_bytes(p, r1, w)
     n = (last - off) // stride + 1
-    run = np.ndarray((n,), _HEADER, buf, off - base, (stride,))
+    run = head_at[off - base::stride]
     if ((run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)).all():
         return run.copy(), off + stride * np.arange(n, dtype=np.int64), off + stride * n
-    heads, offsets = [], []
+    offsets = []
     while off <= last:
-        head = _REC_HEADER.unpack_from(buf, off - base)
-        heads.append(head)
         offsets.append(off)
-        p, r1, w = head[3:]
-        off += _REC_HEADER.size + 4 * p + 4 * r1 * p * w
-    return np.array(heads, dtype=_HEADER), np.array(offsets, dtype=np.int64), off
+        off += _record_bytes(*shape_at[off - base].item())
+    offsets = np.array(offsets, dtype=np.int64)
+    return head_at[offsets - base], offsets, off
 
 
 class _RecordBuffer:
@@ -509,14 +520,14 @@ class _RecordBuffer:
         self.p = head["p"].astype(np.int64)
         self.labels = head["label"].copy()
         self._r1, self._w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
-        self._size = _REC_HEADER.size + 4 * self.p + 4 * self._r1 * self.p * self._w
+        self._size = _record_bytes(self.p, self._r1, self._w)
         self._payload = None
         if self._buf is not None and len(self) and all(
                 (a == a[0]).all() for a in (self.p, self._r1, self._w)):
             p, r1, w = int(self.p[0]), int(self._r1[0]), int(self._w[0])
             self._payload = np.ndarray(
                 (len(self), r1, p, w), "<f4", self._buf,
-                int(self.offsets[0]) + _REC_HEADER.size + 4 * p,
+                int(self.offsets[0]) + _HEADER.itemsize + 4 * p,
                 (int(self._size[0]), 4 * p * w, 4 * w, 4))
 
     def _read(self, offset: int, size: int):
@@ -560,7 +571,7 @@ class _RecordBuffer:
         if self._payload is not None:
             rows[...] = self._payload[index].transpose(0, 2, 1, 3)
         else:
-            at = self.offsets[index] + _REC_HEADER.size + 4 * p
+            at = self.offsets[index] + _HEADER.itemsize + 4 * p
             for row, off, count in zip(rows, at.tolist(), p.tolist()):
                 blocks = np.frombuffer(self._read(off, 4 * r1 * count * w), "<f4")
                 row[:count] = blocks.reshape(r1, count, w).transpose(1, 0, 2)
@@ -589,17 +600,13 @@ class RecordFile(_RecordBuffer):
     def __init__(self, path, verify: bool = True):
         self.path = Path(path)
         self._name, self._buf, self._fd, self._closer = self.path, None, None, None
-        manifest = None
-        mpath = manifest_path(self.path)
-        if verify and mpath.exists():
-            with open(mpath) as fh:
-                manifest = json.load(fh)
+        manifest = _read_manifest(self.path, "counts.records") if verify else None
         checksum = manifest.get("checksum") if manifest is not None else None
         sha = hashlib.sha256() if checksum is not None else None
         fd = os.open(self.path, os.O_RDONLY)
         try:
             whole = self._read_pass(fd, sha)
-            if manifest is not None and manifest.get("counts", {}).get("records") != len(self):
+            if manifest is not None and manifest["counts"]["records"] != len(self):
                 raise RecordFormatError(f"{self.path}: manifest record count mismatch")
             if sha is not None and checksum != "sha256:" + sha.hexdigest():
                 raise RecordFormatError(f"{self.path}: manifest checksum mismatch")
@@ -617,7 +624,7 @@ class RecordFile(_RecordBuffer):
         check the file header and index every record. Returns whether the
         file came in one piece, which is then kept as ``_buf``."""
         size = os.fstat(fd).st_size
-        piece = np.empty(_REC_HEADER.size + min(size, READ_PIECE), dtype=np.uint8)
+        piece = np.empty(_HEADER.itemsize + min(size, READ_PIECE), dtype=np.uint8)
         heads, offsets = [], []
         base = pos = pieces = 0       # piece[0] is at file offset base
         off = _FILE_HEADER.size
@@ -688,13 +695,7 @@ def _record_buffer(records):
     records = list(records)
     blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
     if records:
-        if len({(rec.blocks.shape[0], rec.blocks.shape[2]) for rec in records}) > 1:
-            raise ValueError("records disagree on operator count or block width")
-        links = np.array([(rec.u, rec.v, rec.label) for rec in records], dtype=np.int64)
-        starts = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([rec.pooled_count for rec in records], out=starts[1:])
-        blob += _encode(links, np.concatenate([rec.pooled_ids for rec in records]),
-                        starts, np.concatenate([rec.blocks for rec in records], axis=1))
+        blob += _encode(*_record_arrays(records))
     yield _RecordBuffer(blob, "<records>")
 
 
@@ -706,6 +707,24 @@ def read_records(path, verify: bool = True) -> list:
 
 def manifest_path(record_path) -> Path:
     return Path(str(record_path) + ".manifest.json")
+
+
+def _read_manifest(record_path, *required: str) -> dict | None:
+    """The JSON manifest beside ``record_path``, or None when there is none.
+    Raises RecordFormatError naming the manifest unless it is JSON with
+    each ``required`` dotted key, such as ``"counts.records"``."""
+    mpath = manifest_path(record_path)
+    if not mpath.exists():
+        return None
+    try:
+        manifest = json.loads(mpath.read_text())
+        for key in required:
+            node = manifest
+            for part in key.split("."):
+                node = node[part]
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise RecordFormatError(f"{mpath}: bad manifest ({exc!r})") from None
+    return manifest
 
 
 @dataclass(frozen=True)
@@ -825,7 +844,7 @@ def storage_comparison(graph: Graph, links, config: SamplingOperatorSet) -> Stor
         nodes, edges = _hop_sizes(graph, chunk[:, 0], chunk[:, 1], config.h)
         seal_bytes += edges * 2 * 4 + nodes * w * 4
         p = np.diff(_pooled_ids(graph, chunk[:, 0], chunk[:, 1], config)[1])
-        record_bytes += int((_REC_HEADER.size + 4 * p + 4 * r1 * p * w).sum())
+        record_bytes += int(_record_bytes(p, r1, w).sum())
     reduction = ((seal_bytes - record_bytes) / seal_bytes * 100.0
                  if seal_bytes else float("nan"))
     return StorageReport(int(links.shape[0]), record_bytes, seal_bytes,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, _link_arrays, build_graph
 
 UNREACHABLE = -1
 
@@ -213,18 +213,6 @@ def _unions(graph: Graph, u: np.ndarray, v: np.ndarray, keys: np.ndarray):
         k_lo, k_hi = key_starts[lo], key_starts[hi]
         yield _link_blocks(graph, u[lo:hi], v[lo:hi], keys[k_lo:k_hi] - lo * n,
                            table)
-
-
-def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=np.int64).reshape(-1)
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
-    n = graph.num_nodes
-    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
-    if bad.shape[0]:
-        raise ValueError(f"node id out of range: ({u[bad[0]]}, {v[bad[0]]})")
-    if (u == v).any():
-        raise ValueError("target link endpoints must differ")
-    return u, v
 
 
 def _hop_reach(graph: Graph, u: np.ndarray, v: np.ndarray, h: int) -> sp.csr_matrix:

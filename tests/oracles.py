@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: networkx for graph traversal, dense
 numpy matrix powers for diffusion, O(N^2) loops for metrics, linear solves
-for PageRank, and straight-line scalar math for the model forward pass.
+for PageRank, straight-line scalar math for the model forward pass, and
+struct packing for record bytes.
 None of it shares code with the package under test.
 """
 from __future__ import annotations
 
 import math
+import struct
 
 import networkx as nx
 import numpy as np
@@ -204,6 +206,16 @@ def ppr_solve(graph, src: int, alpha: float = 0.15) -> np.ndarray:
     e = np.zeros(n)
     e[src] = 1.0
     return np.linalg.solve(np.eye(n) - (1 - alpha) * p.T, alpha * e)
+
+
+def serialize_reference(rec) -> bytes:
+    """One record's bytes in the file layout, packed field by field:
+    header (u u32, v u32, label u8, p u16, r+1 u16, w u32), ids, blocks."""
+    r1, p, w = rec.blocks.shape
+    head = struct.pack("<IIBHHI", rec.u, rec.v, rec.label, p, r1, w)
+    ids = rec.pooled_ids.astype("<u4").tobytes()
+    payload = np.ascontiguousarray(rec.blocks, dtype="<f4").tobytes()
+    return head + ids + payload
 
 
 def scalar_forward(record, params, agg: str = "mean") -> float:

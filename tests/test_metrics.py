@@ -1,12 +1,13 @@
+import networkx as nx
 import numpy as np
 import pytest
 
-from difflink import (Heuristic, PPRScorer, ScoredPairs, auc, build_graph,
+from difflink import (Heuristic, ScoredPairs, auc, build_graph,
                       heuristic_score, hits_at_k, mrr, ppr_vector,
                       score_pairs)
 
 from conftest import gnp_graph
-from oracles import auc_pairwise, hits_count, mrr_direct, ppr_solve
+from oracles import auc_pairwise, hits_count, mrr_direct, ppr_solve, to_nx
 
 
 def test_auc_hand_examples():
@@ -163,22 +164,13 @@ def test_ppr_disconnected_components_get_zero():
 def test_ppr_score_is_symmetric():
     rng = np.random.default_rng(27)
     g = gnp_graph(rng, n_lo=15, n_hi=15, p=0.25)
-    scorer = PPRScorer(g)
-    for trial in range(10):
-        u, v = rng.choice(g.num_nodes, size=2, replace=False)
-        assert scorer.score(int(u), int(v)) == scorer.score(int(v), int(u))
-
-
-def test_ppr_scorer_caches_vectors():
-    rng = np.random.default_rng(28)
-    g = gnp_graph(rng, n_lo=12, n_hi=12, p=0.3)
-    scorer = PPRScorer(g, max_cached=2)
-    v0 = scorer.vector(0)
-    assert scorer.vector(0) is v0
-    scorer.vector(1)
-    scorer.vector(2)          # evicts source 0
-    assert scorer.vector(0) is not v0
-    assert np.array_equal(scorer.vector(0), v0)
+    pairs = np.asarray([rng.choice(g.num_nodes, size=2, replace=False)
+                        for _ in range(10)])
+    forward = score_pairs(g, pairs, Heuristic.PPR)
+    assert np.array_equal(forward, score_pairs(g, pairs[:, ::-1], Heuristic.PPR))
+    # scored alone or among other pairs, a pair's score is the same
+    assert forward.tolist() == [heuristic_score(g, int(u), int(v), Heuristic.PPR)
+                                for u, v in pairs]
 
 
 def test_heuristic_invalid_inputs():
@@ -193,13 +185,57 @@ def test_heuristic_invalid_inputs():
         heuristic_score(g, 0, 1, "Katz")
 
 
+def _oracle_scores(g, pairs, method):
+    """CN and AA from networkx, PPR from dense linear solves."""
+    nxg = to_nx(g)
+    if method is Heuristic.CN:
+        return [len(list(nx.common_neighbors(nxg, u, v))) for u, v in pairs]
+    if method is Heuristic.AA:
+        return [s for _, _, s in nx.adamic_adar_index(nxg, [tuple(p) for p in pairs])]
+    pi = {src: ppr_solve(g, src) for src in np.unique(pairs).tolist()}
+    return [pi[u][v] + pi[v][u] for u, v in pairs]
+
+
 def test_score_pairs_matches_single_calls():
     rng = np.random.default_rng(29)
     g = gnp_graph(rng, n_lo=18, n_hi=18, p=0.25)
     pairs = np.array([[0, 5], [3, 9], [1, 2], [0, 5]])
     for method in Heuristic:
         vec = score_pairs(g, pairs, method)
-        singles = [heuristic_score(g, int(u), int(v), method)
-                   for u, v in pairs]
-        assert np.allclose(vec, singles, atol=1e-12)
+        assert np.allclose(vec, _oracle_scores(g, pairs.tolist(), method),
+                           rtol=0, atol=1e-12 if method is not Heuristic.PPR else 1e-4)
         assert vec[0] == vec[3]
+
+
+def test_score_pairs_match_oracles_on_random_graphs():
+    rng = np.random.default_rng(30)
+    for trial in range(6):
+        base = gnp_graph(rng, n_lo=12, n_hi=20, p=0.3)
+        n = base.num_nodes + 1                  # node n - 1 is isolated
+        g = build_graph(n, base.edge_array())
+        edges = g.edge_array()
+        adjacent = edges[rng.choice(edges.shape[0], 4)]
+        apart = [(u, v) for u, v in rng.integers(n, size=(40, 2))
+                 if u != v and not g.has_edge(int(u), int(v))][:4]
+        repeated = [(0, w) for w in range(1, 4)] + [(0, n - 1)]
+        pairs = np.concatenate([adjacent, np.asarray(apart).reshape(-1, 2),
+                                repeated])
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])     # both orientations
+        for method in Heuristic:
+            got = score_pairs(g, pairs, method)
+            assert got.dtype == np.float64 and got.shape == (pairs.shape[0],)
+            want = _oracle_scores(g, pairs.tolist(), method)
+            atol = 1e-4 if method is Heuristic.PPR else 1e-12
+            assert np.allclose(got, want, rtol=0, atol=atol), (trial, method)
+            half = pairs.shape[0] // 2
+            assert np.array_equal(got[:half], got[half:])
+
+
+@pytest.mark.parametrize("method", list(Heuristic))
+@pytest.mark.parametrize("pair", [(0, 3), (-1, 1), (1, 1), (2, 2)])
+def test_score_pairs_rejects_invalid_pairs(method, pair):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        score_pairs(g, np.array([[0, 1], pair]), method)
+    with pytest.raises(ValueError):
+        heuristic_score(g, *pair, method)

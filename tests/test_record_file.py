@@ -14,7 +14,7 @@ from difflink import (LinkRecord, RecordFile, RecordFormatError,
                       SamplingOperatorSet, precompute_dataset, read_records,
                       serialize_record, write_records)
 from difflink import records as records_module
-from difflink.model import init_params, predict, stack_records
+from difflink.model import TrainConfig, init_params, predict, stack_records, train
 from difflink.records import manifest_path
 
 from conftest import gnp_graph, random_pair
@@ -221,3 +221,33 @@ def test_open_and_batch_memory_is_bounded_by_a_piece_and_a_batch(tmp_path):
         bound = piece + batch_bytes + (256 << 10)
         assert path.stat().st_size > 2 * bound
     assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
+
+
+def _without_pooling(manifest):
+    del manifest["config"]["pooling"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("bad_manifest,opens", [
+    (lambda m: "", False),                          # not JSON
+    (lambda m: "[]", False),                        # not an object
+    (lambda m: json.dumps({**m, "counts": 3}), False),
+    (lambda m: json.dumps({k: x for k, x in m.items() if k != "counts"}), False),
+    (_without_pooling, True),                       # enough to read, not to train
+], ids=["empty", "list", "counts-not-object", "no-counts", "no-pooling"])
+def test_bad_manifest_is_named_by_every_reader(tmp_path, bad_manifest, opens):
+    path = _ccn_file(tmp_path)
+    mpath = manifest_path(path)
+    mpath.write_text(bad_manifest(json.loads(mpath.read_text())))
+    named = re.escape(str(mpath))
+    if opens:
+        with RecordFile(path) as rf:
+            assert len(rf) == 60
+    else:
+        with pytest.raises(RecordFormatError, match=named):
+            RecordFile(path)
+    with pytest.raises(RecordFormatError, match=named):
+        train(path, path, TrainConfig(d_prime=4, epochs=1))
+    # a reader that does not verify ignores the manifest
+    with RecordFile(path, verify=False) as rf:
+        assert len(rf) == 60

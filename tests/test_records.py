@@ -14,7 +14,8 @@ from difflink.records import (CHUNK_LINKS, _encode, _link_records, _walk_seed,
                               deserialize_record, manifest_path)
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
-from oracles import dense_record_blocks, seal_bytes, stack_reference, to_nx
+from oracles import (dense_record_blocks, seal_bytes, serialize_reference,
+                     stack_reference, to_nx)
 
 
 def _triangle():
@@ -244,6 +245,7 @@ def test_record_byte_size_independent_of_h():
         cfg = SamplingOperatorSet(variant="PoS", r=3, h=h)
         rec = build_link_record(g, (u, v, 1), cfg)
         blob = serialize_record(rec)
+        assert blob == serialize_reference(rec)
         assert len(blob) == rec.byte_size()
         sizes.add(len(blob))
         payloads.append(blob)
@@ -259,6 +261,7 @@ def test_serialize_round_trip_bit_identical():
     u, v = random_pair(rng, g.num_nodes)
     rec = build_link_record(g, (u, v, 1), cfg)
     blob = serialize_record(rec)
+    assert blob == serialize_reference(rec)
     back, offset = deserialize_record(blob)
     assert offset == len(blob)
     assert (back.u, back.v, back.label) == (rec.u, rec.v, rec.label)
@@ -279,6 +282,21 @@ def test_write_and_read_records(tmp_path):
     assert len(rf) == 3
     assert [r.u for r in rf] == [0, 2, 4]
     assert serialize_record(rf[1]) == serialize_record(recs[1])
+
+
+def test_write_records_matches_reference_for_mixed_shapes(tmp_path):
+    # more than a chunk of one shape, then shapes that change record by record
+    rng = np.random.default_rng(49)
+    shapes = [(2, 2, 3)] * (CHUNK_LINKS + 6) + [(3, 4, 3), (3, 2, 3), (2, 5, 3)] \
+        + [(2, 2, 5)] * 3
+    recs = [LinkRecord(i, i + 1, i % 2, rng.permutation(9)[:p],
+                       rng.random((r1, p, w), dtype=np.float32))
+            for i, (r1, p, w) in enumerate(shapes)]
+    path = tmp_path / "mixed.rec"
+    assert write_records(path, iter(recs)) == len(recs)
+    assert path.read_bytes()[6:] == b"".join(map(serialize_reference, recs))
+    assert [serialize_record(rec) for rec in RecordFile(path)] == \
+        [serialize_reference(rec) for rec in recs]
 
 
 def test_record_file_rejects_corruption(tmp_path):
@@ -601,7 +619,7 @@ def test_chunk_encoder_matches_serialize_record(variant, labeling):
                               **walk)
     pooled, starts, blocks = _link_records(g, links, cfg, 4, None)
     want = b"".join(
-        serialize_record(LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi]))
+        serialize_reference(LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi]))
         for (u, v, label), lo, hi in zip(links.tolist(), starts, starts[1:]))
     assert _encode(links, pooled, starts, blocks) == want
     empty = np.zeros((0, 3), dtype=np.int64)
