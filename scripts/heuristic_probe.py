@@ -4,7 +4,7 @@ For each dataset (synthetic stand-ins at graph seed 0), the edges are split
 with seed 0 and the test pairs (positives, then negatives) are scored by each
 heuristic on the observed graph through ``score_pairs``. Prints one JSON
 object: per dataset the pair count and, per heuristic, the median wall time
-over ``--repeats`` runs and a sha256 digest of the float64 scores. Two
+over ``REPEATS`` runs and a sha256 digest of the float64 scores. Two
 checkouts that score the same print the same digests:
 
     PYTHONPATH=src python scripts/heuristic_probe.py > after.json
@@ -13,7 +13,6 @@ checkouts that score the same print the same digests:
 The script imports whichever ``difflink`` is on the path, so it can time an
 older checkout that does not have it.
 """
-import argparse
 import hashlib
 import json
 import time
@@ -23,6 +22,8 @@ import numpy as np
 import difflink as dl
 
 DATASETS = ("ns_like", "yeast_like")
+METHODS = ("CN", "AA", "PPR")
+REPEATS = 5
 
 
 def probe(dataset: str, methods, repeats: int) -> dict:
@@ -45,18 +46,9 @@ def probe(dataset: str, methods, repeats: int) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--datasets", nargs="+", default=list(DATASETS),
-                        choices=DATASETS)
-    parser.add_argument("--methods", nargs="+", default=["CN", "AA", "PPR"],
-                        choices=["CN", "AA", "PPR"])
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    print(json.dumps({name: probe(name, args.methods, args.repeats)
-                      for name in args.datasets}, indent=2))
+def main() -> int:
+    print(json.dumps({name: probe(name, METHODS, REPEATS) for name in DATASETS},
+                     indent=2))
     return 0
 
 

@@ -24,13 +24,11 @@ class ScoredPairs:
     neg_scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pos_scores",
-                           np.asarray(self.pos_scores, dtype=np.float64).ravel())
-        object.__setattr__(self, "neg_scores",
-                           np.asarray(self.neg_scores, dtype=np.float64).ravel())
-        if not (np.isfinite(self.pos_scores).all()
-                and np.isfinite(self.neg_scores).all()):
-            raise ValueError("scores must be finite")
+        for name in ("pos_scores", "neg_scores"):
+            scores = np.asarray(getattr(self, name), dtype=np.float64).ravel()
+            if not np.isfinite(scores).all():
+                raise ValueError("scores must be finite")
+            object.__setattr__(self, name, scores)
 
 
 def auc(scored: ScoredPairs) -> float:

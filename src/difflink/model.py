@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import LinkRecord, Pooling, _read_manifest, _record_buffer
+from .records import (LinkRecord, Pooling, RecordFormatError, _read_manifest,
+                      _record_buffer, manifest_path)
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
@@ -369,11 +370,14 @@ class Adam:
 def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
     if config.pooling is not None:
         return config.pooling
-    if isinstance(dataset, (str, Path)):
-        manifest = _read_manifest(dataset, "config.pooling")
-        if manifest is not None:
-            return Pooling(manifest["config"]["pooling"])
-    return Pooling.CCN if (records.p > 2).any() else Pooling.CENTER
+    manifest = (_read_manifest(dataset, "config.pooling")
+                if isinstance(dataset, (str, Path)) else None)
+    if manifest is None:
+        return Pooling.CCN if (records.p > 2).any() else Pooling.CENTER
+    try:
+        return Pooling(manifest["config"]["pooling"])
+    except ValueError as exc:
+        raise RecordFormatError(f"{manifest_path(dataset)}: config.pooling {exc}") from None
 
 
 def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):

@@ -46,7 +46,8 @@ _FILE_HEADER = struct.Struct("<4sH")
 # The record header, a packed numpy record; the file layout above.
 _HEADER = np.dtype([("u", "<u4"), ("v", "<u4"), ("label", "u1"), ("p", "<u2"),
                     ("r1", "<u2"), ("w", "<u4")])
-_SHAPE = _HEADER[["p", "r1", "w"]]      # its shape fields, at their offsets
+# The same header as a struct, derived from ``_HEADER``, to read one at a time.
+_HEADER_STRUCT = struct.Struct("<" + "".join(_HEADER[name].char for name in _HEADER.names))
 
 
 def _record_bytes(p, r1, w):
@@ -57,12 +58,8 @@ def _record_bytes(p, r1, w):
 class _CaseInsensitiveEnum(str, Enum):
     @classmethod
     def _missing_(cls, value):
-        if isinstance(value, str):
-            folded = value.lower()
-            for member in cls:
-                if member.value.lower() == folded:
-                    return member
-        return None
+        folded = value.lower() if isinstance(value, str) else None
+        return next((member for member in cls if member.value.lower() == folded), None)
 
 
 class Variant(_CaseInsensitiveEnum):
@@ -356,7 +353,7 @@ def serialize_record(rec: LinkRecord) -> bytes:
 
 def deserialize_record(buf: bytes, offset: int = 0) -> tuple[LinkRecord, int]:
     """The record at ``offset`` of ``buf``, and the offset after it."""
-    u, v, label, p, r1, w = np.frombuffer(buf, _HEADER, 1, offset).item()
+    u, v, label, p, r1, w = _HEADER_STRUCT.unpack_from(buf, offset)
     at = offset + _HEADER.itemsize
     ids = np.frombuffer(buf, "<u4", p, at).astype(np.int64)
     blocks = np.frombuffer(buf, "<f4", r1 * p * w, at + 4 * p).reshape(r1, p, w)
@@ -379,13 +376,16 @@ def _encode(links: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
             blocks: np.ndarray) -> bytes:
     """Record bytes of a chunk in the file layout, straight from its arrays
     (as ``_link_records`` returns them): header, ids and blocks of each
-    link in turn."""
+    link in turn. ValueError if a header field falls outside its type."""
     b = links.shape[0]
     r1, total, w = blocks.shape
     p = np.diff(starts)
     head = np.empty(b, dtype=_HEADER)
-    head["u"], head["v"], head["label"] = links[:, 0], links[:, 1], links[:, 2]
-    head["p"], head["r1"], head["w"] = p, r1, w
+    for name, values in zip(_HEADER.names, (*links.T, p, r1, w)):
+        bound = np.iinfo(_HEADER[name])
+        if np.any(values < bound.min) or np.any(values > bound.max):
+            raise ValueError(f"record {name} outside {bound.min}..{bound.max}")
+        head[name] = values
     ids = pooled.astype("<u4")
     # Link b's payload is its (r1, p_b, w) slice, operator-major: for each
     # operator a run of p_b rows of the (r1 * total, w) row stack.
@@ -474,10 +474,9 @@ def _scan(buf, base: int, off: int):
     last = base + len(buf) - _HEADER.itemsize      # the last offset a header fits at
     if off > last:
         return np.zeros(0, dtype=_HEADER), np.zeros(0, dtype=np.int64), off
-    # The header (and its shape) at every byte of ``buf`` that can hold one.
+    # The header at every byte of ``buf`` that can hold one.
     head_at = np.ndarray((last - base + 1,), _HEADER, buf, 0, (1,))
-    shape_at = head_at.view(_SHAPE)
-    p, r1, w = shape_at[off - base].item()
+    p, r1, w = _HEADER_STRUCT.unpack_from(buf, off - base)[3:]
     stride = _record_bytes(p, r1, w)
     n = (last - off) // stride + 1
     run = head_at[off - base::stride]
@@ -486,7 +485,7 @@ def _scan(buf, base: int, off: int):
     offsets = []
     while off <= last:
         offsets.append(off)
-        off += _record_bytes(*shape_at[off - base].item())
+        off += _record_bytes(*_HEADER_STRUCT.unpack_from(buf, off - base)[3:])
     offsets = np.array(offsets, dtype=np.int64)
     return head_at[offsets - base], offsets, off
 
@@ -538,8 +537,7 @@ class _RecordBuffer:
         return self.offsets.shape[0]
 
     def __getitem__(self, i: int) -> LinkRecord:
-        rec, _ = deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])))
-        return rec
+        return deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])))[0]
 
     def __iter__(self):
         for off, size in zip(self.offsets.tolist(), self._size.tolist()):
@@ -687,16 +685,15 @@ def _record_buffer(records):
     memory."""
     if isinstance(records, _RecordBuffer):
         yield records
-        return
-    if isinstance(records, (str, Path)):
+    elif isinstance(records, (str, Path)):
         with RecordFile(records) as opened:
             yield opened
-        return
-    records = list(records)
-    blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
-    if records:
-        blob += _encode(*_record_arrays(records))
-    yield _RecordBuffer(blob, "<records>")
+    else:
+        records = list(records)
+        blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
+        if records:
+            blob += _encode(*_record_arrays(records))
+        yield _RecordBuffer(blob, "<records>")
 
 
 def read_records(path, verify: bool = True) -> list:

@@ -1,19 +1,16 @@
 """scripts/heuristic_probe.py on the small dataset, so the script keeps running."""
 import importlib.util
-import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "heuristic_probe.py"
 
 
-def test_heuristic_probe_times_and_digests_scores(capsys):
+def test_heuristic_probe_times_and_digests_scores():
     spec = importlib.util.spec_from_file_location("heuristic_probe", SCRIPT)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
-    assert probe.main(["--datasets", "ns_like", "--methods", "CN", "AA",
-                       "--repeats", "2"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert list(out) == ["ns_like"] and out["ns_like"]["pairs"] == 548
+    out = probe.probe("ns_like", ["CN", "AA"], 2)
+    assert out["pairs"] == 548
     for method in ("CN", "AA"):
-        assert out["ns_like"][method]["seconds"] >= 0
-        assert len(out["ns_like"][method]["sha256"]) == 64
+        assert out[method]["seconds"] >= 0
+        assert len(out[method]["sha256"]) == 64

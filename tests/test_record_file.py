@@ -228,13 +228,20 @@ def _without_pooling(manifest):
     return json.dumps(manifest)
 
 
+def _unknown_pooling(manifest):
+    manifest["config"]["pooling"] = "Mean"
+    return json.dumps(manifest)
+
+
 @pytest.mark.parametrize("bad_manifest,opens", [
     (lambda m: "", False),                          # not JSON
     (lambda m: "[]", False),                        # not an object
     (lambda m: json.dumps({**m, "counts": 3}), False),
     (lambda m: json.dumps({k: x for k, x in m.items() if k != "counts"}), False),
     (_without_pooling, True),                       # enough to read, not to train
-], ids=["empty", "list", "counts-not-object", "no-counts", "no-pooling"])
+    (_unknown_pooling, True),
+], ids=["empty", "list", "counts-not-object", "no-counts", "no-pooling",
+        "unknown-pooling"])
 def test_bad_manifest_is_named_by_every_reader(tmp_path, bad_manifest, opens):
     path = _ccn_file(tmp_path)
     mpath = manifest_path(path)

@@ -299,6 +299,24 @@ def test_write_records_matches_reference_for_mixed_shapes(tmp_path):
         [serialize_reference(rec) for rec in recs]
 
 
+@pytest.mark.parametrize("field, rec", [
+    ("u", LinkRecord(-1, 1, 1, np.arange(2), np.zeros((2, 2, 3), np.float32))),
+    ("v", LinkRecord(0, 2**32, 1, np.arange(2), np.zeros((2, 2, 3), np.float32))),
+    ("label", LinkRecord(0, 1, 256, np.arange(2), np.zeros((2, 2, 3), np.float32))),
+    ("p", LinkRecord(0, 1, 1, np.arange(2**16), np.zeros((1, 2**16, 1), np.float32))),
+    ("r1", LinkRecord(0, 1, 1, np.arange(1), np.zeros((2**16, 1, 1), np.float32))),
+], ids=["u", "v", "label", "p", "r1"])
+def test_encoder_rejects_header_fields_out_of_range(tmp_path, field, rec):
+    # the packed header would wrap these values and misalign later records
+    good = LinkRecord(0, 1, 0, np.arange(2), np.zeros((2, 2, 3), np.float32))
+    with pytest.raises(ValueError, match=f"record {field} outside"):
+        serialize_record(rec)
+    path = tmp_path / "bad.rec"
+    with pytest.raises(ValueError, match=f"record {field} outside"):
+        write_records(path, [good, rec])
+    assert not path.exists()
+
+
 def test_record_file_rejects_corruption(tmp_path):
     path = tmp_path / "bad.rec"
     path.write_bytes(b"NOPE\x01\x00")
