@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from difflink import (RecordFile, SamplingOperatorSet, build_graph,
-                      build_link_record, precompute_dataset,
-                      storage_comparison)
+                      precompute_dataset, storage_comparison)
 from difflink.records import manifest_path
 
 rng = np.random.default_rng(3)
@@ -25,16 +24,26 @@ graph = build_graph(n, pairs)
 
 config = SamplingOperatorSet(variant="PoS", r=3, h=2)
 u, v = map(int, graph.edge_array()[0])
-record = build_link_record(graph, (u, v, 1), config)
-print(f"blocks shape (operators, pooled, width): {record.blocks.shape}")
-print(f"pooled ids: {record.pooled_ids.tolist()}")
-print(f"serialized size: {record.byte_size()} bytes")
 
-# same link, three different hop radii: the record never changes size
-for h in (1, 2, 3):
-    cfg_h = SamplingOperatorSet(variant="PoS", r=3, h=h)
-    rec_h = build_link_record(graph, (u, v, 1), cfg_h)
-    print(f"h={h}: subgraph-independent record size {rec_h.byte_size()}")
+
+def one_record(cfg, tmp):
+    """The record of link (u, v) alone: a one-link record file, read back."""
+    path = Path(tmp) / "one.rec"
+    precompute_dataset(graph, [(u, v, 1)], cfg, path)
+    with RecordFile(path) as records:
+        return records[0]
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    record = one_record(config, tmp)
+    print(f"blocks shape (operators, pooled, width): {record.blocks.shape}")
+    print(f"pooled ids: {record.pooled_ids.tolist()}")
+    print(f"serialized size: {record.byte_size()} bytes")
+
+    # same link, three different hop radii: the record never changes size
+    for h in (1, 2, 3):
+        rec_h = one_record(SamplingOperatorSet(variant="PoS", r=3, h=h), tmp)
+        print(f"h={h}: subgraph-independent record size {rec_h.byte_size()}")
 
 # a record file plus its manifest
 links = np.concatenate([graph.edge_array()[:50],

@@ -24,8 +24,8 @@ from .datasets import resolve_dataset
 from .graphs import EdgeSplit, Graph, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
 from .model import ModelParams, TrainConfig, predict, train
-from .records import (MAX_CCN_CAP, MAX_R, RecordFile, SamplingOperatorSet,
-                      Variant, precompute_dataset, storage_comparison)
+from .records import (RecordFile, SamplingOperatorSet, Variant,
+                      precompute_dataset, storage_comparison)
 
 
 class ConfigError(ValueError):
@@ -115,10 +115,12 @@ def parse_config(cfg: dict) -> ExperimentSpec:
         "normalized": _pick(s, "sampling", "normalized", False, bool),
         "ccn_cap": _pick(s, "sampling", "ccn_cap", 128, int),
     }
-    if not 1 <= sampling["r"] <= MAX_R:
-        raise ConfigError(f"sampling.r: expected 1..{MAX_R}")
-    if not 0 <= sampling["ccn_cap"] <= MAX_CCN_CAP:
-        raise ConfigError(f"sampling.ccn_cap: expected 0..{MAX_CCN_CAP}")
+    # an unset h is resolved against the graph later; 1 stands in for it here
+    placeholder = {"h": 1} if sampling["h"] is None else {}
+    try:
+        SamplingOperatorSet(variant=variant, **{**sampling, **placeholder})
+    except ValueError as exc:   # its messages start with the field name
+        raise ConfigError(f"sampling.{exc}") from None
 
     t = _section(cfg, "training", ("d_prime", "dropout", "epochs", "batch_size",
                                    "lr", "agg"))

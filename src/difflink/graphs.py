@@ -442,8 +442,3 @@ def _common_neighbors(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
     # A + I also pairs u and v themselves when they are adjacent.
     keep = (common.col != u[common.row]) & (common.col != v[common.row])
     return common.row[keep].astype(np.int64), common.col[keep].astype(np.int64)
-
-
-def common_neighbors(graph: Graph, u: int, v: int) -> np.ndarray:
-    """Sorted ids adjacent to both u and v. Requires u != v."""
-    return _common_neighbors(graph, [u], [v])[1]

@@ -1,15 +1,15 @@
-"""Structural node labels for link subgraphs and feature augmentation.
+"""Structural node labels for link subgraphs.
 
 Labels mark each subgraph node's role relative to its block's target link.
 They are computed for every block of a ``Subgraph`` at once, so a chunk of
-links is labeled in one pass and a one-link subgraph is the same call. The
-one-hot label block is prepended to raw node features (implicit all-ones
-column when the graph is unattributed), giving every record row the layout
-[one-hot label | raw features].
+links is labeled in one pass and a one-link subgraph is the same call.
+Records one-hot encode the label ahead of the raw node features (an
+implicit all-ones column when the graph is unattributed), giving every
+record row the layout [one-hot label | raw features]; ``label_dim_for``
+fixes the one-hot width.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,47 +64,6 @@ def node_labels(subgraph: Subgraph, scheme: LabelScheme = LabelScheme.ZERO_ONE,
     else:
         labels = drnl_labels(subgraph)
     return np.minimum(labels, label_cap)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledFeatures:
-    """Augmented node-feature matrix for one subgraph.
-
-    ``matrix`` is (num_nodes, label_dim + raw_dim) float32; the first
-    ``label_dim`` columns are the one-hot label block.
-    """
-
-    matrix: np.ndarray
-    scheme: LabelScheme
-    label_dim: int
-
-
-def augment_features(subgraph: Subgraph, features: np.ndarray | None,
-                     scheme: LabelScheme = LabelScheme.ZERO_ONE,
-                     label_cap: int = 100,
-                     label_dim: int | None = None) -> LabeledFeatures:
-    """Prepend a one-hot label block to the subgraph's raw node features.
-
-    ``features`` is the parent graph's feature matrix (rows are gathered by
-    global id) or None for an implicit all-ones column. Labels above
-    ``label_cap`` clamp to the cap. The one-hot width defaults to
-    min(max observed label, label_cap) + 1; pass ``label_dim`` to pin a
-    fixed width across subgraphs.
-    """
-    scheme = LabelScheme(scheme)
-    labels = node_labels(subgraph, scheme, label_cap)
-    if label_dim is None:
-        label_dim = int(labels.max()) + 1
-    elif labels.max() >= label_dim:
-        raise ValueError(f"label {int(labels.max())} does not fit label_dim={label_dim}")
-    n = subgraph.num_nodes
-    onehot = np.zeros((n, label_dim), dtype=np.float32)
-    onehot[np.arange(n), labels] = 1.0
-    if features is None:
-        raw = np.ones((n, 1), dtype=np.float32)
-    else:
-        raw = np.asarray(features, dtype=np.float32)[subgraph.global_ids]
-    return LabeledFeatures(np.concatenate([onehot, raw], axis=1), scheme, label_dim)
 
 
 def label_dim_for(scheme: LabelScheme, label_cap: int) -> int:

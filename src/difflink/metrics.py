@@ -115,11 +115,6 @@ def _ppr_vectors(graph: Graph, sources, alpha=0.15, tol=1e-6, max_iter=1000):
         yield pi
 
 
-def heuristic_score(graph: Graph, u: int, v: int, method: Heuristic) -> float:
-    """Score one candidate pair: ``score_pairs`` for (u, v) alone."""
-    return float(score_pairs(graph, [[u, v]], method)[0])
-
-
 def score_pairs(graph: Graph, pairs, method: Heuristic) -> np.ndarray:
     """Float64 heuristic scores of an (n, 2) pair array; ValueError for an
     id out of range or a pair with u == v.

@@ -14,13 +14,11 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import (LinkRecord, Pooling, RecordFormatError, _read_manifest,
-                      _record_buffer, manifest_path)
+from .records import Pooling, RecordFormatError, _record_buffer, manifest_path
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
@@ -151,18 +149,6 @@ def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
     }, dtype)
 
 
-def stack_records(records, dtype=np.float32):
-    """Pad records to a common pooled count: ``RecordFile.batch`` over all
-    of ``records`` (a LinkRecord sequence, a record file or its path).
-
-    Returns (z, mask, labels): z is (B, p_max, (r+1)*w) with each pooled
-    node's blocks concatenated operator-major; mask flags real (unpadded)
-    rows; labels is float (B,).
-    """
-    with _record_buffer(records) as records:
-        return records.batch(np.arange(len(records)), dtype)
-
-
 def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
     """Logits plus every intermediate needed for the backward pass."""
     ccn = params.pooling is Pooling.CCN
@@ -245,47 +231,19 @@ def _sigmoid(x):
     return out
 
 
-def forward(record: LinkRecord, params: ModelParams, mode: str = "eval",
-            rng: np.random.Generator | None = None, dropout: float = 0.5,
-            agg: str = "mean"):
-    """Probability for one record plus the intermediate cache.
-
-    Train mode with dropout > 0 draws an inverted-scaling mask from ``rng``;
-    eval mode (or dropout 0) applies none.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    dtype = params.W.dtype
-    z, mask, _ = stack_records([record], dtype=dtype)
-    if z.shape[2] != params.W.shape[0]:
-        raise ValueError(
-            f"record width {z.shape[2]} does not match W rows {params.W.shape[0]}")
-    dmask = None
-    if mode == "train" and dropout > 0.0:
-        if rng is None:
-            raise ValueError("train mode with dropout needs an rng")
-        dmask = ((rng.random((1, params.d_prime)) >= dropout)
-                 .astype(dtype) / (1.0 - dropout)).astype(dtype)
-    logit, cache = _forward_batch(z, mask, params, dmask, agg)
-    return float(_sigmoid(logit)[0]), cache
-
-
 def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
                        rng: np.random.Generator | None = None):
     """Mean binary cross-entropy over a batch and exact gradients.
 
-    ``batch`` is a LinkRecord sequence or the (z, mask, labels) arrays of
-    ``RecordFile.batch``. The sigmoid and BCE are fused in log space
-    (softplus form), so extreme logits cannot overflow. The dropout mask
-    is drawn once and shared between forward and backward.
+    ``batch`` is the (z, mask, labels) arrays of ``RecordFile.batch``. The
+    sigmoid and BCE are fused in log space (softplus form), so extreme
+    logits cannot overflow. The dropout mask is drawn once and shared
+    between forward and backward.
     """
-    if len(batch) == 0:
+    z, mask, y = batch
+    if z.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     dtype = params.W.dtype
-    if isinstance(batch[0], np.ndarray):
-        z, mask, y = batch
-    else:
-        z, mask, y = stack_records(batch, dtype=dtype)
     dmask = None
     if config.dropout > 0.0:
         if rng is None:
@@ -367,17 +325,19 @@ class Adam:
                 t[...] = updated
 
 
-def _pooling_hint(dataset, config: TrainConfig, records) -> Pooling:
+def _pooling_hint(config: TrainConfig, records) -> Pooling:
+    """The config's pooling, else the one in the manifest ``records`` were
+    verified against, else CCN exactly when some record pools more than
+    its two targets."""
     if config.pooling is not None:
         return config.pooling
-    manifest = (_read_manifest(dataset, "config.pooling")
-                if isinstance(dataset, (str, Path)) else None)
-    if manifest is None:
+    if records.manifest is None:
         return Pooling.CCN if (records.p > 2).any() else Pooling.CENTER
     try:
-        return Pooling(manifest["config"]["pooling"])
-    except ValueError as exc:
-        raise RecordFormatError(f"{manifest_path(dataset)}: config.pooling {exc}") from None
+        return Pooling(records.manifest["config"]["pooling"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordFormatError(f"{manifest_path(records.path)}: bad manifest "
+                                f"config.pooling ({exc!r})") from None
 
 
 def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
@@ -393,7 +353,7 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
     with _record_buffer(dataset) as records, _record_buffer(valid) as valid_records:
         if not len(records) or not len(valid_records):
             raise ValueError("train and valid record sets must be nonempty")
-        pooling = _pooling_hint(dataset, config, records)
+        pooling = _pooling_hint(config, records)
         rng = np.random.default_rng(config.seed)
         params = init_params(rng, records.row_width, config.d_prime, pooling,
                              dtype=np.float32)

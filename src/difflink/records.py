@@ -8,8 +8,8 @@ subgraph. The result is a LinkRecord whose byte size depends only on
 
 Records are built a fixed-size chunk of links at a time: the chunk's link
 subgraphs form one block-diagonal graph, labeled in one pass, and every
-diffusion power is one sparse product over all of its pooled rows.
-``build_link_record`` runs the same engine on a one-link chunk.
+diffusion power is one sparse product over all of its pooled rows; one
+link is a chunk of one.
 
 Record file layout (little-endian):
     magic "S3GR", version u16
@@ -118,29 +118,41 @@ class SamplingOperatorSet:
     ccn_cap: int = CCN_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "labeling", LabelScheme(self.labeling))
+        # every message starts with the field name, so config parsing can
+        # report it as ``sampling.<field>``
+        for name, kind in (("variant", Variant), ("labeling", LabelScheme),
+                           ("pooling", Pooling)):
+            value = getattr(self, name)
+            if value is None and name == "pooling":
+                continue                    # derived from the variant below
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                raise ValueError(f"{name}: {value!r} is not one of "
+                                 f"{[m.value for m in kind]}") from None
         derived = Pooling.CCN if self.variant in _CCN_VARIANTS else Pooling.CENTER
         if self.pooling is None:
             object.__setattr__(self, "pooling", derived)
-        else:
-            object.__setattr__(self, "pooling", Pooling(self.pooling))
-            if self.pooling is not derived:
-                raise ValueError(
-                    f"variant {self.variant.value} implies {derived.value} pooling")
+        elif self.pooling is not derived:
+            raise ValueError(f"pooling: variant {self.variant.value} implies "
+                             f"{derived.value} pooling")
         if not 1 <= self.r <= MAX_R:
-            raise ValueError(f"r must be in 1..{MAX_R}")
+            raise ValueError(f"r: expected 1..{MAX_R}, got {self.r!r}")
         if self.h < 1:
-            raise ValueError("h must be >= 1")
-        if self.variant in _SCALED_VARIANTS:
-            if self.k is None or self.l is None or self.k < 1 or self.l < 1:
-                raise ValueError("ScaLed variants require walk parameters k, l >= 1")
-        elif self.k is not None or self.l is not None:
-            raise ValueError(f"variant {self.variant.value} takes no walk parameters")
+            raise ValueError(f"h: expected an integer >= 1, got {self.h!r}")
+        scaled = self.variant in _SCALED_VARIANTS
+        for name in ("k", "l"):
+            value = getattr(self, name)
+            if not scaled and value is not None:
+                raise ValueError(f"{name}: variant {self.variant.value} takes no "
+                                 f"walk parameters")
+            if scaled and (value is None or value < 1):
+                raise ValueError(f"{name}: ScaLed variants require walk parameters "
+                                 f"k, l >= 1, got {value!r}")
         if self.label_cap < 1:
-            raise ValueError("label_cap must be >= 1")
+            raise ValueError(f"label_cap: expected an integer >= 1, got {self.label_cap!r}")
         if not 0 <= self.ccn_cap <= MAX_CCN_CAP:
-            raise ValueError(f"ccn_cap must be in 0..{MAX_CCN_CAP}")
+            raise ValueError(f"ccn_cap: expected 0..{MAX_CCN_CAP}, got {self.ccn_cap!r}")
 
     @property
     def num_operators(self) -> int:
@@ -332,20 +344,6 @@ def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
     return pooled, starts, blocks
 
 
-def build_link_record(graph: Graph, link, config: SamplingOperatorSet,
-                      seed: int = 0, power_cache: dict | None = None) -> LinkRecord:
-    """Build one LinkRecord: the chunk engine run on a one-link chunk.
-
-    ``link`` is (u, v, label) with label in {0, 1}. ``seed`` feeds the
-    per-link walk stream for ScaLed variants. ``power_cache`` may map
-    power index -> graph_power(graph, i) to share work across links.
-    """
-    u, v, label = (int(x) for x in link)
-    links = np.asarray([[u, v, label]], dtype=np.int64)
-    pooled, _, blocks = _link_records(graph, links, config, seed, power_cache)
-    return LinkRecord(u, v, label, pooled, blocks)
-
-
 def serialize_record(rec: LinkRecord) -> bytes:
     """One record's bytes: ``_encode`` of a one-record chunk."""
     return _encode(*_record_arrays([rec]))
@@ -498,7 +496,11 @@ class _RecordBuffer:
     pooled count and label. This class holds the bytes in memory; when
     every record has the same (p, r+1, w) all blocks are also one strided
     array view. ``batch`` writes model inputs for any index array.
+    ``manifest`` is the parsed manifest the records were verified
+    against, or None.
     """
+
+    manifest = None
 
     def __init__(self, buf, name):
         self._buf, self._name = buf, name
@@ -598,7 +600,8 @@ class RecordFile(_RecordBuffer):
     def __init__(self, path, verify: bool = True):
         self.path = Path(path)
         self._name, self._buf, self._fd, self._closer = self.path, None, None, None
-        manifest = _read_manifest(self.path, "counts.records") if verify else None
+        self.manifest = manifest = (_read_manifest(self.path, "counts.records")
+                                    if verify else None)
         checksum = manifest.get("checksum") if manifest is not None else None
         sha = hashlib.sha256() if checksum is not None else None
         fd = os.open(self.path, os.O_RDONLY)

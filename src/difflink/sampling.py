@@ -7,10 +7,9 @@ disjoint-union (block-diagonal) CSR graph, a ``Subgraph`` with one block
 per link. Every block has its target edge (u, v) removed, so positive and
 negative links are structurally indistinguishable to downstream stages.
 Inside a block, node 0 is u, node 1 is v and the rest follow in ascending
-global id order. ``extract_h_hop`` and ``random_walk_subgraph`` are the
-one-link calls into the same code. ``hop_distances`` is the neighborhood
-primitive for labeling: a multi-source frontier expansion over a CSR
-neighbor gather.
+global id order; a one-link call is a chunk of one. ``hop_distances`` is
+the neighborhood primitive for labeling: a multi-source frontier expansion
+over a CSR neighbor gather.
 """
 from __future__ import annotations
 
@@ -313,17 +312,6 @@ def walk_subgraphs(graph: Graph, u, v, k: int, l: int, seeds):
             for b, seed in enumerate(seeds)]
     keys = _unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
     return _unions(graph, u, v, keys)
-
-
-def extract_h_hop(graph: Graph, u: int, v: int, h: int) -> Subgraph:
-    """Enclosing subgraph of one link: ``hop_subgraphs`` for (u, v) alone."""
-    return next(hop_subgraphs(graph, [u], [v], h))
-
-
-def random_walk_subgraph(graph: Graph, u: int, v: int, k: int, l: int,
-                         seed: int) -> Subgraph:
-    """Walk-sampled subgraph of one link: ``walk_subgraphs`` for (u, v) alone."""
-    return next(walk_subgraphs(graph, [u], [v], k, l, [seed]))
 
 
 def graph_power(graph: Graph, i: int) -> Graph:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: networkx for graph traversal, dense
 numpy matrix powers for diffusion, O(N^2) loops for metrics, linear solves
 for PageRank, straight-line scalar math for the model forward pass, and
 struct packing for record bytes.
-None of it shares code with the package under test.
+None of it shares code with the package under test, except ``link_record``,
+which is not a reference: it hands tests one link's record from the
+package's own chunk engine.
 """
 from __future__ import annotations
 
@@ -13,6 +15,17 @@ import struct
 
 import networkx as nx
 import numpy as np
+
+
+def link_record(graph, link, config, seed: int = 0):
+    """The LinkRecord of one (u, v, label) link: the package's chunk engine
+    (``records._link_records``) run on a chunk of one."""
+    from difflink.records import LinkRecord, _link_records
+
+    links = np.asarray([link], dtype=np.int64).reshape(1, 3)
+    pooled, _, blocks = _link_records(graph, links, config, seed, None)
+    u, v, label = links[0].tolist()
+    return LinkRecord(u, v, label, pooled, blocks)
 
 
 def to_nx(graph) -> nx.Graph:

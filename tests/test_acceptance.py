@@ -24,17 +24,17 @@ import numpy as np
 import pytest
 
 from difflink import (LinkRecord, Pooling, SamplingOperatorSet, TrainConfig,
-                      Variant, auc, build_link_record, init_params,
-                      loss_and_gradients, precompute_dataset, predict,
-                      random_walk_subgraph, read_records, run_experiment,
-                      score_pairs, split_edges, storage_comparison)
+                      Variant, auc, init_params, loss_and_gradients,
+                      precompute_dataset, predict, read_records,
+                      run_experiment, score_pairs, split_edges,
+                      storage_comparison, walk_subgraphs)
 from difflink.bench import labeled_links
 from difflink.datasets import DATASET_STATS, cora_like, find_dataset, load_dataset
 from difflink.metrics import Heuristic, ScoredPairs
 from difflink.records import _walk_seed
 
 from conftest import gnp_graph, random_pair, require_dataset
-from oracles import dense_record_blocks
+from oracles import dense_record_blocks, link_record, stack_reference
 
 # Reference mean AUCs from the benchmark the defaults reproduce.
 PB_AA_REFERENCE = 91.76
@@ -71,11 +71,11 @@ def oracle_sweep():
             config = SamplingOperatorSet(variant=variant, r=r, h=h,
                                          labeling=labeling, label_cap=10,
                                          normalized=normalized, **extra)
-            rec = build_link_record(g, (u, v, label), config, seed=trial)
+            rec = link_record(g, (u, v, label), config, seed=trial)
             node_sets = None
             if "ScaLed" in variant.value:
-                sub = random_walk_subgraph(g, u, v, config.k, config.l,
-                                           _walk_seed(trial, u, v, label))
+                [sub] = walk_subgraphs(g, [u], [v], config.k, config.l,
+                                        [_walk_seed(trial, u, v, label)])
                 node_sets = sub.global_ids.tolist()
             want = dense_record_blocks(g, (u, v, label), config,
                                        node_sets=node_sets)
@@ -152,8 +152,8 @@ def test_criterion_2_gradients_match_finite_differences():
         params.out_b = np.asarray(rng.normal() * 0.1)
         config = TrainConfig(d_prime=d_prime, dropout=dropout, epochs=1,
                              agg=agg, pooling=pooling)
-        worst = max(worst, _fd_worst_error(batch, params, config,
-                                           seed=1000 + trial))
+        worst = max(worst, _fd_worst_error(stack_reference(batch, np.float64),
+                                           params, config, seed=1000 + trial))
         configs += 1
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 60.0
@@ -244,7 +244,7 @@ def test_criterion_5_storage_reduction_and_size_invariance():
     sizes = set()
     for h in (1, 2, 3):
         config = SamplingOperatorSet(variant="PoS", r=3, h=h)
-        sizes.add(build_link_record(graph, (u, v, 1), config).byte_size())
+        sizes.add(link_record(graph, (u, v, 1), config).byte_size())
     invariant = len(sizes) == 1
     split = split_edges(graph, (0.85, 0.05, 0.10), seed=0)
     config = SamplingOperatorSet(variant="PoS", r=3, h=3)

@@ -80,6 +80,19 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x"}, "eval": {"hits": [10]}}, r"eval\.hits: unknown"),
     ({"dataset": {"name": "x"}, "runs": {"seed": [0]}}, r"runs\.seed: unknown"),
     ({"dataset": {"name": "x"}, "sampling": []}, "sampling: expected dict"),
+    # the sampling section is checked by SamplingOperatorSet at parse time
+    ({"dataset": {"name": "x"}, "variant": "PoSScaLed"}, r"^sampling\.k: "),
+    ({"dataset": {"name": "x"}, "variant": "PoSScaLed", "sampling": {"k": 2}},
+     r"^sampling\.l: "),
+    ({"dataset": {"name": "x"}, "sampling": {"h": 0}}, r"^sampling\.h: "),
+    ({"dataset": {"name": "x"}, "sampling": {"labeling": "foo"}},
+     r"^sampling\.labeling: "),
+    ({"dataset": {"name": "x"}, "sampling": {"label_cap": 0}},
+     r"^sampling\.label_cap: "),
+    ({"dataset": {"name": "x"}, "sampling": {"k": 2}}, r"^sampling\.k: "),
+    ({"dataset": {"name": "x"}, "sampling": {"r": 0}}, r"^sampling\.r: "),
+    ({"dataset": {"name": "x"}, "sampling": {"ccn_cap": -1}},
+     r"^sampling\.ccn_cap: "),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

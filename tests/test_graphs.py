@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from difflink import (Graph, GraphFormatError, build_graph, common_neighbors,
-                      load_edge_list, load_features, load_split,
-                      normalized_adjacency, sample_negatives, save_edge_list,
-                      save_split, split_edges)
+from difflink import (Graph, GraphFormatError, build_graph, load_edge_list,
+                      load_features, load_split, normalized_adjacency,
+                      sample_negatives, save_edge_list, save_split,
+                      split_edges)
+from difflink.graphs import _common_neighbors
 
 from conftest import gnp_graph
 from oracles import normalized_dense, to_nx
@@ -223,13 +224,12 @@ def test_normalized_adjacency_matches_dense_oracle():
 
 def test_common_neighbors():
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])
-    assert common_neighbors(g, 0, 1).tolist() == [2]
-    assert common_neighbors(g, 0, 4).tolist() == [1]
-    assert common_neighbors(g, 0, 3).tolist() == [2]
-    with pytest.raises(ValueError):
-        common_neighbors(g, 2, 2)
-    with pytest.raises(ValueError):
-        common_neighbors(g, 0, 9)
+    pair, cn = _common_neighbors(g, [0, 0, 0], [1, 4, 3])
+    assert pair.tolist() == [0, 1, 2] and cn.tolist() == [2, 1, 2]
+    with pytest.raises(ValueError, match="differ"):
+        _common_neighbors(g, [0, 2], [1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        _common_neighbors(g, [0], [9])
 
 
 def test_common_neighbors_matches_networkx():
@@ -237,10 +237,9 @@ def test_common_neighbors_matches_networkx():
     for _ in range(20):
         g = gnp_graph(rng)
         nxg = to_nx(g)
-        for _ in range(5):
-            u, v = rng.integers(g.num_nodes, size=2)
-            if u == v:
-                continue
-            expected = sorted(set(nxg.neighbors(int(u)))
-                              & set(nxg.neighbors(int(v))))
-            assert common_neighbors(g, int(u), int(v)).tolist() == expected
+        pairs = rng.integers(g.num_nodes, size=(5, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pair, cn = _common_neighbors(g, pairs[:, 0], pairs[:, 1])
+        for b, (u, v) in enumerate(pairs.tolist()):
+            expected = sorted(set(nxg.neighbors(u)) & set(nxg.neighbors(v)))
+            assert cn[pair == b].tolist() == expected

@@ -1,27 +1,38 @@
 import numpy as np
-import pytest
 
-from difflink import (LabelScheme, augment_features, build_graph, drnl_labels,
-                      extract_h_hop, label_dim_for, zero_one_labels)
+from difflink import (LabelScheme, SamplingOperatorSet, build_graph,
+                      drnl_labels, hop_subgraphs, label_dim_for,
+                      zero_one_labels)
+from difflink.records import _diffuse
 
 from conftest import gnp_graph, random_pair
 from oracles import drnl_from_dense
 
 
+def _labeled_rows(graph, sub, scheme, label_cap=100):
+    """Record rows of operator 0 for every node of a one-link subgraph: the
+    [one-hot label | raw features] layout, as precompute builds it."""
+    config = SamplingOperatorSet(variant="PoS", labeling=scheme, label_cap=label_cap)
+    raw = (graph.features if graph.features is not None
+           else np.ones((graph.num_nodes, 1), dtype=np.float32))
+    block = np.zeros(sub.num_nodes, dtype=np.int64)
+    return _diffuse(sub, raw, block, sub.global_ids, config, 0)[0]
+
+
 def test_zero_one_labels():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    sub = extract_h_hop(g, 0, 2, 2)
+    [sub] = hop_subgraphs(g, [0], [2], 2)
     assert zero_one_labels(sub).tolist() == [1, 1, 0, 0]
 
 
 def test_drnl_hand_cases():
     # u - x - v: the midpoint gets label 2
     g = build_graph(3, [(0, 1), (1, 2)])
-    sub = extract_h_hop(g, 0, 2, 2)
+    [sub] = hop_subgraphs(g, [0], [2], 2)
     assert drnl_labels(sub).tolist() == [1, 1, 2]
     # u - a - b - v: both interior nodes get label 3
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    sub = extract_h_hop(g, 0, 3, 3)
+    [sub] = hop_subgraphs(g, [0], [3], 3)
     labels = drnl_labels(sub)
     ids = sub.global_ids.tolist()
     assert labels[ids.index(1)] == 3 and labels[ids.index(2)] == 3
@@ -31,7 +42,7 @@ def test_drnl_hand_cases():
 def test_drnl_unreachable_gets_zero():
     # x hangs off v only; with v masked it cannot reach u
     g = build_graph(3, [(0, 1), (1, 2)])
-    sub = extract_h_hop(g, 0, 1, 2)
+    [sub] = hop_subgraphs(g, [0], [1], 2)
     labels = drnl_labels(sub)
     assert sub.global_ids.tolist() == [0, 1, 2]
     assert labels.tolist() == [1, 1, 0]
@@ -42,27 +53,26 @@ def test_drnl_matches_dense_oracle():
     for trial in range(120):
         g = gnp_graph(rng)
         u, v = random_pair(rng, g.num_nodes)
-        sub = extract_h_hop(g, u, v, int(rng.integers(1, 4)))
+        [sub] = hop_subgraphs(g, [u], [v], int(rng.integers(1, 4)))
         expected = drnl_from_dense(sub.adjacency().toarray(), 0, 1)
         assert drnl_labels(sub).tolist() == expected.tolist()
 
 
 def test_augment_features_implicit_ones():
     g = build_graph(3, [(0, 1), (1, 2)])
-    sub = extract_h_hop(g, 0, 1, 1)
-    feats = augment_features(sub, None, LabelScheme.ZERO_ONE)
-    assert feats.label_dim == 2
-    assert feats.matrix.tolist() == [[0, 1, 1], [0, 1, 1], [1, 0, 1]]
-    assert feats.matrix.dtype == np.float32
+    [sub] = hop_subgraphs(g, [0], [1], 1)
+    rows = _labeled_rows(g, sub, LabelScheme.ZERO_ONE)
+    assert rows.tolist() == [[0, 1, 1], [0, 1, 1], [1, 0, 1]]
+    assert rows.dtype == np.float32
 
 
 def test_augment_features_gathers_rows_by_global_id():
     g = build_graph(4, [(0, 2), (2, 3), (3, 1)],
                     features=np.arange(8, dtype=np.float32).reshape(4, 2))
-    sub = extract_h_hop(g, 0, 3, 2)
-    feats = augment_features(sub, g.features, "zero_one")
+    [sub] = hop_subgraphs(g, [0], [3], 2)
+    rows = _labeled_rows(g, sub, "zero_one")
     for i, gid in enumerate(sub.global_ids):
-        assert feats.matrix[i, 2:].tolist() == g.features[gid].tolist()
+        assert rows[i, 2:].tolist() == g.features[gid].tolist()
 
 
 def test_augment_features_one_hot_block():
@@ -70,10 +80,9 @@ def test_augment_features_one_hot_block():
     for trial in range(40):
         g = gnp_graph(rng)
         u, v = random_pair(rng, g.num_nodes)
-        sub = extract_h_hop(g, u, v, 2)
+        [sub] = hop_subgraphs(g, [u], [v], 2)
         scheme = LabelScheme.DRNL if trial % 2 else LabelScheme.ZERO_ONE
-        feats = augment_features(sub, None, scheme)
-        block = feats.matrix[:, :feats.label_dim]
+        block = _labeled_rows(g, sub, scheme)[:, :label_dim_for(scheme, 100)]
         assert np.array_equal(block.sum(axis=1), np.ones(sub.num_nodes))
         assert set(np.unique(block)) <= {0.0, 1.0}
 
@@ -81,31 +90,23 @@ def test_augment_features_one_hot_block():
 def test_augment_features_label_cap_clamps():
     # a long path produces labels above a tiny cap
     g = build_graph(8, [(i, i + 1) for i in range(7)])
-    sub = extract_h_hop(g, 0, 7, 7)
+    [sub] = hop_subgraphs(g, [0], [7], 7)
     raw = drnl_labels(sub)
     assert raw.max() > 3
-    feats = augment_features(sub, None, LabelScheme.DRNL, label_cap=3)
-    assert feats.label_dim == 4
-    clamped = np.argmax(feats.matrix[:, :4], axis=1)
+    rows = _labeled_rows(g, sub, LabelScheme.DRNL, label_cap=3)
+    assert rows.shape == (sub.num_nodes, 4 + 1)
+    clamped = np.argmax(rows[:, :4], axis=1)
     assert np.array_equal(clamped, np.minimum(raw, 3))
 
 
-def test_augment_features_width_defaults_to_max_observed():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    sub = extract_h_hop(g, 0, 2, 2)
-    feats = augment_features(sub, None, LabelScheme.DRNL, label_cap=100)
-    # max label is 2 (the midpoint), far below the cap
-    assert feats.label_dim == 3
-
-
 def test_augment_features_fixed_width():
+    # the one-hot block is label_cap + 1 wide whatever labels occur: here
+    # the largest is 2 (the midpoint), far below the cap
     g = build_graph(3, [(0, 1), (1, 2)])
-    sub = extract_h_hop(g, 0, 2, 2)
-    feats = augment_features(sub, None, LabelScheme.DRNL, label_cap=100,
-                             label_dim=101)
-    assert feats.matrix.shape == (3, 102)
-    with pytest.raises(ValueError, match="label_dim"):
-        augment_features(sub, None, LabelScheme.ZERO_ONE, label_dim=1)
+    [sub] = hop_subgraphs(g, [0], [2], 2)
+    rows = _labeled_rows(g, sub, LabelScheme.DRNL, label_cap=100)
+    assert rows.shape == (3, 102)
+    assert np.argmax(rows[:, :101], axis=1).tolist() == [1, 1, 2]
 
 
 def test_label_dim_for():

@@ -2,9 +2,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from difflink import (Heuristic, ScoredPairs, auc, build_graph,
-                      heuristic_score, hits_at_k, mrr, ppr_vector,
-                      score_pairs)
+from difflink import (Heuristic, ScoredPairs, auc, build_graph, hits_at_k,
+                      mrr, ppr_vector, score_pairs)
 
 from conftest import gnp_graph
 from oracles import auc_pairwise, hits_count, mrr_direct, ppr_solve, to_nx
@@ -108,24 +107,26 @@ def test_mrr_validation():
 
 def test_cn_and_aa_on_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert heuristic_score(g, 0, 1, Heuristic.CN) == 1.0
-    assert heuristic_score(g, 0, 1, Heuristic.AA) == pytest.approx(
+    assert score_pairs(g, [[0, 1]], Heuristic.CN).tolist() == [1.0]
+    assert score_pairs(g, [[0, 1]], Heuristic.AA)[0] == pytest.approx(
         1.0 / np.log(2))
-    assert heuristic_score(g, 0, 1, "CN") == 1.0  # plain strings accepted
+    assert score_pairs(g, [[0, 1]], "CN").tolist() == [1.0]  # plain strings accepted
 
 
 def test_cn_aa_match_brute_force():
     rng = np.random.default_rng(24)
     g = gnp_graph(rng, n_lo=30, n_hi=30, p=0.2)
     degs = g.degrees()
-    for trial in range(40):
-        u, v = rng.choice(g.num_nodes, size=2, replace=False)
+    pairs = np.asarray([rng.choice(g.num_nodes, size=2, replace=False)
+                        for _ in range(40)])
+    cn_scores = score_pairs(g, pairs, Heuristic.CN)
+    aa_scores = score_pairs(g, pairs, Heuristic.AA)
+    for (u, v), cn_score, aa_score in zip(pairs, cn_scores, aa_scores):
         cn = [w for w in range(g.num_nodes)
               if w not in (u, v) and g.has_edge(u, w) and g.has_edge(v, w)]
-        assert heuristic_score(g, int(u), int(v), Heuristic.CN) == len(cn)
+        assert cn_score == len(cn)
         aa = sum(1.0 / np.log(degs[w]) for w in cn)
-        assert heuristic_score(g, int(u), int(v), Heuristic.AA) == \
-            pytest.approx(aa, abs=1e-12)
+        assert aa_score == pytest.approx(aa, abs=1e-12)
 
 
 def test_ppr_distribution_properties():
@@ -158,7 +159,7 @@ def test_ppr_disconnected_components_get_zero():
     g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     pi = ppr_vector(g, 0)
     assert np.allclose(pi[3:], 0.0)
-    assert heuristic_score(g, 0, 4, Heuristic.PPR) == pytest.approx(0.0)
+    assert score_pairs(g, [[0, 4]], Heuristic.PPR)[0] == pytest.approx(0.0)
 
 
 def test_ppr_score_is_symmetric():
@@ -169,20 +170,20 @@ def test_ppr_score_is_symmetric():
     forward = score_pairs(g, pairs, Heuristic.PPR)
     assert np.array_equal(forward, score_pairs(g, pairs[:, ::-1], Heuristic.PPR))
     # scored alone or among other pairs, a pair's score is the same
-    assert forward.tolist() == [heuristic_score(g, int(u), int(v), Heuristic.PPR)
-                                for u, v in pairs]
+    assert forward.tolist() == [score_pairs(g, [pair], Heuristic.PPR)[0]
+                                for pair in pairs]
 
 
 def test_heuristic_invalid_inputs():
     g = build_graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        heuristic_score(g, 0, 3, Heuristic.CN)
+        score_pairs(g, [[0, 3]], Heuristic.CN)
     with pytest.raises(ValueError):
-        heuristic_score(g, 1, 1, Heuristic.CN)
+        score_pairs(g, [[1, 1]], Heuristic.CN)
     with pytest.raises(ValueError):
         ppr_vector(g, 5)
     with pytest.raises(ValueError):
-        heuristic_score(g, 0, 1, "Katz")
+        score_pairs(g, [[0, 1]], "Katz")
 
 
 def _oracle_scores(g, pairs, method):
@@ -235,7 +236,6 @@ def test_score_pairs_match_oracles_on_random_graphs():
 @pytest.mark.parametrize("pair", [(0, 3), (-1, 1), (1, 1), (2, 2)])
 def test_score_pairs_rejects_invalid_pairs(method, pair):
     g = build_graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        score_pairs(g, np.array([[0, 1], pair]), method)
-    with pytest.raises(ValueError):
-        heuristic_score(g, *pair, method)
+    for pairs in ([[0, 1], pair], [pair]):      # among valid pairs, and alone
+        with pytest.raises(ValueError):
+            score_pairs(g, np.array(pairs), method)

@@ -3,15 +3,14 @@ import pytest
 
 from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       SamplingOperatorSet, TrainConfig, auc, build_graph,
-                      build_link_record, forward, init_params, load_params,
-                      loss_and_gradients, precompute_dataset, predict,
-                      save_params, train, write_records)
+                      init_params, load_params, loss_and_gradients,
+                      precompute_dataset, predict, save_params, train,
+                      write_records)
 from difflink.metrics import ScoredPairs
-from difflink.model import (ADAM_BLOCK, _flat, _flat_params, _forward_batch,
-                            stack_records)
-from difflink.records import RecordFile
+from difflink.model import ADAM_BLOCK, _flat, _flat_params, _forward_batch
+from difflink.records import RecordFile, _record_buffer
 
-from oracles import adam_reference, scalar_forward
+from oracles import adam_reference, link_record, scalar_forward, stack_reference
 
 
 def _random_record(rng, r1=3, p=4, w=5, label=1):
@@ -48,8 +47,7 @@ def test_zero_params_give_half():
     params = init_params(rng, 15, 6, Pooling.CCN)
     for k, t in params.tensors().items():
         t[...] = 0.0
-    prob, _ = forward(rec, params)
-    assert prob == 0.5
+    assert predict([rec], params)[0] == 0.5
 
 
 def test_forward_symmetric_in_target_order():
@@ -58,8 +56,7 @@ def test_forward_symmetric_in_target_order():
     params = _random_params(rng, 15, 6, Pooling.CENTER)
     swapped = LinkRecord(rec.v, rec.u, rec.label, rec.pooled_ids[[1, 0]],
                          rec.blocks[:, [1, 0], :])
-    p1, _ = forward(rec, params)
-    p2, _ = forward(swapped, params)
+    p1, p2 = predict([rec, swapped], params)
     assert p1 == pytest.approx(p2, rel=1e-6)
 
 
@@ -75,7 +72,7 @@ def test_forward_matches_scalar_oracle(pooling, p, agg):
     for trial in range(5):
         rec = _random_record(rng, r1=2, p=p, w=4)
         params = _random_params(rng, 8, 5, pooling)
-        prob, _ = forward(rec, params, agg=agg)
+        prob = predict([rec], params, agg=agg)[0]
         assert prob == pytest.approx(scalar_forward(rec, params, agg), abs=1e-6)
 
 
@@ -84,18 +81,20 @@ def test_forward_rejects_width_mismatch():
     rec = _random_record(rng, r1=2, p=2, w=4)
     params = init_params(rng, 9, 5, Pooling.CENTER)
     with pytest.raises(ValueError, match="width"):
-        forward(rec, params)
-    with pytest.raises(ValueError, match="mode"):
-        forward(rec, init_params(rng, 8, 5, Pooling.CENTER), mode="test")
+        predict([rec], params)
 
 
 def test_eval_equals_train_without_dropout():
+    # the training loss at dropout 0 is the BCE of predict's probabilities
     rng = np.random.default_rng(5)
-    rec = _random_record(rng)
+    batch = [_random_record(rng, label=i % 2) for i in range(4)]
     params = _random_params(rng, 15, 6, Pooling.CCN)
-    p_eval, _ = forward(rec, params, mode="eval")
-    p_train, _ = forward(rec, params, mode="train", dropout=0.0)
-    assert p_eval == p_train
+    prob = predict(batch, params)
+    y = np.array([rec.label for rec in batch])
+    bce = -np.mean(y * np.log(prob) + (1 - y) * np.log(1 - prob))
+    cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
+    loss, _ = loss_and_gradients(stack_reference(batch), params, cfg)
+    assert loss == pytest.approx(bce, rel=1e-5)
 
 
 def test_loss_is_ln2_at_zero_params():
@@ -105,7 +104,7 @@ def test_loss_is_ln2_at_zero_params():
     for k, t in params.tensors().items():
         t[...] = 0.0
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
-    loss, grads = loss_and_gradients(batch, params, cfg)
+    loss, grads = loss_and_gradients(stack_reference(batch), params, cfg)
     assert loss == pytest.approx(np.log(2.0), abs=1e-7)
 
 
@@ -114,8 +113,8 @@ def test_duplicated_batch_keeps_mean_loss_and_grads():
     batch = [_random_record(rng, label=i % 2) for i in range(3)]
     params = _random_params(rng, 15, 6, Pooling.CCN)
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
-    loss1, g1 = loss_and_gradients(batch, params, cfg)
-    loss2, g2 = loss_and_gradients(batch + batch, params, cfg)
+    loss1, g1 = loss_and_gradients(stack_reference(batch), params, cfg)
+    loss2, g2 = loss_and_gradients(stack_reference(batch + batch), params, cfg)
     assert loss1 == pytest.approx(loss2, rel=1e-6)
     for k, t in g1.tensors().items():
         assert np.allclose(t, g2.tensors()[k], rtol=1e-5, atol=1e-7)
@@ -159,8 +158,8 @@ def _relative_grad_error(batch, params, cfg, seed, samples=10):
 def test_gradients_match_finite_differences(pooling, agg, dropout):
     rng = np.random.default_rng(8)
     p = 2 if pooling is Pooling.CENTER else 5
-    batch = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
-             for i in range(3)]
+    batch = stack_reference([_random_record(rng, r1=2, p=p, w=4, label=i % 2)
+                             for i in range(3)], np.float64)
     params = _random_params(rng, 8, 5, pooling, dtype=np.float64)
     cfg = TrainConfig(d_prime=5, dropout=dropout, epochs=1, agg=agg)
     assert _relative_grad_error(batch, params, cfg, seed=13) < 1e-6
@@ -228,17 +227,18 @@ def test_adam_matches_whole_array_reference(dtype):
 
 def test_params_and_gradients_are_flat_buffers():
     rng = np.random.default_rng(20)
-    batch = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
-             for i, p in enumerate((2, 5, 3))]
+    records = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
+               for i, p in enumerate((2, 5, 3))]
     params = _random_params(rng, 8, 5, Pooling.CCN)
     assert _flat(params) is None        # biases were replaced by hand
     for p in (params.copy(), init_params(rng, 8, 5, Pooling.CCN)):
         flat = _flat(p)
         assert flat is not None and flat.size == sum(t.size for t in p.tensors().values())
     cfg = TrainConfig(d_prime=5, dropout=0.0, epochs=1)
-    _, grads = loss_and_gradients(batch, params, cfg)
+    _, grads = loss_and_gradients(stack_reference(records), params, cfg)
     assert _flat(grads) is not None
-    _, same = loss_and_gradients(stack_records(batch), params, cfg)
+    with _record_buffer(records) as encoded:
+        _, same = loss_and_gradients(encoded.batch([0, 1, 2]), params, cfg)
     for k, g in grads.tensors().items():
         assert np.array_equal(g, same.tensors()[k])
 
@@ -272,9 +272,9 @@ def test_logit_does_not_depend_on_batch_padding(pooling, agg):
     small = _random_record(rng, r1=3, p=2 if pooling is Pooling.CENTER else 3, w=7)
     larger = [_random_record(rng, r1=3, p=p, w=7, label=0) for p in (6, 9, 4)]
     params = _random_params(rng, 21, 16, pooling)
-    z, mask, _ = stack_records([small])
+    z, mask, _ = stack_reference([small])
     alone, _ = _forward_batch(z, mask, params, None, agg)
-    z, mask, _ = stack_records([larger[0], small] + larger[1:])
+    z, mask, _ = stack_reference([larger[0], small] + larger[1:])
     padded, _ = _forward_batch(z, mask, params, None, agg)
     assert z.shape[1] == 9 and not mask[1, small.pooled_count:].any()
     np.testing.assert_allclose(padded[1], alone[0], rtol=1e-6)
@@ -384,7 +384,7 @@ def test_predict_from_file_matches_records(tmp_path):
                         (6, 7), (0, 7)])
     cfg = SamplingOperatorSet(variant="PoS", r=2, h=2)
     links = [(0, 1, 1), (2, 5, 0), (3, 4, 1)]
-    recs = [build_link_record(g, ln, cfg) for ln in links]
+    recs = [link_record(g, ln, cfg) for ln in links]
     path = tmp_path / "d.rec"
     write_records(path, recs)
     rng = np.random.default_rng(14)
@@ -394,7 +394,7 @@ def test_predict_from_file_matches_records(tmp_path):
     from_list = predict(recs, params)
     assert np.array_equal(from_file, from_list)
     assert np.all((from_file > 0) & (from_file < 1))
-    assert from_file[0] == pytest.approx(forward(recs[0], params)[0])
+    assert from_file[0] == pytest.approx(scalar_forward(recs[0], params), abs=1e-6)
     assert np.array_equal(predict(recs, params, batch_size=1), from_list)
     for bad in (0, -1):
         with pytest.raises(ValueError, match="batch_size"):
@@ -416,14 +416,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_stack_records_rejects_width_mismatch():
+    # a record list is encoded into one buffer before it is batched
     rng = np.random.default_rng(16)
+    params = init_params(rng, 8, 5, Pooling.CENTER)
     a = _random_record(rng, r1=2, p=2, w=4)
     b = _random_record(rng, r1=2, p=2, w=5)
     with pytest.raises(ValueError, match="width"):
-        stack_records([a, b])
+        predict([a, b], params)
     c = _random_record(rng, r1=3, p=2, w=4)
     with pytest.raises(ValueError, match="operator"):
-        stack_records([a, c])
+        predict([a, c], params)
 
 
 def test_train_config_validation():

@@ -10,11 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from difflink import (LinkRecord, RecordFile, RecordFormatError,
+from difflink import (LinkRecord, Pooling, RecordFile, RecordFormatError,
                       SamplingOperatorSet, precompute_dataset, read_records,
                       serialize_record, write_records)
 from difflink import records as records_module
-from difflink.model import TrainConfig, init_params, predict, stack_records, train
+from difflink.model import TrainConfig, init_params, predict, train
 from difflink.records import manifest_path
 
 from conftest import gnp_graph, random_pair
@@ -185,7 +185,6 @@ def test_descriptors_are_released(tmp_path, monkeypatch):
         assert RecordFile(path)[0].pooled_count == 2
     read_records(path)
     predict(path, params)
-    stack_records(path)
     assert _fd_count() == before
 
 
@@ -258,3 +257,27 @@ def test_bad_manifest_is_named_by_every_reader(tmp_path, bad_manifest, opens):
     # a reader that does not verify ignores the manifest
     with RecordFile(path, verify=False) as rf:
         assert len(rf) == 60
+
+
+def test_train_takes_pooling_from_the_manifest_it_verified(tmp_path, monkeypatch):
+    # with ccn_cap 0 a PoSPlus file pools only the targets (every p == 2),
+    # so only its manifest says CCN; a path and an open verified reader
+    # both get it, and each manifest is parsed once
+    rng = np.random.default_rng(74)
+    g = gnp_graph(rng, n_lo=14, n_hi=14, p=0.45)
+    cfg = SamplingOperatorSet(variant="PoSPlus", r=1, h=1, ccn_cap=0)
+    path = tmp_path / "capped.rec"
+    precompute_dataset(g, _links(rng, g, 30), cfg, path)
+    reads = []
+    real = records_module._read_manifest
+    monkeypatch.setattr(records_module, "_read_manifest",
+                        lambda *args: reads.append(args) or real(*args))
+    tc = TrainConfig(d_prime=4, epochs=1)
+    with RecordFile(path) as rf:
+        assert (rf.p == 2).all()
+        assert train(rf, rf, tc)[0].pooling is Pooling.CCN
+    assert len(reads) == 1
+    assert train(path, path, tc)[0].pooling is Pooling.CCN
+    assert len(reads) == 3                          # train and valid, once each
+    with RecordFile(path, verify=False) as rf:      # no manifest: a guess from p
+        assert train(rf, rf, tc)[0].pooling is Pooling.CENTER

@@ -6,16 +6,17 @@ import pytest
 
 from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
-                      build_graph, build_link_record, graph_power,
-                      precompute_dataset, random_walk_subgraph, read_records,
-                      serialize_record, storage_comparison, write_records)
-from difflink.model import TrainConfig, stack_records, train
-from difflink.records import (CHUNK_LINKS, _encode, _link_records, _walk_seed,
-                              deserialize_record, manifest_path)
+                      build_graph, graph_power, precompute_dataset,
+                      read_records, serialize_record, storage_comparison,
+                      walk_subgraphs, write_records)
+from difflink.model import TrainConfig, train
+from difflink.records import (CHUNK_LINKS, _encode, _link_records,
+                              _record_buffer, _walk_seed, deserialize_record,
+                              manifest_path)
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
-from oracles import (dense_record_blocks, seal_bytes, serialize_reference,
-                     stack_reference, to_nx)
+from oracles import (dense_record_blocks, link_record, seal_bytes,
+                     serialize_reference, stack_reference, to_nx)
 
 
 def _triangle():
@@ -42,7 +43,7 @@ def test_operator_set_validation():
     with pytest.raises(ValueError):
         SamplingOperatorSet(variant="NotAVariant", h=1)
     # the record header stores r+1 and p as u16
-    with pytest.raises(ValueError, match="r must be"):
+    with pytest.raises(ValueError, match="^r: "):
         SamplingOperatorSet(variant="PoS", r=65535, h=1)
     with pytest.raises(ValueError, match="ccn_cap"):
         SamplingOperatorSet(variant="PoSPlus", h=1, ccn_cap=65534)
@@ -63,7 +64,7 @@ def test_record_identity_block():
     g = _triangle()
     for variant in ("PoS", "PoSPlus"):
         cfg = SamplingOperatorSet(variant=variant, r=1, h=1)
-        rec = build_link_record(g, (0, 1, 1), cfg)
+        rec = link_record(g, (0, 1, 1), cfg)
         expected = [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
         assert rec.blocks[0].tolist() == expected[:rec.pooled_count]
         assert np.array_equal(rec.blocks, dense_record_blocks(g, (0, 1, 1), cfg))
@@ -74,7 +75,7 @@ def test_record_triangle_two_walks():
     # triangle minus the target edge is a path; two 2-walks from each end
     g = _triangle()
     cfg = SamplingOperatorSet(variant="PoS", r=2, h=1)
-    rec = build_link_record(g, (0, 1, 1), cfg)
+    rec = link_record(g, (0, 1, 1), cfg)
     # the raw (implicit all-ones) column counts walks of length 0, 1, 2
     assert rec.blocks[:, 0, -1].tolist() == [1.0, 1.0, 2.0]
     assert rec.blocks[:, 1, -1].tolist() == [1.0, 1.0, 2.0]
@@ -91,14 +92,14 @@ def test_record_blocks_match_dense_power():
         r = int(rng.integers(1, 4))
         variant = "PoSPlus" if trial % 3 else "PoS"
         cfg = SamplingOperatorSet(variant=variant, r=r, h=2)
-        rec = build_link_record(g, (u, v, int(trial % 2)), cfg)
+        rec = link_record(g, (u, v, int(trial % 2)), cfg)
         assert rec.blocks.shape[0] == r + 1
         expected = dense_record_blocks(g, (u, v, 0), cfg)
         assert np.allclose(rec.blocks, expected, rtol=1e-6, atol=1e-6)
-    with pytest.raises(ValueError, match="r must be"):
+    with pytest.raises(ValueError, match="^r: "):
         SamplingOperatorSet(variant="PoS", r=-1, h=2)
     with pytest.raises(ValueError, match="out of range"):
-        build_link_record(g, (0, g.num_nodes, 1), cfg)
+        link_record(g, (0, g.num_nodes, 1), cfg)
 
 
 def test_sop_operators_use_power_subgraphs():
@@ -106,7 +107,7 @@ def test_sop_operators_use_power_subgraphs():
     # subgraph of G and operator 2 on the 1-hop subgraph of G^2
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cfg = SamplingOperatorSet(variant="SoP", r=2, h=1, labeling="drnl")
-    rec = build_link_record(g, (0, 4, 0), cfg)
+    rec = link_record(g, (0, 4, 0), cfg)
     assert np.array_equal(rec.blocks, dense_record_blocks(g, (0, 4, 0), cfg))
     label_dim = cfg.label_dim()
     # in G, nodes 1 and 3 each see one target; in G^2, node 2 sees both
@@ -114,21 +115,21 @@ def test_sop_operators_use_power_subgraphs():
     assert rec.blocks[1, 0, :label_dim].nonzero()[0].tolist() == [0]
     assert rec.blocks[2, 0, :label_dim].nonzero()[0].tolist() == [2, 3]
     assert rec.blocks[2, 0, -1] == 2.0  # u's neighbors in G^2 minus v
-    p2 = graph_power(g, 2)
-    cached = build_link_record(g, (0, 4, 0), cfg, power_cache={2: p2})
-    assert np.array_equal(cached.blocks, rec.blocks)
+    link = np.array([[0, 4, 0]])
+    cached = _link_records(g, link, cfg, 0, {2: graph_power(g, 2)})[2]
+    assert np.array_equal(cached, rec.blocks)
     # a supplied power graph is used verbatim: G itself as "G^2" repeats
     # operator 1 in operator 2
-    fake = build_link_record(g, (0, 4, 0), cfg, power_cache={2: g})
-    assert np.array_equal(fake.blocks[2], rec.blocks[1])
-    with pytest.raises(ValueError, match="r must be"):
+    fake = _link_records(g, link, cfg, 0, {2: g})[2]
+    assert np.array_equal(fake[2], rec.blocks[1])
+    with pytest.raises(ValueError, match="^r: "):
         SamplingOperatorSet(variant="SoP", r=0, h=1)
 
 
 def test_center_record_shapes():
     g = gnp_graph(np.random.default_rng(42), n_lo=8, n_hi=8)
     cfg = SamplingOperatorSet(variant="PoS", r=3, h=2)
-    rec = build_link_record(g, (0, 1, 1), cfg)
+    rec = link_record(g, (0, 1, 1), cfg)
     w = cfg.block_width(g)
     assert rec.pooled_count == 2
     assert rec.blocks.shape == (4, 2, w)
@@ -143,7 +144,7 @@ def test_block_zero_equals_labeled_features():
         u, v = random_pair(rng, g.num_nodes)
         kwargs = {"k": 2, "l": 2} if "ScaLed" in variant.value else {}
         cfg = SamplingOperatorSet(variant=variant, r=2, h=2, **kwargs)
-        rec = build_link_record(g, (u, v, 0), cfg, seed=5)
+        rec = link_record(g, (u, v, 0), cfg, seed=5)
         label_dim = cfg.label_dim()
         # row for u: one-hot label 1, then u's raw features
         expected = np.zeros(cfg.block_width(g), dtype=np.float32)
@@ -160,10 +161,10 @@ def test_ccn_pooled_ids_order_and_cap():
     edges += [(4, 5), (4, 6)]  # raise node 4's degree
     g = build_graph(7, edges)
     cfg = SamplingOperatorSet(variant="PoSPlus", r=1, h=1)
-    rec = build_link_record(g, (0, 1, 1), cfg)
+    rec = link_record(g, (0, 1, 1), cfg)
     assert rec.pooled_ids.tolist() == [0, 1, 4, 2, 3]
     capped = SamplingOperatorSet(variant="PoSPlus", r=1, h=1, ccn_cap=2)
-    rec2 = build_link_record(g, (0, 1, 1), capped)
+    rec2 = link_record(g, (0, 1, 1), capped)
     assert rec2.pooled_ids.tolist() == [0, 1, 4, 2]
 
 
@@ -174,8 +175,8 @@ def test_scaled_absent_pooled_nodes_get_zero_rows():
         g = gnp_graph(rng, n_lo=8, n_hi=12, p=0.4)
         u, v = random_pair(rng, g.num_nodes)
         cfg = SamplingOperatorSet(variant="PoSPlusScaLed", r=2, h=1, k=1, l=1)
-        rec = build_link_record(g, (u, v, 1), cfg, seed=trial)
-        sub = random_walk_subgraph(g, u, v, 1, 1, _walk_seed(trial, u, v, 1))
+        rec = link_record(g, (u, v, 1), cfg, seed=trial)
+        [sub] = walk_subgraphs(g, [u], [v], 1, 1, [_walk_seed(trial, u, v, 1)])
         present = set(sub.global_ids.tolist())
         for j, gid in enumerate(rec.pooled_ids.tolist()):
             if gid not in present:
@@ -189,7 +190,7 @@ def test_sop_blocks_use_power_subgraphs():
     g = gnp_graph(rng, n_lo=8, n_hi=10, p=0.3)
     u, v = random_pair(rng, g.num_nodes)
     cfg = SamplingOperatorSet(variant="SoP", r=2, h=1)
-    rec = build_link_record(g, (u, v, 1), cfg)
+    rec = link_record(g, (u, v, 1), cfg)
     expected = dense_record_blocks(g, (u, v, 1), cfg)
     assert np.allclose(rec.blocks, expected, rtol=1e-5, atol=1e-5)
 
@@ -208,15 +209,15 @@ def _records_with_and_without_target(variant, labeling, trials=80):
         cfg = SamplingOperatorSet(variant=variant, r=3,
                                   h=int(rng.integers(1, 3)),
                                   labeling=labeling, **walk)
-        yield (build_link_record(g, (u, v, 1), cfg, seed=trial),
-               build_link_record(g_minus, (u, v, 1), cfg, seed=trial))
+        yield (link_record(g, (u, v, 1), cfg, seed=trial),
+               link_record(g_minus, (u, v, 1), cfg, seed=trial))
 
 
 @pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
 @pytest.mark.parametrize("variant", [
     "PoS", "PoSPlus", "PoSScaLed", "PoSPlusScaLed",
     pytest.param("SoP", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: SoP graph powers are taken "
+        strict=True, reason="ROADMAP item 1: SoP graph powers are taken "
                             "on G, so the target edge leaks through G^i")),
 ])
 def test_record_ignores_target_edge(variant, labeling):
@@ -232,7 +233,7 @@ def test_build_link_record_rejects_bad_label():
     g = _triangle()
     cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
     with pytest.raises(ValueError):
-        build_link_record(g, (0, 1, 2), cfg)
+        link_record(g, (0, 1, 2), cfg)
 
 
 def test_record_byte_size_independent_of_h():
@@ -243,7 +244,7 @@ def test_record_byte_size_independent_of_h():
     payloads = []
     for h in (1, 2, 3):
         cfg = SamplingOperatorSet(variant="PoS", r=3, h=h)
-        rec = build_link_record(g, (u, v, 1), cfg)
+        rec = link_record(g, (u, v, 1), cfg)
         blob = serialize_record(rec)
         assert blob == serialize_reference(rec)
         assert len(blob) == rec.byte_size()
@@ -259,7 +260,7 @@ def test_serialize_round_trip_bit_identical():
     g = gnp_graph(rng, n_lo=8, n_hi=12, features=3)
     cfg = SamplingOperatorSet(variant="PoSPlus", r=2, h=2, labeling="drnl")
     u, v = random_pair(rng, g.num_nodes)
-    rec = build_link_record(g, (u, v, 1), cfg)
+    rec = link_record(g, (u, v, 1), cfg)
     blob = serialize_record(rec)
     assert blob == serialize_reference(rec)
     back, offset = deserialize_record(blob)
@@ -275,7 +276,7 @@ def test_write_and_read_records(tmp_path):
     g = gnp_graph(rng, n_lo=10, n_hi=10, p=0.4)
     cfg = SamplingOperatorSet(variant="PoS", r=1, h=2)
     links = [(0, 1, 1), (2, 3, 0), (4, 5, 1)]
-    recs = [build_link_record(g, ln, cfg) for ln in links]
+    recs = [link_record(g, ln, cfg) for ln in links]
     path = tmp_path / "x.rec"
     assert write_records(path, recs) == 3
     rf = RecordFile(path)
@@ -327,7 +328,7 @@ def test_record_file_rejects_corruption(tmp_path):
         RecordFile(path)
     g = _triangle()
     cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
-    rec = build_link_record(g, (0, 1, 1), cfg)
+    rec = link_record(g, (0, 1, 1), cfg)
     good = tmp_path / "good.rec"
     write_records(good, [rec])
     data = good.read_bytes()
@@ -459,7 +460,7 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
     precompute_dataset(g, links, cfg, kept)
     before = kept.read_bytes()
 
-    first = build_link_record(g, (0, 1, 1), cfg)
+    first = link_record(g, (0, 1, 1), cfg)
     real = records._link_records
     calls = []
 
@@ -573,11 +574,11 @@ def test_chunk_record_equals_record_built_alone(tmp_path, variant, labeling):
     assert len(recs) == links.shape[0] <= CHUNK_LINKS
     absent_rows = 0
     for rec, link in zip(recs, links.tolist()):
-        alone = build_link_record(g, link, cfg, seed=4)
+        alone = link_record(g, link, cfg, seed=4)
         assert serialize_record(rec) == serialize_record(alone)
         if walk:
-            sub = random_walk_subgraph(g, link[0], link[1], 1, 1,
-                                       _walk_seed(4, *link))
+            [sub] = walk_subgraphs(g, [link[0]], [link[1]], 1, 1,
+                                    [_walk_seed(4, *link)])
             absent = ~np.isin(rec.pooled_ids, sub.global_ids)
             assert not rec.blocks[:, absent].any()
             absent_rows += int(absent.sum())
@@ -666,8 +667,9 @@ def test_record_file_batch_matches_stack_records(tmp_path, variant):
         picked = [recs[i] for i in index]
         for dtype in (np.float32, np.float64):
             got = rf.batch(index, dtype)
-            for want in (stack_reference(picked, dtype),
-                         stack_records(picked, dtype)):
+            with _record_buffer(picked) as encoded:     # as predict batches a list
+                in_memory = encoded.batch(np.arange(len(picked)), dtype)
+            for want in (stack_reference(picked, dtype), in_memory):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 

@@ -2,9 +2,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from difflink import (UNREACHABLE, Graph, build_graph, extract_h_hop,
-                      graph_power, hop_subgraphs, random_walk_subgraph,
-                      walk_subgraphs)
+from difflink import (UNREACHABLE, Graph, build_graph, graph_power,
+                      hop_subgraphs, walk_subgraphs)
 from difflink.sampling import hop_distances
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
@@ -17,7 +16,7 @@ def _local_dist(sub, src):
 
 def test_extract_h_hop_path_graph():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    sub = extract_h_hop(g, 1, 3, 1)
+    [sub] = hop_subgraphs(g, [1], [3], 1)
     assert sub.global_ids.tolist() == [1, 3, 0, 2, 4]
     assert _local_dist(sub, 0) == [0, 2, 1, 1, 3]
     assert _local_dist(sub, 1) == [2, 0, 3, 1, 1]
@@ -25,7 +24,7 @@ def test_extract_h_hop_path_graph():
 
 def test_extract_removes_target_edge():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    sub = extract_h_hop(g, 0, 1, 2)
+    [sub] = hop_subgraphs(g, [0], [1], 2)
     a = sub.adjacency().toarray()
     assert a[0, 1] == 0 and a[1, 0] == 0
     # endpoints still connected through the third node
@@ -34,7 +33,7 @@ def test_extract_removes_target_edge():
 
 def test_extract_isolated_pair():
     g = build_graph(4, [(0, 1), (2, 3)])
-    sub = extract_h_hop(g, 0, 1, 2)
+    [sub] = hop_subgraphs(g, [0], [1], 2)
     assert sub.global_ids.tolist() == [0, 1]
     assert sub.num_edges == 0
     assert _local_dist(sub, 0) == [0, UNREACHABLE]
@@ -43,9 +42,9 @@ def test_extract_isolated_pair():
 def test_extract_hop_limit_excludes_far_nodes():
     # 0-1-2-3 chain: h=1 around (0, 3) must not include nodes at distance 2
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    sub = extract_h_hop(g, 0, 3, 1)
+    [sub] = hop_subgraphs(g, [0], [3], 1)
     assert sub.global_ids.tolist() == [0, 3, 1, 2]
-    sub_far = extract_h_hop(g, 0, 3, 2)
+    [sub_far] = hop_subgraphs(g, [0], [3], 2)
     assert sub_far.num_nodes == 4
 
 
@@ -55,7 +54,7 @@ def test_extract_matches_oracle_node_sets_and_structure():
         g = gnp_graph(rng)
         u, v = random_pair(rng, g.num_nodes)
         h = int(rng.integers(1, 4))
-        sub = extract_h_hop(g, u, v, h)
+        [sub] = hop_subgraphs(g, [u], [v], h)
         nxg = to_nx(g)
         expected_nodes = hop_nodes(nxg, u, v, h)
         assert sorted(sub.global_ids.tolist()) == expected_nodes
@@ -117,19 +116,19 @@ def test_hop_distances_small_cases():
 def test_extract_validates_arguments():
     g = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        extract_h_hop(g, 0, 0, 1)
+        hop_subgraphs(g, [0], [0], 1)
     with pytest.raises(ValueError):
-        extract_h_hop(g, 0, 5, 1)
+        hop_subgraphs(g, [0], [5], 1)
     with pytest.raises(ValueError):
-        extract_h_hop(g, 0, 1, 0)
+        hop_subgraphs(g, [0], [1], 0)
 
 
 def test_random_walk_subgraph_deterministic():
     rng = np.random.default_rng(22)
     g = gnp_graph(rng, n_lo=10, n_hi=12, p=0.4)
     u, v = random_pair(rng, g.num_nodes)
-    a = random_walk_subgraph(g, u, v, k=3, l=3, seed=77)
-    b = random_walk_subgraph(g, u, v, k=3, l=3, seed=77)
+    [a] = walk_subgraphs(g, [u], [v], 3, 3, [77])
+    [b] = walk_subgraphs(g, [u], [v], 3, 3, [77])
     assert np.array_equal(a.global_ids, b.global_ids)
     assert np.array_equal(a.indices, b.indices)
 
@@ -141,7 +140,7 @@ def test_random_walk_subgraph_properties():
         u, v = random_pair(rng, g.num_nodes)
         k = int(rng.integers(1, 4))
         l = int(rng.integers(1, 4))
-        sub = random_walk_subgraph(g, u, v, k, l, seed=trial)
+        [sub] = walk_subgraphs(g, [u], [v], k, l, [trial])
         assert sub.num_nodes <= 2 * k * l + 2
         assert sub.global_ids[0] == u and sub.global_ids[1] == v
         a = sub.adjacency().toarray()
@@ -159,12 +158,12 @@ def test_random_walk_subgraph_properties():
 
 def test_random_walk_dead_end_targets():
     g = build_graph(4, [(0, 1), (2, 3)])
-    sub = random_walk_subgraph(g, 0, 1, k=2, l=5, seed=0)
+    [sub] = walk_subgraphs(g, [0], [1], 2, 5, [0])
     assert sub.global_ids.tolist() == [0, 1]
     with pytest.raises(ValueError):
-        random_walk_subgraph(g, 0, 1, k=0, l=2, seed=0)
+        walk_subgraphs(g, [0], [1], 0, 2, [0])
     with pytest.raises(ValueError):
-        random_walk_subgraph(g, 0, 1, k=1, l=0, seed=0)
+        walk_subgraphs(g, [0], [1], 1, 0, [0])
 
 
 def test_graph_power_one_is_identical_copy():
@@ -231,7 +230,7 @@ def test_hop_subgraphs_blocks_match_oracle():
             assert np.all(np.diff(ids[2:]) > 0)
             assert sorted(ids.tolist()) == hop_nodes(nxg, a, b, h)
             assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
-            one = extract_h_hop(g, a, b, h)
+            [one] = hop_subgraphs(g, [a], [b], h)
             assert np.array_equal(one.global_ids, ids)
             assert np.array_equal(one.adjacency().toarray(), dense)
     [empty] = hop_subgraphs(g, [], [], 2)
@@ -248,7 +247,7 @@ def test_walk_subgraphs_blocks_match_one_link_walks():
         u, v = np.asarray(pairs).T
         [sub] = walk_subgraphs(g, u, v, 2, 3, seeds)
         for (ids, dense), (a, b), seed in zip(_blocks(sub), pairs, seeds):
-            one = random_walk_subgraph(g, a, b, 2, 3, seed)
+            [one] = walk_subgraphs(g, [a], [b], 2, 3, [seed])
             assert np.array_equal(one.global_ids, ids)
             assert np.array_equal(one.adjacency().toarray(), dense)
     with pytest.raises(ValueError, match="differ"):
@@ -296,7 +295,7 @@ def test_walk_subgraphs_hub_blocks_are_induced():
             assert ids[0] == a and ids[1] == b
             assert np.all(np.diff(ids[2:]) > 0)
             assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
-            one = random_walk_subgraph(g, a, b, 3, 2, seed)
+            [one] = walk_subgraphs(g, [a], [b], 3, 2, [seed])
             assert np.array_equal(one.global_ids, ids)
 
 
