@@ -25,7 +25,7 @@ print("edges inside it:", sub.num_edges)
 # the candidate link itself is never part of the extracted subgraph
 # (local nodes 0 and 1 are u and v), so the subgraph looks the same
 # whether or not the link is known
-assert sub.adjacency()[0, 1] == 0
+assert sub.adjacency().toarray()[0, 1] == 0
 [sub2] = hop_subgraphs(graph, [u], [v], h=2)
 print("2-hop grows to:", sub2.global_ids.tolist())
 

@@ -52,9 +52,10 @@ def _pick(section: dict, path: str, key: str, default, kind):
     val = section.get(key, default)
     if val is None:
         return None
-    if kind is float and isinstance(val, int):
+    if kind is float and type(val) is int:
         val = float(val)
-    if not isinstance(val, kind):
+    # JSON true/false arrive as bools, which Python also counts as ints
+    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
     return val
 
@@ -140,14 +141,14 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     e = _section(cfg, "eval", ("hits_k", "mrr"))
     hits_k = e.get("hits_k", [])
     if not isinstance(hits_k, list) or not all(
-            isinstance(k, int) and k >= 1 for k in hits_k):
+            type(k) is int and k >= 1 for k in hits_k):
         raise ConfigError("eval.hits_k: expected a list of positive integers")
     eval_opts = {"hits_k": list(hits_k), "mrr": _pick(e, "eval", "mrr", False, bool)}
 
     runs = _section(cfg, "runs", ("seeds",))
     seeds = runs.get("seeds", _DEFAULT_SEEDS)
     if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(x, int) for x in seeds):
+            type(x) is int for x in seeds):
         raise ConfigError("runs.seeds: expected a nonempty list of integers")
 
     mode = cfg.get("mode", "full")
@@ -162,7 +163,7 @@ def parse_config(cfg: dict) -> ExperimentSpec:
                           f"{[hx.value for hx in Heuristic]}") from None
 
     workers = cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ConfigError("workers: expected a positive integer")
     storage = cfg.get("storage", True)
     if not isinstance(storage, bool):

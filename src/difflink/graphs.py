@@ -13,11 +13,47 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class GraphFormatError(ValueError):
     """Malformed edge-list or feature file."""
+
+
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row form.
+
+    Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, each column at most once. ``@``
+    with a dense vector or matrix adds each output entry's products to
+    zero one at a time in stored order, the order of the usual CSR
+    product loop, so the two agree bit for bit.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"shapes {self.shape} and {x.shape} do not align")
+        cols = x.reshape(self.shape[1], -1)
+        width = cols.shape[1]
+        slot = self._rows()[:, None] * width + np.arange(width)
+        product = self.data[:, None] * cols[self.indices]
+        out = np.bincount(slot.ravel(), weights=product.ravel(),
+                          minlength=self.shape[0] * width)
+        return out.reshape(self.shape[0], *x.shape[1:])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self._rows(), self.indices] = self.data
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,24 +102,27 @@ class Graph:
         keep = src < dst
         return np.stack([src[keep], dst[keep]], axis=1)
 
-    def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
-        """Adjacency matrix as scipy CSR with unit weights."""
-        data = np.ones(self.indices.shape[0], dtype=dtype)
-        return sp.csr_matrix(
-            (data, self.indices.astype(np.int64), self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
+    def adjacency(self, dtype=np.float64) -> CSRMatrix:
+        """Adjacency matrix with unit weights, sharing the graph's CSR arrays."""
+        return CSRMatrix(self.indptr, self.indices,
+                         np.ones(self.indices.shape[0], dtype=dtype),
+                         (self.num_nodes, self.num_nodes))
 
     @cached_property
-    def _closed_adjacency(self) -> sp.csr_matrix:
-        """Boolean A + I, built on first use and kept with the graph.
+    def _feature_rows(self) -> CSRMatrix:
+        """The nonzero feature entries as float64 CSR (one column of ones
+        when the graph is unattributed), built on first use and kept with
+        the graph.
 
-        One product with it extends reach sets by one hop, and a row pair's
-        product gives common neighbours. Chunked precompute reads it for
-        every chunk, so it is built once per graph, not once per chunk.
+        Diffusion multiplies every chunk's powers by it, so it is built once
+        per graph, not once per chunk.
         """
-        return self.adjacency(bool) + sp.identity(self.num_nodes, dtype=bool,
-                                                  format="csr")
+        x = (self.features if self.features is not None
+             else np.ones((self.num_nodes, 1), dtype=np.float32))
+        row, col = np.nonzero(x)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=self.num_nodes), out=indptr[1:])
+        return CSRMatrix(indptr, col, x[row, col].astype(np.float64), x.shape)
 
     def same_structure(self, other: "Graph") -> bool:
         """True if both graphs have identical node count and adjacency."""
@@ -402,20 +441,24 @@ def load_split(in_dir, features: np.ndarray | None = None) -> EdgeSplit:
                      ratios=tuple(manifest["ratios"]), **parts)
 
 
-def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
+def normalized_adjacency(graph: Graph) -> CSRMatrix:
     """Symmetric degree-normalized adjacency with self-loops.
 
-    Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree matrix of A + I.
-    Rows of the result sum to at most 1 and the matrix stays symmetric.
-    Accepts any object with ``num_nodes`` and ``adjacency()``, such as a
-    sampled ``Subgraph``.
+    Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree matrix of A + I,
+    with every row's columns ascending. Rows of the result sum to at most 1
+    and the matrix stays symmetric. Accepts any object with ``num_nodes``
+    and ``adjacency()``, such as a sampled ``Subgraph``.
     """
     n = graph.num_nodes
-    at = graph.adjacency(np.float64) + sp.identity(n, format="csr")
-    deg = np.asarray(at.sum(axis=1)).ravel()
+    a = graph.adjacency()
+    keys = np.sort(np.concatenate([a._rows() * n + a.indices,
+                                   np.arange(n) * (n + 1)]))
+    row, col = np.divmod(keys, n)
+    deg = np.bincount(row, minlength=n)
     dinv = 1.0 / np.sqrt(deg)
-    out = at.multiply(dinv[:, None]).multiply(dinv[None, :])
-    return sp.csr_matrix(out)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    return CSRMatrix(indptr, col, dinv[row] * dinv[col], (n, n))
 
 
 def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -431,14 +474,30 @@ def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _entries(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths of ``nodes`` in a CSR ``indptr`` and the positions of
+    their entries, row after row in the order given."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    return counts, (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                    + np.arange(counts.sum()))
+
+
+def _neighbor_keys(graph: Graph, keys: np.ndarray) -> np.ndarray:
+    """Key ``b * num_nodes + w`` of every neighbor w of node x, for every
+    key ``b * num_nodes + x`` of ``keys``, in the order of ``keys``."""
+    nodes = keys % graph.num_nodes
+    counts, at = _entries(graph.indptr, nodes)
+    return np.repeat(keys - nodes, counts) + graph.indices[at]
+
+
 def _common_neighbors(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Common neighbours of every pair (u[b], v[b]) from one sparse A[u] * A[v]
-    product, as (pair index, node id) int64 arrays sorted by pair, then id."""
+    """Common neighbours of every pair (u[b], v[b]), as (pair index, node id)
+    int64 arrays sorted by pair, then id: the keys that both endpoints'
+    neighbor rows hold, found as adjacent duplicates of their sorted union."""
     u, v = _link_arrays(graph, u, v)
-    closed = graph._closed_adjacency
-    common = closed[u].multiply(closed[v])
-    common.sort_indices()
-    common = common.tocoo()
-    # A + I also pairs u and v themselves when they are adjacent.
-    keep = (common.col != u[common.row]) & (common.col != v[common.row])
-    return common.row[keep].astype(np.int64), common.col[keep].astype(np.int64)
+    row = np.arange(u.shape[0]) * graph.num_nodes
+    keys = np.sort(np.concatenate([_neighbor_keys(graph, row + u),
+                                   _neighbor_keys(graph, row + v)]))
+    common = keys[:-1][keys[1:] == keys[:-1]]
+    return np.divmod(common, graph.num_nodes)

@@ -97,15 +97,19 @@ def ppr_vector(graph: Graph, src: int, alpha: float = 0.15,
 def _ppr_vectors(graph: Graph, sources, alpha=0.15, tol=1e-6, max_iter=1000):
     """``ppr_vector`` of each source in turn, over one walk operator."""
     n = graph.num_nodes
-    a = graph.adjacency(np.float64)
-    deg = graph.degrees().astype(np.float64)
+    # A^T w adds w[x] into each neighbor of x, x ascending, by one bincount
+    # over the neighbor lists in row order
+    degree = graph.degrees()
+    target = graph.indices.astype(np.intp)
+    deg = degree.astype(np.float64)
     nonzero = deg > 0
     inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=nonzero)
     for src in sources:
         pi = np.zeros(n)
         pi[src] = 1.0
         for _ in range(max_iter):
-            spread = a.T @ (pi * inv_deg)
+            spread = np.bincount(target, weights=np.repeat(pi * inv_deg, degree),
+                                 minlength=n)
             spread[src] += pi[~nonzero].sum()   # dangling mass back to source
             new = (1.0 - alpha) * spread
             new[src] += alpha

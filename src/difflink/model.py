@@ -186,8 +186,8 @@ def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
     return logit, cache
 
 
-def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
-    """Exact gradients, written into one new flat buffer."""
+def _backward_batch(dlogit, cache, params: ModelParams, out=None) -> ModelParams:
+    """Exact gradients, written into ``out``, else into one new flat buffer."""
     z, mask, h = cache["z"], cache["mask"], cache["h"]
     d_prime = params.d_prime
     dhid_d = dlogit[:, None] * params.out_w[None, :]
@@ -213,7 +213,7 @@ def _backward_batch(dlogit, cache, params: ModelParams) -> ModelParams:
             dh[b_idx, 2 + cache["cn_idx"], f_idx] += dqn
     dh_pre = dh * (h > 0)
     bp = z.shape[0] * z.shape[1]
-    grads = _flat_params(params.tensors(), z.dtype, copy=False)
+    grads = _flat_params(params.tensors(), z.dtype, copy=False) if out is None else out
     np.matmul(z.reshape(bp, -1).T, dh_pre.reshape(bp, d_prime), out=grads.W)
     np.matmul(cache["q"].T, dhid_pre, out=grads.hidden_w)
     grads.hidden_b[...] = dhid_pre.sum(axis=0)
@@ -232,13 +232,15 @@ def _sigmoid(x):
 
 
 def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None, out=None):
     """Mean binary cross-entropy over a batch and exact gradients.
 
     ``batch`` is the (z, mask, labels) arrays of ``RecordFile.batch``. The
     sigmoid and BCE are fused in log space (softplus form), so extreme
     logits cannot overflow. The dropout mask is drawn once and shared
-    between forward and backward.
+    between forward and backward. The gradients are written into ``out``
+    (ModelParams over one flat buffer of the batch's dtype) when given,
+    else into a new buffer.
     """
     z, mask, y = batch
     if z.shape[0] == 0:
@@ -254,7 +256,7 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
     # loss_i = softplus(logit) - y * logit;  dloss/dlogit = sigmoid(logit) - y
     loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
     dlogit = (_sigmoid(logit) - y) / z.shape[0]
-    grads = _backward_batch(dlogit, cache, params)
+    grads = _backward_batch(dlogit, cache, params, out)
     return loss, grads
 
 
@@ -363,6 +365,10 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
         best_auc = -1.0
         # one kept buffer that improved parameters are copied into
         best_params = params.copy()
+        # and one that every step's gradients are written into: a new one
+        # per step made the allocator give the heap top back to the system
+        # and fault it in again at every step
+        grads = _flat_params(params.tensors(), copy=False)
         history = []
         for epoch in range(1, config.epochs + 1):
             t0 = time.monotonic()
@@ -370,12 +376,11 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
             total = 0.0
             for start in range(0, n, config.batch_size):
                 index = perm[start:start + config.batch_size]
-                # no name keeps the batch or the gradients past the step,
-                # so the next step's are built after they are freed
-                loss, grads = loss_and_gradients(records.batch(index, params.W.dtype),
-                                                 params, config, rng)
+                # no name keeps the batch past the step, so the next one is
+                # built after it is freed
+                loss, _ = loss_and_gradients(records.batch(index, params.W.dtype),
+                                             params, config, rng, grads)
                 opt.step(params, grads)
-                del grads
                 total += loss * index.shape[0]
             if epoch_times is not None:
                 epoch_times.append(time.monotonic() - t0)

@@ -33,12 +33,12 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import Graph, _common_neighbors, normalized_adjacency
+from .graphs import (CSRMatrix, Graph, _common_neighbors, _entries,
+                     normalized_adjacency)
 from .labeling import LabelScheme, label_dim_for, node_labels
-from .sampling import (Subgraph, _hop_sizes, _unique, graph_power,
-                       hop_subgraphs, walk_subgraphs)
+from .sampling import (Subgraph, _hop_sizes, graph_power, hop_subgraphs,
+                       walk_subgraphs)
 
 _MAGIC = b"S3GR"
 _VERSION = 1
@@ -91,9 +91,6 @@ CHUNK_LINKS = 64
 # Bytes a RecordFile reads at a time while it verifies and indexes a file;
 # a file that fits in one piece is kept whole. Bounds a reader's memory.
 READ_PIECE = 2 << 20
-# Feature columns gathered (as float64) per sparse product, which bounds
-# the gather for wide features.
-_FEATURE_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -247,16 +244,50 @@ def _pooled_ids(graph: Graph, u: np.ndarray, v: np.ndarray,
     return ids, starts
 
 
-def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
+def _block_product(y: CSRMatrix, a: CSRMatrix, lo: np.ndarray,
+                   size: np.ndarray) -> CSRMatrix:
+    """``y @ a`` for rows that stay in their link's block: row i of y and of
+    the product lies in the columns ``lo[i]:lo[i] + size[i]``.
+
+    The entries come out as the classic row-by-row sparse product loop
+    gives them: each sum is added up in y's stored order, exact-zero sums
+    are dropped and each row lists its columns in reverse order of first
+    touch. That order is the next power's summation order, so keeping it
+    keeps normalized records bit for bit equal to that loop's. The sums sit
+    in one dense accumulator over the rows' blocks, row i's at
+    ``start[i] + column - lo[i]``.
+    """
+    counts, at = _entries(a.indptr, y.indices)
+    start = np.zeros(y.shape[0] + 1, dtype=np.int64)
+    np.cumsum(size, out=start[1:])
+    key = np.repeat((start[:-1] - lo)[y._rows()], counts) + a.indices[at]
+    sums = np.bincount(key, weights=np.repeat(y.data, counts) * a.data[at],
+                       minlength=start[-1])
+    first = np.full(start[-1], key.shape[0])
+    np.minimum.at(first, key, np.arange(key.shape[0]))
+    # The first touches of the nonzero sums, row by row, each row's in
+    # reverse: row r's products are entries e[r]:e[r + 1].
+    touch = np.zeros(key.shape[0], dtype=bool)
+    touch[first[sums != 0]] = True
+    touch = np.flatnonzero(touch)
+    e = np.concatenate(([0], np.cumsum(counts)))[y.indptr]
+    row = np.searchsorted(e, touch, side="right") - 1
+    indptr = np.zeros(y.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=y.shape[0]), out=indptr[1:])
+    key = key[touch[indptr[row] + indptr[row + 1] - 1 - np.arange(touch.shape[0])]]
+    return CSRMatrix(indptr, key - start[row] + lo[row], sums[key], y.shape)
+
+
+def _diffuse(sub: Subgraph, features: CSRMatrix, pooled_link: np.ndarray,
              pooled: np.ndarray, config: SamplingOperatorSet, r: int) -> np.ndarray:
     """Rows of A^i [one-hot labels | X] at the pooled nodes, for i in 0..r.
 
     ``pooled[j]`` is a global id looked up in block ``pooled_link[j]`` of
     ``sub``; a node the block lacks gets zero rows. A is the block-diagonal
     adjacency (degree-normalized when the config asks), so each power is one
-    sparse product for every link at once. ``features`` are the raw rows
-    of the whole graph; only the rows the products touch are gathered, a
-    slice of columns at a time. Returns (r+1, len(pooled), w) float32.
+    sparse product for every link at once. ``features`` are the graph's
+    feature rows (``Graph._feature_rows``). Returns (r+1, len(pooled), w)
+    float32.
     """
     labels = node_labels(sub, config.labeling, config.label_cap)
     label_dim = config.label_dim()
@@ -265,36 +296,29 @@ def _diffuse(sub: Subgraph, features: np.ndarray, pooled_link: np.ndarray,
     found = at >= 0
     indptr = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(found, out=indptr[1:])
-    y = sp.csr_matrix((np.ones(indptr[-1]), at[found], indptr),
-                      shape=(p, sub.num_nodes))
+    y = CSRMatrix(indptr, at[found], np.ones(indptr[-1]), (p, sub.num_nodes))
     a = normalized_adjacency(sub) if config.normalized else sub.adjacency()
-    series = [y]
-    for _ in range(r):
-        # A is symmetric, so y A gives the pooled rows of the next power.
-        series.append(series[-1] @ a)
-    out = np.empty((r + 1, p, label_dim + features.shape[1]), dtype=np.float32)
-    for i, y in enumerate(series):
-        row = np.repeat(np.arange(p), np.diff(y.indptr))
+    lo = sub.starts[pooled_link]
+    size = sub.starts[pooled_link + 1] - lo
+    width = features.shape[1]
+    out = np.empty((r + 1, p, label_dim + width), dtype=np.float32)
+    for i in range(r + 1):
+        if i:
+            # A is symmetric, so y A gives the pooled rows of the next power.
+            y = _block_product(y, a, lo, size)
+        row = y._rows()
         out[i, :, :label_dim] = np.bincount(
             row * label_dim + labels[y.indices], weights=y.data,
             minlength=p * label_dim).reshape(p, label_dim)
-    # All powers against the feature rows they touch, in column slices.
-    reached = np.zeros(sub.num_nodes, dtype=bool)
-    for y in series:
-        reached[y.indices] = True
-    touched = _unique(sub.global_ids[reached])
-    column = np.searchsorted(touched, sub.global_ids)
-    # All powers' rows stacked, operator-major, as one CSR matrix.
-    indptr = np.zeros((r + 1) * p + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(y.indptr) for y in series]), out=indptr[1:])
-    by_id = sp.csr_matrix((np.concatenate([y.data for y in series]),
-                           column[np.concatenate([y.indices for y in series])],
-                           indptr), shape=((r + 1) * p, touched.shape[0]))
-    by_id.sort_indices()
-    for lo in range(0, features.shape[1], _FEATURE_COLUMNS):
-        hi = min(lo + _FEATURE_COLUMNS, features.shape[1])
-        x = features[touched, lo:hi].astype(np.float64)
-        out[:, :, label_dim + lo:label_dim + hi] = (by_id @ x).reshape(r + 1, p, -1)
+        # y X, each (row, feature) sum taken over the row's entries by
+        # global id
+        ids = sub.global_ids[y.indices]
+        order = np.argsort(row * features.shape[0] + ids)
+        counts, at = _entries(features.indptr, ids[order])
+        out[i, :, label_dim:] = np.bincount(
+            np.repeat(row[order] * width, counts) + features.indices[at],
+            weights=np.repeat(y.data[order], counts) * features.data[at],
+            minlength=p * width).reshape(p, width)
     return out
 
 
@@ -310,8 +334,7 @@ def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
     if not np.isin(links[:, 2], (0, 1)).all():
         raise ValueError("link label must be 0 or 1")
     u, v = links[:, 0], links[:, 1]
-    features = (graph.features if graph.features is not None
-                else np.ones((graph.num_nodes, 1), dtype=np.float32))
+    features = graph._feature_rows
     if config.variant in _SCALED_VARIANTS:
         seeds = [_walk_seed(seed, *map(int, link)) for link in links]
         unions = walk_subgraphs(graph, u, v, config.k, config.l, seeds)
@@ -756,10 +779,9 @@ def _built_chunks(graph, config, seed, chunks, worker_count):
     power_cache = _power_cache_for(graph, config)
     args = (graph, config, seed, power_cache)
     if worker_count > 1 and chunks:
-        # Build each graph's A + I before the fork, so the workers share
-        # one copy instead of each building its own.
-        for g in (graph, *power_cache.values()):
-            g._closed_adjacency
+        # Build the feature rows before the fork, so the workers share one
+        # copy instead of each building its own.
+        graph._feature_rows
         ctx = mp.get_context("fork")
         with ctx.Pool(worker_count, initializer=_init_worker,
                       initargs=args) as pool:

@@ -1,24 +1,24 @@
 """Link subgraph extraction: hop neighborhoods, graph powers, random walks.
 
 Extraction works a chunk of links at a time. The node sets of all links
-are found at once (h-hop reach as boolean sparse powers of A + I, or each
-link's seeded random walks), and the induced subgraphs are laid out as one
-disjoint-union (block-diagonal) CSR graph, a ``Subgraph`` with one block
-per link. Every block has its target edge (u, v) removed, so positive and
-negative links are structurally indistinguishable to downstream stages.
-Inside a block, node 0 is u, node 1 is v and the rest follow in ascending
-global id order; a one-link call is a chunk of one. ``hop_distances`` is
-the neighborhood primitive for labeling: a multi-source frontier expansion
-over a CSR neighbor gather.
+are found at once (h-hop reach as sorted ``link * num_nodes + node``
+keys, grown a hop at a time, or each link's seeded random walks), and the
+induced subgraphs are laid out as one disjoint-union (block-diagonal) CSR
+graph, a ``Subgraph`` with one block per link. Every block has its target
+edge (u, v) removed, so positive and negative links are structurally
+indistinguishable to downstream stages. Inside a block, node 0 is u,
+node 1 is v and the rest follow in ascending global id order; a one-link
+call is a chunk of one. ``hop_distances`` is the neighborhood primitive
+for labeling: a multi-source frontier expansion over a CSR neighbor
+gather.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import Graph, _link_arrays, build_graph
+from .graphs import Graph, _entries, _link_arrays, _neighbor_keys, build_graph
 
 UNREACHABLE = -1
 
@@ -62,21 +62,8 @@ class Subgraph:
                                self.num_nodes - 1)]
         return np.where(keys[pos] == want, pos, -1)
 
-    def adjacency(self, dtype=np.float64) -> sp.csr_matrix:
-        data = np.ones(self.indices.shape[0], dtype=dtype)
-        return sp.csr_matrix(
-            (data, self.indices.astype(np.int64), self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
-
-def _gather(indptr: np.ndarray, indices: np.ndarray,
-            nodes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``nodes``, in the order given."""
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return indices[offsets + np.arange(offsets.shape[0])]
+    # the union's block-diagonal adjacency matrix, as for a Graph
+    adjacency = Graph.adjacency
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -111,7 +98,7 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
     depth = 0
     while frontier.shape[0] and (max_depth is None or depth < max_depth):
         depth += 1
-        reached = _gather(indptr, indices, frontier)
+        reached = indices[_entries(indptr, frontier)[1]]
         frontier = _unique(reached[dist[reached] == UNREACHABLE])
         dist[frontier] = depth
     if blocked is not None:
@@ -131,10 +118,10 @@ def _block_positions(graph: Graph, ids: np.ndarray, starts: np.ndarray,
     my block, and where?" in O(1) per entry, and is cleared again, so it
     is all -1 on return.
     """
-    counts = graph.indptr[ids + 1] - graph.indptr[ids]
+    counts, at = _entries(graph.indptr, ids)
     entry_starts = np.zeros(ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=entry_starts[1:])
-    nbr = _gather(graph.indptr, graph.indices, ids)
+    nbr = graph.indices[at]
     position = np.arange(ids.shape[0], dtype=np.int32)
     dst = np.empty(nbr.shape[0], dtype=np.int32)
     node_at, entry_at = starts.tolist(), entry_starts[starts].tolist()
@@ -214,22 +201,23 @@ def _unions(graph: Graph, u: np.ndarray, v: np.ndarray, keys: np.ndarray):
                            table)
 
 
-def _hop_reach(graph: Graph, u: np.ndarray, v: np.ndarray, h: int) -> sp.csr_matrix:
-    """Boolean (links x nodes) CSR matrix whose row b holds the nodes
-    within h hops of u[b] or v[b], in no particular order.
+def _reach(graph: Graph, keys: np.ndarray, hops: int) -> np.ndarray:
+    """Sorted distinct keys ``b * num_nodes + node`` of the nodes within
+    ``hops`` hops of row b's nodes in ``keys``, for every row b."""
+    for _ in range(hops):
+        keys = _unique(np.concatenate([keys, _neighbor_keys(graph, keys)]))
+    return keys
+
+
+def _hop_keys(graph: Graph, u: np.ndarray, v: np.ndarray, h: int) -> np.ndarray:
+    """Sorted keys ``b * num_nodes + node`` of the nodes within h hops of
+    u[b] or v[b].
 
     The reach starts from both endpoints at depth 0, so a target edge
     never pulls a node in: the hop limit holds on the graph without it.
     """
-    links = u.shape[0]
-    reach = sp.csr_matrix(
-        (np.ones(2 * links, dtype=bool), np.stack([u, v], axis=1).ravel(),
-         np.arange(0, 2 * links + 1, 2)),
-        shape=(links, graph.num_nodes))
-    step = graph._closed_adjacency
-    for _ in range(h):
-        reach = reach @ step
-    return reach
+    row = np.arange(u.shape[0]) * graph.num_nodes
+    return _reach(graph, _unique(np.concatenate([row + u, row + v])), h)
 
 
 def hop_subgraphs(graph: Graph, u, v, h: int):
@@ -243,31 +231,32 @@ def hop_subgraphs(graph: Graph, u, v, h: int):
     u, v = _link_arrays(graph, u, v)
     if h < 1:
         raise ValueError("h must be >= 1")
-    reach = _hop_reach(graph, u, v, h)
-    keys = np.sort(np.repeat(np.arange(u.shape[0]) * graph.num_nodes,
-                             np.diff(reach.indptr)) + reach.indices)
-    return _unions(graph, u, v, keys)
+    return _unions(graph, u, v, _hop_keys(graph, u, v, h))
 
 
 def _hop_sizes(graph: Graph, u, v, h: int) -> tuple[int, int]:
     """Total nodes and edges of the blocks ``hop_subgraphs`` gives for
     links (u[b], v[b]), counted without building them.
 
-    Nodes come from the reach rows. Edges are the neighbor entries that
-    stay inside their block, halved, less one for every adjacent (u, v).
+    Nodes are the reach keys. Edges are the neighbor entries that stay
+    inside their block, halved, less one for every adjacent (u, v).
     """
     u, v = _link_arrays(graph, u, v)
-    reach = _hop_reach(graph, u, v, h)
-    bounds = _runs(graph, reach.indices, reach.indptr)
+    blk, ids = np.divmod(_hop_keys(graph, u, v, h), graph.num_nodes)
+    key_starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
+    bounds = _runs(graph, ids, key_starts)
     table = np.full(graph.num_nodes, -1, dtype=np.int32)
     inside = 0
     for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()):
-        k_lo, k_hi = reach.indptr[lo], reach.indptr[hi]
-        _, dst = _block_positions(graph, reach.indices[k_lo:k_hi],
-                                  reach.indptr[lo:hi + 1] - k_lo, table)
+        k_lo, k_hi = key_starts[lo], key_starts[hi]
+        _, dst = _block_positions(graph, ids[k_lo:k_hi],
+                                  key_starts[lo:hi + 1] - k_lo, table)
         inside += int(np.count_nonzero(dst >= 0))
-    adjacent = np.count_nonzero(graph._closed_adjacency[u, v])
-    return reach.nnz, inside // 2 - int(adjacent)
+    # u[b] and v[b] are adjacent where v's key is also a key of u's row
+    row = np.arange(u.shape[0]) * graph.num_nodes
+    keys = np.sort(np.concatenate([_neighbor_keys(graph, row + u), row + v]))
+    adjacent = np.count_nonzero(keys[1:] == keys[:-1])
+    return ids.shape[0], inside // 2 - int(adjacent)
 
 
 def _walk_nodes(graph: Graph, u: int, v: int, k: int, l: int,
@@ -317,7 +306,7 @@ def walk_subgraphs(graph: Graph, u, v, k: int, l: int, seeds):
 def graph_power(graph: Graph, i: int) -> Graph:
     """Graph with an edge wherever the geodesic distance in ``graph`` is in [1, i].
 
-    The reach sets are boolean sparse powers of A + I. Power 1 returns an
+    Node x's row of the power is its i-hop reach. Power 1 returns an
     identical copy. Features carry over unchanged.
     """
     if i < 1:
@@ -325,11 +314,8 @@ def graph_power(graph: Graph, i: int) -> Graph:
     if i == 1:
         return Graph(graph.num_nodes, graph.indptr.copy(),
                      graph.indices.copy(), graph.features)
-    step = graph._closed_adjacency
-    reach = step
-    for _ in range(i - 1):
-        reach = reach @ step
-    reach = reach.tocoo()
-    keep = reach.row < reach.col
-    edges = np.stack([reach.row[keep], reach.col[keep]], axis=1)
+    n = graph.num_nodes
+    row, col = np.divmod(_reach(graph, np.arange(n) * (n + 1), i), n)
+    keep = row < col
+    edges = np.stack([row[keep], col[keep]], axis=1)
     return build_graph(graph.num_nodes, edges, features=graph.features)

@@ -93,6 +93,17 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x"}, "sampling": {"r": 0}}, r"^sampling\.r: "),
     ({"dataset": {"name": "x"}, "sampling": {"ccn_cap": -1}},
      r"^sampling\.ccn_cap: "),
+    # JSON booleans are not numbers
+    ({"dataset": {"name": "x"}, "sampling": {"h": True}}, r"^sampling\.h: "),
+    ({"dataset": {"name": "x"}, "sampling": {"r": True}}, r"^sampling\.r: "),
+    ({"dataset": {"name": "x"}, "training": {"epochs": True}},
+     r"^training\.epochs: "),
+    ({"dataset": {"name": "x"}, "training": {"dropout": True}},
+     r"^training\.dropout: "),
+    ({"dataset": {"name": "x"}, "training": {"lr": False}}, r"^training\.lr: "),
+    ({"dataset": {"name": "x"}, "workers": True}, "^workers: "),
+    ({"dataset": {"name": "x"}, "runs": {"seeds": [True]}}, r"^runs\.seeds: "),
+    ({"dataset": {"name": "x"}, "eval": {"hits_k": [True]}}, r"^eval\.hits_k: "),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

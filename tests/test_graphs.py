@@ -7,7 +7,7 @@ from difflink import (Graph, GraphFormatError, build_graph, load_edge_list,
                       split_edges)
 from difflink.graphs import _common_neighbors
 
-from conftest import gnp_graph
+from conftest import gnp_graph, hub_graph, hub_links
 from oracles import normalized_dense, to_nx
 
 
@@ -233,13 +233,15 @@ def test_common_neighbors():
 
 
 def test_common_neighbors_matches_networkx():
+    # hub graphs give pairs with many common neighbours, adjacent pairs and
+    # repeated and reversed pairs; output is sorted by pair, then id
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        g = gnp_graph(rng)
+    for trial in range(20):
+        g = hub_graph(rng, isolated=True) if trial % 2 else gnp_graph(rng, 8, 20)
         nxg = to_nx(g)
-        pairs = rng.integers(g.num_nodes, size=(5, 2))
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        pair, cn = _common_neighbors(g, pairs[:, 0], pairs[:, 1])
-        for b, (u, v) in enumerate(pairs.tolist()):
-            expected = sorted(set(nxg.neighbors(u)) & set(nxg.neighbors(v)))
-            assert cn[pair == b].tolist() == expected
+        u, v = hub_links(rng, g.num_nodes)
+        pair, cn = _common_neighbors(g, u, v)
+        expected = [(b, w) for b in range(u.shape[0])
+                    for w in sorted(set(nxg.neighbors(int(u[b])))
+                                    & set(nxg.neighbors(int(v[b]))))]
+        assert list(zip(pair.tolist(), cn.tolist())) == expected

@@ -13,10 +13,8 @@ def _labeled_rows(graph, sub, scheme, label_cap=100):
     """Record rows of operator 0 for every node of a one-link subgraph: the
     [one-hot label | raw features] layout, as precompute builds it."""
     config = SamplingOperatorSet(variant="PoS", labeling=scheme, label_cap=label_cap)
-    raw = (graph.features if graph.features is not None
-           else np.ones((graph.num_nodes, 1), dtype=np.float32))
     block = np.zeros(sub.num_nodes, dtype=np.int64)
-    return _diffuse(sub, raw, block, sub.global_ids, config, 0)[0]
+    return _diffuse(sub, graph._feature_rows, block, sub.global_ids, config, 0)[0]
 
 
 def test_zero_one_labels():

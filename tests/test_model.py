@@ -120,6 +120,22 @@ def test_duplicated_batch_keeps_mean_loss_and_grads():
         assert np.allclose(t, g2.tensors()[k], rtol=1e-5, atol=1e-7)
 
 
+def test_gradients_written_into_out_match_a_new_buffer():
+    # train writes every step's gradients into one kept buffer
+    rng = np.random.default_rng(8)
+    batch = stack_reference([_random_record(rng, label=i % 2) for i in range(3)])
+    params = _random_params(rng, 15, 6, Pooling.CCN)
+    cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
+    _, fresh = loss_and_gradients(batch, params, cfg)
+    out = fresh.copy()
+    for t in out.tensors().values():
+        t[...] = np.nan
+    _, written = loss_and_gradients(batch, params, cfg, out=out)
+    assert written is out
+    for k, t in fresh.tensors().items():
+        assert np.array_equal(t, out.tensors()[k])
+
+
 def _relative_grad_error(batch, params, cfg, seed, samples=10):
     """Max relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)

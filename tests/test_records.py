@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -420,33 +421,35 @@ def test_precompute_worker_count_invariance(tmp_path, variant, extra):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("variant,graphs", [("PoS", 1), ("PoSPlus", 1),
-                                            ("SoP", 3)])
+                                            ("SoP", 1)])
 def test_operands_are_built_once_per_graph(tmp_path, monkeypatch, workers,
                                            variant, graphs):
-    # 150 links are three chunks. A + I (reach steps, graph powers, CCN
-    # common neighbours) is built once for G, and SoP builds one more for
-    # each of its power graphs G^2 and G^3, never one per chunk.
+    # 150 links are three chunks. The feature rows every chunk's powers are
+    # multiplied by are built once for G, before the pool forks, never once
+    # per chunk. SoP samples on G^2 and G^3 too, but diffuses G's features.
     rng = np.random.default_rng(57)
     g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12)
     links = _mixed_links(rng, g, 150)
     assert links.shape[0] > 2 * CHUNK_LINKS
     builds = []
-    adjacency = Graph.adjacency
+    feature_rows = Graph.__dict__["_feature_rows"].func
 
-    def counted(self, dtype=np.float64):
+    def counted(self):
         builds.append(self)
-        return adjacency(self, dtype)
+        return feature_rows(self)
 
-    monkeypatch.setattr(Graph, "adjacency", counted)
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(Graph, "_feature_rows")
+    monkeypatch.setattr(Graph, "_feature_rows", counted_property)
     cfg = SamplingOperatorSet(variant=variant, r=3, h=1)
     precompute_dataset(g, links, cfg, tmp_path / "a.rec", worker_count=workers)
     assert len(builds) == graphs
     assert len({id(graph) for graph in builds}) == graphs
     assert builds[0] is g
     builds.clear()
-    fresh = Graph(g.num_nodes, g.indptr, g.indices)
-    storage_comparison(fresh, links, cfg)
-    assert len(builds) == 1 and builds[0] is fresh
+    # storage sizes come from the reach alone
+    storage_comparison(Graph(g.num_nodes, g.indptr, g.indices), links, cfg)
+    assert builds == []
 
 
 def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
@@ -606,9 +609,8 @@ def test_chunk_engine_on_empty_link_list(tmp_path, variant):
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_records_do_not_depend_on_how_a_chunk_is_split(tmp_path, monkeypatch,
                                                        variant):
-    # dense graphs split a chunk into several unions, wide features are
-    # gathered a slice of columns at a time; neither may change a byte
-    import difflink.records as records
+    # dense graphs split a chunk into several unions, which may not change
+    # a byte
     import difflink.sampling as sampling
 
     rng = np.random.default_rng(55)
@@ -619,7 +621,6 @@ def test_records_do_not_depend_on_how_a_chunk_is_split(tmp_path, monkeypatch,
     whole = tmp_path / "whole.rec"
     precompute_dataset(g, links, cfg, whole, seed=2)
     monkeypatch.setattr(sampling, "UNION_ENTRIES", 16)
-    monkeypatch.setattr(records, "_FEATURE_COLUMNS", 1)
     unions = list(sampling.hop_subgraphs(g, links[:, 0], links[:, 1], 2))
     assert len(unions) > 1
     assert sum(len(sub.starts) - 1 for sub in unions) == links.shape[0]
