@@ -7,7 +7,9 @@ after every phase of every iteration (precompute, storage, train, score,
 evaluate) the process records its peak RSS so far (``ru_maxrss``), so the
 first phase whose row rises is the one that set the peak. As in the benchmark, each iteration
 ends with perfbench's output checks, which read every record file back
-(the ``check`` row). BLAS threads are capped as the benchmark caps them.
+(the ``check`` row). The ``inputs`` row also gives ``features_mb``, the
+bytes the observed graph's node features hold. BLAS threads are capped as
+the benchmark caps them.
 
     PYTHONPATH=src python scripts/memory_probe.py --out memory.json
 
@@ -38,6 +40,14 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def features_mb(graph) -> float:
+    """MB held by ``graph``'s node features (0 when it has none)."""
+    x = graph.features
+    if x is None:
+        return 0.0
+    return (x.indptr.nbytes + x.indices.nbytes + x.data.nbytes) / 2**20
+
+
 def probe(name: str, iterations: int, pairs: int | None) -> list:
     """(phase, iteration, peak RSS in MB) rows of one workload, in order."""
     import checks
@@ -48,7 +58,8 @@ def probe(name: str, iterations: int, pairs: int | None) -> list:
         w = dataclasses.replace(w, pairs=(pairs,) * len(w.pairs))
     rows = []
     inputs = make_inputs(w, SEED)
-    rows.append({"phase": "inputs", "iteration": 0, "peak_rss_mb": peak_rss_mb()})
+    rows.append({"phase": "inputs", "iteration": 0, "peak_rss_mb": peak_rss_mb(),
+                 "features_mb": features_mb(inputs.split.observed_graph)})
     with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
         for i in range(iterations):
 
@@ -87,8 +98,10 @@ def main(argv=None) -> int:
             rows = pool.apply(probe, (name, args.iterations, args.pairs))
         result["workloads"][name] = rows
         for row in rows:
+            extra = (f"  (features {row['features_mb']:.2f} MB)"
+                     if "features_mb" in row else "")
             print(f"{name:10s} it{row['iteration']} {row['phase']:10s} "
-                  f"{row['peak_rss_mb']:8.1f} MB")
+                  f"{row['peak_rss_mb']:8.1f} MB{extra}")
     text = json.dumps(result, indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n")

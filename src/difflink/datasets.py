@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, build_graph, load_edge_list, load_features
+from .graphs import CSRMatrix, Graph, build_graph, load_edge_list, load_features
 
 DATA_ENV = "DIFFLINK_DATA"
 
@@ -105,14 +105,15 @@ def preferential_graph(n: int, attach: int, seed: int = 0,
     return build_graph(n, edges)
 
 
-def binary_features(n: int, dim: int, ones_per_row: int, seed: int = 0) -> np.ndarray:
-    """Sparse 0/1 feature rows like bag-of-words document vectors."""
+def binary_features(n: int, dim: int, ones_per_row: int, seed: int = 0) -> CSRMatrix:
+    """Sparse 0/1 feature rows like bag-of-words document vectors: an
+    ``(n, dim)`` CSRMatrix with ``ones_per_row`` distinct columns a row."""
     rng = np.random.default_rng(seed)
-    out = np.zeros((n, dim), dtype=np.float32)
-    for i in range(n):
-        cols = rng.choice(dim, size=ones_per_row, replace=False)
-        out[i, cols] = 1.0
-    return out
+    cols = np.array([rng.choice(dim, size=ones_per_row, replace=False)
+                     for _ in range(n)], dtype=np.int32).reshape(n, ones_per_row)
+    return CSRMatrix(np.arange(n + 1, dtype=np.int64) * ones_per_row,
+                     np.sort(cols, axis=1).ravel(),
+                     np.ones(n * ones_per_row, dtype=np.float32), (n, dim))
 
 
 def cora_like(seed: int = 0) -> Graph:

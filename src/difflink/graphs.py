@@ -58,16 +58,23 @@ class CSRMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph in CSR form, optionally with dense node features.
+    """Undirected graph in CSR form, optionally with sparse node features.
 
     ``indices[indptr[u]:indptr[u + 1]]`` is the sorted neighbor list of
-    node ``u``. ``features`` is ``(num_nodes, d)`` float32 or None.
+    node ``u``. ``features`` is None or a ``(num_nodes, d)`` CSRMatrix of
+    the nonzero feature values: float32 data, int32 columns, ascending in
+    every row. ``toarray()`` gives the dense matrix. A CSRMatrix passed in
+    is kept as it is; a dense array is converted to its nonzero entries.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    features: np.ndarray | None = None
+    features: CSRMatrix | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "features",
+                           _sparse_features(self.features, self.num_nodes))
 
     @property
     def num_edges(self) -> int:
@@ -110,19 +117,14 @@ class Graph:
 
     @cached_property
     def _feature_rows(self) -> CSRMatrix:
-        """The nonzero feature entries as float64 CSR (one column of ones
-        when the graph is unattributed), built on first use and kept with
-        the graph.
-
-        Diffusion multiplies every chunk's powers by it, so it is built once
-        per graph, not once per chunk.
-        """
-        x = (self.features if self.features is not None
-             else np.ones((self.num_nodes, 1), dtype=np.float32))
-        row, col = np.nonzero(x)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=self.num_nodes), out=indptr[1:])
-        return CSRMatrix(indptr, col, x[row, col].astype(np.float64), x.shape)
+        """The feature rows diffusion multiplies by: ``features`` itself, or
+        one column of ones when the graph is unattributed, built on first
+        use and kept with the graph, not rebuilt once per chunk."""
+        if self.features is not None:
+            return self.features
+        n = self.num_nodes
+        return CSRMatrix(np.arange(n + 1), np.zeros(n, dtype=np.int32),
+                         np.ones(n, dtype=np.float32), (n, 1))
 
     def same_structure(self, other: "Graph") -> bool:
         """True if both graphs have identical node count and adjacency."""
@@ -133,11 +135,39 @@ class Graph:
         )
 
 
-def build_graph(num_nodes: int, edges, features: np.ndarray | None = None) -> Graph:
+def _sparse_features(features, num_nodes: int) -> CSRMatrix | None:
+    """``features`` as a Graph holds them: None, or float32 CSR rows.
+
+    A CSRMatrix is shape-checked and kept as it is. Anything else is read
+    as a dense ``(num_nodes, d)`` array and only its nonzero entries kept.
+    """
+    if features is None:
+        return None
+    x = (features if isinstance(features, CSRMatrix)
+         else np.asarray(features, dtype=np.float32))
+    if len(x.shape) != 2 or x.shape[0] != num_nodes:
+        raise ValueError(f"features must be (num_nodes, d), got {x.shape} "
+                         f"for {num_nodes} nodes")
+    if isinstance(x, CSRMatrix):
+        return x
+    row, col = np.nonzero(x)
+    return CSRMatrix(_row_offsets(row, num_nodes), col.astype(np.int32),
+                     x[row, col], x.shape)
+
+
+def _row_offsets(row: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR ``indptr`` of entries whose ascending row ids are ``row``."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=num_rows), out=indptr[1:])
+    return indptr
+
+
+def build_graph(num_nodes: int, edges, features=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
     Self-loops are dropped, duplicates and orientation collapse to a single
-    undirected edge. Ids must lie in [0, num_nodes).
+    undirected edge. Ids must lie in [0, num_nodes). ``features`` is None,
+    a CSRMatrix or a dense ``(num_nodes, d)`` array, as Graph takes them.
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
@@ -158,13 +188,8 @@ def build_graph(num_nodes: int, edges, features: np.ndarray | None = None) -> Gr
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    if features is not None:
-        features = np.asarray(features, dtype=np.float32)
-        if features.ndim != 2 or features.shape[0] != num_nodes:
-            raise ValueError("features must be (num_nodes, d)")
-    return Graph(num_nodes, indptr, dst.astype(np.int32), features)
+    return Graph(num_nodes, _row_offsets(src, num_nodes), dst.astype(np.int32),
+                 features)
 
 
 def load_edge_list(path, comment_prefix: str = "#",
@@ -218,35 +243,42 @@ def save_edge_list(graph: Graph, path) -> None:
 
 
 def load_features(path, graph: Graph) -> Graph:
-    """Attach a dense node-feature matrix read from a text file.
+    """Attach node features read from a text file, kept as sparse rows.
 
     One row per node, values separated by commas or whitespace. Row count
-    must equal ``graph.num_nodes`` and all rows must have equal width.
+    must equal ``graph.num_nodes``, all rows must have equal width and
+    every value must be finite as a float32.
     """
     path = Path(path)
-    rows = []
+    cols, vals = [], []
     width = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = line.replace(",", " ").split()
             try:
-                row = [float(x) for x in vals]
+                row = np.array([float(x) for x in line.replace(",", " ").split()])
             except ValueError:
                 raise GraphFormatError(
                     f"{path}:{lineno}: non-numeric feature value") from None
             if width is None:
-                width = len(row)
-            elif len(row) != width:
+                width = row.shape[0]
+            elif row.shape[0] != width:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: row has {len(row)} values, expected {width}")
-            rows.append(row)
-    if len(rows) != graph.num_nodes:
+                    f"{path}:{lineno}: row has {row.shape[0]} values, expected {width}")
+            with np.errstate(over="ignore"):
+                row = row.astype(np.float32)
+            if not np.isfinite(row).all():
+                raise GraphFormatError(
+                    f"{path}:{lineno}: feature value is not a finite float32")
+            cols.append(np.flatnonzero(row).astype(np.int32))
+            vals.append(row[cols[-1]])
+    if len(cols) != graph.num_nodes:
         raise GraphFormatError(
-            f"{path}: {len(rows)} feature rows for {graph.num_nodes} nodes")
-    feats = np.asarray(rows, dtype=np.float32)
+            f"{path}: {len(cols)} feature rows for {graph.num_nodes} nodes")
+    feats = CSRMatrix(np.cumsum([0] + [c.shape[0] for c in cols]),
+                      np.concatenate(cols), np.concatenate(vals), (len(cols), width))
     return Graph(graph.num_nodes, graph.indptr, graph.indices, feats)
 
 
@@ -421,8 +453,9 @@ def _read_pairs(path) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64)
 
 
-def load_split(in_dir, features: np.ndarray | None = None) -> EdgeSplit:
-    """Read back a split written by save_split; optionally reattach features."""
+def load_split(in_dir, features=None) -> EdgeSplit:
+    """Read back a split written by save_split; optionally reattach node
+    features, a CSRMatrix or a dense array as Graph takes them."""
     in_dir = Path(in_dir)
     with open(in_dir / "split.json") as fh:
         manifest = json.load(fh)
@@ -430,7 +463,7 @@ def load_split(in_dir, features: np.ndarray | None = None) -> EdgeSplit:
                               num_nodes=int(manifest["num_nodes"]))
     if features is not None:
         observed = Graph(observed.num_nodes, observed.indptr, observed.indices,
-                         np.asarray(features, dtype=np.float32))
+                         features)
     parts = {}
     for name in _SPLIT_PARTS:
         arr = _read_pairs(in_dir / f"{name}.txt")

@@ -362,12 +362,10 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
         opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
         n = len(records)
         labels = valid_records.labels
-        best_auc = -1.0
-        # one kept buffer that improved parameters are copied into
-        best_params = params.copy()
-        # and one that every step's gradients are written into: a new one
-        # per step made the allocator give the heap top back to the system
-        # and fault it in again at every step
+        best_auc, best_params = -1.0, None
+        # one kept buffer that every step's gradients are written into: a
+        # new one per step made the allocator give the heap top back to the
+        # system and fault it in again at every step
         grads = _flat_params(params.tensors(), copy=False)
         history = []
         for epoch in range(1, config.epochs + 1):
@@ -390,7 +388,15 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
                             "valid_auc": val_auc})
             if val_auc > best_auc:
                 best_auc = val_auc
-                np.copyto(_flat(best_params), _flat(params))
+                # a best last epoch needs no copy, as nothing trains its
+                # parameters further; an earlier best is copied into one
+                # kept buffer
+                if epoch == config.epochs:
+                    best_params = params
+                elif best_params is None:
+                    best_params = params.copy()
+                else:
+                    np.copyto(_flat(best_params), _flat(params))
     return best_params, history
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (CSRMatrix, Graph, _common_neighbors, _entries,
-                     normalized_adjacency)
+                     _row_offsets, normalized_adjacency)
 from .labeling import LabelScheme, label_dim_for, node_labels
 from .sampling import (Subgraph, _hop_sizes, graph_power, hop_subgraphs,
                        walk_subgraphs)
@@ -272,8 +272,7 @@ def _block_product(y: CSRMatrix, a: CSRMatrix, lo: np.ndarray,
     touch = np.flatnonzero(touch)
     e = np.concatenate(([0], np.cumsum(counts)))[y.indptr]
     row = np.searchsorted(e, touch, side="right") - 1
-    indptr = np.zeros(y.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=y.shape[0]), out=indptr[1:])
+    indptr = _row_offsets(row, y.shape[0])
     key = key[touch[indptr[row] + indptr[row + 1] - 1 - np.arange(touch.shape[0])]]
     return CSRMatrix(indptr, key - start[row] + lo[row], sums[key], y.shape)
 
@@ -286,8 +285,8 @@ def _diffuse(sub: Subgraph, features: CSRMatrix, pooled_link: np.ndarray,
     ``sub``; a node the block lacks gets zero rows. A is the block-diagonal
     adjacency (degree-normalized when the config asks), so each power is one
     sparse product for every link at once. ``features`` are the graph's
-    feature rows (``Graph._feature_rows``). Returns (r+1, len(pooled), w)
-    float32.
+    sparse feature rows (``Graph._feature_rows``). Returns
+    (r+1, len(pooled), w) float32.
     """
     labels = node_labels(sub, config.labeling, config.label_cap)
     label_dim = config.label_dim()
@@ -779,8 +778,8 @@ def _built_chunks(graph, config, seed, chunks, worker_count):
     power_cache = _power_cache_for(graph, config)
     args = (graph, config, seed, power_cache)
     if worker_count > 1 and chunks:
-        # Build the feature rows before the fork, so the workers share one
-        # copy instead of each building its own.
+        # An unattributed graph's column of ones is built before the fork,
+        # so the workers share one copy instead of each building its own.
         graph._feature_rows
         ctx = mp.get_context("fork")
         with ctx.Pool(worker_count, initializer=_init_worker,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _entries, _link_arrays, _neighbor_keys, build_graph
+from .graphs import (Graph, _entries, _link_arrays, _neighbor_keys, _row_offsets,
+                     build_graph)
 
 UNREACHABLE = -1
 
@@ -159,9 +160,7 @@ def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
     # Each row lists its neighbors by global id; u and v move to the
     # front, which sorts the row by union position.
     dst = dst[np.argsort(3 * src + dst_tier, kind="stable")]
-    indptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=ids.shape[0]), out=indptr[1:])
-    return Subgraph(ids, indptr, dst, starts)
+    return Subgraph(ids, _row_offsets(src, ids.shape[0]), dst, starts)
 
 
 # Neighbor-list entries one union may gather. A chunk of links on a sparse
@@ -307,7 +306,7 @@ def graph_power(graph: Graph, i: int) -> Graph:
     """Graph with an edge wherever the geodesic distance in ``graph`` is in [1, i].
 
     Node x's row of the power is its i-hop reach. Power 1 returns an
-    identical copy. Features carry over unchanged.
+    identical copy. The power shares ``graph``'s feature matrix.
     """
     if i < 1:
         raise ValueError("power must be >= 1")

@@ -17,6 +17,18 @@ import networkx as nx
 import numpy as np
 
 
+def dense_binary_features(n: int, dim: int, ones_per_row: int,
+                          seed: int = 0) -> np.ndarray:
+    """``datasets.binary_features`` as a dense float32 array, one row at a
+    time from the same ``rng.choice`` draws."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, dim), dtype=np.float32)
+    for i in range(n):
+        cols = rng.choice(dim, size=ones_per_row, replace=False)
+        out[i, cols] = 1.0
+    return out
+
+
 def link_record(graph, link, config, seed: int = 0):
     """The LinkRecord of one (u, v, label) link: the package's chunk engine
     (``records._link_records``) run on a chunk of one."""
@@ -128,7 +140,7 @@ def dense_record_blocks(graph, link, config, node_sets=None) -> np.ndarray:
     variant = config.variant.value
     r1 = config.r + 1
     label_dim = config.label_dim()
-    raw_all = (graph.features if graph.features is not None
+    raw_all = (graph.features.toarray() if graph.features is not None
                else np.ones((graph.num_nodes, 1)))
 
     pooled = [u, v]

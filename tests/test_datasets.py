@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from difflink import save_edge_list
+from difflink import graph_power, save_edge_list, split_edges
 from difflink.datasets import (DATASET_STATS, SYNTHETIC, binary_features,
-                               find_dataset, preferential_graph, random_graph,
-                               resolve_dataset)
+                               cora_like, find_dataset, preferential_graph,
+                               random_graph, resolve_dataset)
+
+from oracles import dense_binary_features
 
 
 def test_random_graph_exact_edge_count():
@@ -25,10 +27,27 @@ def test_preferential_graph_trims_to_target():
 
 
 def test_binary_features_row_sums():
-    feats = binary_features(30, 50, ones_per_row=7, seed=3)
+    feats = binary_features(30, 50, ones_per_row=7, seed=3).toarray()
     assert feats.shape == (30, 50)
     assert np.all(feats.sum(axis=1) == 7)
     assert set(np.unique(feats)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("n,dim,ones,seed", [(30, 50, 7, 0), (30, 50, 7, 1),
+                                             (30, 50, 7, 2), (2708, 1433, 18, 1)])
+def test_binary_features_match_dense_reference(n, dim, ones, seed):
+    feats = binary_features(n, dim, ones_per_row=ones, seed=seed)
+    assert feats.shape == (n, dim) and feats.data.dtype == np.float32
+    assert np.array_equal(feats.toarray(), dense_binary_features(n, dim, ones, seed))
+    assert np.all(np.diff(feats.indices.reshape(n, ones), axis=1) > 0)
+
+
+def test_cora_like_holds_its_features_once_and_small():
+    g = cora_like(seed=0)
+    x = g.features
+    assert x.indptr.nbytes + x.indices.nbytes + x.data.nbytes < 1 << 20
+    assert split_edges(g, seed=0).observed_graph.features is x
+    assert graph_power(g, 2).features is x
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))

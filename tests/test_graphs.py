@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from difflink import (Graph, GraphFormatError, build_graph, load_edge_list,
                       load_features, load_split, normalized_adjacency,
                       sample_negatives, save_edge_list, save_split,
                       split_edges)
+from difflink.datasets import binary_features
 from difflink.graphs import _common_neighbors
 
 from conftest import gnp_graph, hub_graph, hub_links
@@ -78,7 +81,7 @@ def test_load_features(tmp_path):
     path.write_text("1.0, 2.0\n3 4\n5.5,6.5\n")
     g2 = load_features(path, g)
     assert g2.feature_dim == 2
-    assert np.allclose(g2.features, [[1, 2], [3, 4], [5.5, 6.5]])
+    assert np.allclose(g2.features.toarray(), [[1, 2], [3, 4], [5.5, 6.5]])
 
 
 def test_load_features_errors(tmp_path):
@@ -93,6 +96,47 @@ def test_load_features_errors(tmp_path):
     path.write_text("1 2\n3 oops\n5 6\n")
     with pytest.raises(GraphFormatError, match="non-numeric"):
         load_features(path, g)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39"])
+def test_load_features_rejects_non_finite_values(tmp_path, bad):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "feats.txt"
+    path.write_text(f"1 2\n3 {bad}\n5 6\n")
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}:2: .*finite"):
+        load_features(path, g)
+
+
+def test_load_features_keeps_nonzero_entries_as_sparse_rows(tmp_path):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    path = tmp_path / "feats.txt"
+    path.write_text("# three rows\n0 0 0\n0, -1.5, 0\n2 0 1e-50\n")
+    x = load_features(path, g).features
+    assert x.indptr.tolist() == [0, 0, 1, 2]
+    assert x.indices.dtype == np.int32 and x.data.dtype == np.float32
+    # 1e-50 is zero as a float32, so it is not stored
+    assert x.toarray().tolist() == [[0, 0, 0], [0, -1.5, 0], [2, 0, 0]]
+
+
+def test_build_graph_keeps_features_as_sparse_rows():
+    rng = np.random.default_rng(6)
+    dense = rng.random((5, 4)) * (rng.random((5, 4)) < 0.5)
+    dense[2] = 0.0
+    g = build_graph(5, [(0, 1), (3, 4)], features=dense)
+    x = g.features
+    assert x.data.dtype == np.float32 and x.indices.dtype == np.int32
+    assert np.array_equal(x.toarray(), dense.astype(np.float32))
+    assert x.indices.shape[0] == np.count_nonzero(dense)
+    for i in range(5):
+        row = x.indices[x.indptr[i]:x.indptr[i + 1]]
+        assert np.all(np.diff(row) > 0)
+    # sparse rows are kept as they are, not copied
+    assert build_graph(5, [(0, 2)], features=x).features is x
+    direct = Graph(g.num_nodes, g.indptr, g.indices, dense)
+    assert np.array_equal(direct.features.toarray(), x.toarray())
+    for bad in (dense[:4], dense[:, 0], binary_features(4, 3, 1)):
+        with pytest.raises(ValueError, match="features must be"):
+            build_graph(5, [(0, 1)], features=bad)
 
 
 def test_sample_negatives_path_graph():
@@ -201,6 +245,12 @@ def test_save_and_load_split(tmp_path):
     assert np.array_equal(back.test_pos, split.test_pos)
     assert np.array_equal(back.train_neg, split.train_neg)
     assert back.seed == 7 and back.ratios == split.ratios
+    assert back.observed_graph.features is None
+    dense = rng.random((g.num_nodes, 2)).astype(np.float32)
+    back = load_split(tmp_path / "sp", features=dense)
+    assert np.array_equal(back.observed_graph.features.toarray(), dense)
+    with pytest.raises(ValueError, match="features must be"):
+        load_split(tmp_path / "sp", features=dense[1:])
 
 
 def test_normalized_adjacency_single_node_and_star():

@@ -70,7 +70,7 @@ def test_augment_features_gathers_rows_by_global_id():
     [sub] = hop_subgraphs(g, [0], [3], 2)
     rows = _labeled_rows(g, sub, "zero_one")
     for i, gid in enumerate(sub.global_ids):
-        assert rows[i, 2:].tolist() == g.features[gid].tolist()
+        assert rows[i, 2:].tolist() == g.features.toarray()[gid].tolist()
 
 
 def test_augment_features_one_hot_block():

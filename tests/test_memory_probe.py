@@ -22,3 +22,9 @@ def test_memory_probe_runs_at_tiny_sizes(tmp_path, monkeypatch):
         peaks = [r["peak_rss_mb"] for r in rows]
         assert peaks[0] > 0
         assert peaks == sorted(peaks)           # a running peak never falls
+        assert all("features_mb" not in r for r in rows[1:])
+    # ns_like is unattributed; cora_like's 2708 x 1433 features, 18 nonzeros
+    # a row, hold 8 bytes a nonzero plus the row offsets
+    assert result["workloads"]["ns_pos"][0]["features_mb"] == 0.0
+    want = (2708 * 18 * 8 + 2709 * 8) / 2**20
+    assert result["workloads"]["cora_plus"][0]["features_mb"] == want

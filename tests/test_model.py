@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,40 @@ def test_train_returns_best_epoch_params():
     labels = np.array([r.label for r in recs[20:]])
     got = auc(ScoredPairs(scores[labels == 1], scores[labels == 0]))
     assert got == pytest.approx(max(h["valid_auc"] for h in history))
+
+
+def test_train_best_epoch_before_the_last_returns_that_epochs_params():
+    recs = _toy_dataset(30, seed=12, separation=0.5)
+    cfg = TrainConfig(d_prime=6, dropout=0.3, epochs=6, batch_size=8,
+                      lr=0.05, seed=3, pooling="center")
+    params, history = train(recs[:20], recs[20:], cfg)
+    aucs = [h["valid_auc"] for h in history]
+    best = int(np.argmax(aucs)) + 1
+    assert best < cfg.epochs and aucs[-1] < aucs[best - 1]
+    # the first ``best`` epochs of a run are a run of ``best`` epochs
+    at_best, _ = train(recs[:20], recs[20:], dataclasses.replace(cfg, epochs=best))
+    for k, t in params.tensors().items():
+        assert np.array_equal(t, at_best.tensors()[k])
+
+
+def test_train_keeps_no_copy_when_the_last_epoch_is_best(monkeypatch):
+    recs = _toy_dataset(16, seed=14)
+    cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1, batch_size=8,
+                      lr=0.01, seed=2, pooling="center")
+    copies = []
+    real_copy = ModelParams.copy
+
+    def counted(self):
+        copies.append(self)
+        return real_copy(self)
+
+    monkeypatch.setattr(ModelParams, "copy", counted)
+    params, history = train(recs[:12], recs[12:], cfg)
+    assert copies == []
+    scores = predict(recs[12:], params)
+    labels = np.array([r.label for r in recs[12:]])
+    assert auc(ScoredPairs(scores[labels == 1], scores[labels == 0])) == (
+        history[0]["valid_auc"])
 
 
 def test_train_epoch_times_out_param():

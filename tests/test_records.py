@@ -150,7 +150,7 @@ def test_block_zero_equals_labeled_features():
         # row for u: one-hot label 1, then u's raw features
         expected = np.zeros(cfg.block_width(g), dtype=np.float32)
         expected[1] = 1.0
-        expected[label_dim:] = g.features[u]
+        expected[label_dim:] = g.features.toarray()[u]
         assert np.array_equal(rec.blocks[0, 0], expected)
 
 
@@ -424,9 +424,10 @@ def test_precompute_worker_count_invariance(tmp_path, variant, extra):
                                             ("SoP", 1)])
 def test_operands_are_built_once_per_graph(tmp_path, monkeypatch, workers,
                                            variant, graphs):
-    # 150 links are three chunks. The feature rows every chunk's powers are
-    # multiplied by are built once for G, before the pool forks, never once
-    # per chunk. SoP samples on G^2 and G^3 too, but diffuses G's features.
+    # 150 links are three chunks. The column of ones every chunk's powers
+    # are multiplied by on an unattributed graph is built once for G,
+    # before the pool forks, never once per chunk. SoP samples on G^2 and
+    # G^3 too, but diffuses G's features.
     rng = np.random.default_rng(57)
     g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12)
     links = _mixed_links(rng, g, 150)
@@ -550,7 +551,7 @@ def _edge_case_chunk(rng):
     """A graph with an isolated node and one chunk of awkward links."""
     g0 = gnp_graph(rng, n_lo=16, n_hi=16, p=0.35, features=2)
     n = g0.num_nodes + 1                       # node n - 1 is isolated
-    feats = np.concatenate([g0.features, rng.random((1, 2), dtype=np.float32)])
+    feats = np.concatenate([g0.features.toarray(), rng.random((1, 2), dtype=np.float32)])
     g = build_graph(n, g0.edge_array(), features=feats)
     a, b = (int(x) for x in g.edge_array()[0])
     c, d = random_pair(rng, n - 1)
