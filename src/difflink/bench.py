@@ -4,8 +4,8 @@ Configs are JSON with sections {dataset, split, variant, sampling, training,
 eval, runs}; defaults reproduce the benchmark setup (r=3, h=3 attributed /
 h=2 non-attributed, 256 hidden units, dropout 0.5, 50 epochs, batch 32,
 seeds 0..9), so a minimal config is just a dataset and a variant. Reports
-keep every wall-clock measurement under the "timings" subtree; everything
-else is a pure function of the config and seeds.
+keep every wall-clock measurement under "timings" and the BLAS facts under
+"blas"; everything else is a pure function of the config and seeds.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import copy
 import csv
 import io
 import json
+import os
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -343,13 +344,14 @@ class ExperimentReport:
     aggregate: dict
     timings: dict
     storage: dict | None
+    blas: dict
 
     def to_dict(self) -> dict:
         """A snapshot: later edits to the report do not reach it."""
         return copy.deepcopy({"config": self.config, "runs": self.runs,
                               "aggregate": self.aggregate,
                               "timings": self.timings,
-                              "storage": self.storage})
+                              "storage": self.storage, "blas": self.blas})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -418,6 +420,14 @@ def _config_echo(spec: ExperimentSpec, config: SamplingOperatorSet) -> dict:
     }
 
 
+def _blas_facts() -> dict:
+    """numpy's BLAS, whose thread count (OPENBLAS_NUM_THREADS when set, else
+    one a CPU) changes the last bits of scores."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def run_experiment(config_path, out_dir=None) -> ExperimentReport:
     """Run the per-seed pipeline for every seed of a config file or dict.
 
@@ -444,7 +454,8 @@ def run_experiment(config_path, out_dir=None) -> ExperimentReport:
                       for key, vals in timings.items()}
     report = ExperimentReport(config=_config_echo(spec, config), runs=runs,
                               aggregate=_aggregate(runs),
-                              timings=timing_summary, storage=storage)
+                              timings=timing_summary, storage=storage,
+                              blas=_blas_facts())
     if out_dir is not None:
         report.save(out_dir)
     return report

@@ -201,36 +201,18 @@ def load_edge_list(path, comment_prefix: str = "#",
     when trailing nodes are isolated).
     """
     path = Path(path)
-    pairs = []
-    max_id = -1
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(comment_prefix):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two node ids, got {raw.rstrip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer node id in {raw.rstrip()!r}") from None
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative node id")
-            max_id = max(max_id, u, v)
-            if u != v:
-                pairs.append((u, v))
-    if not pairs:
+    pairs = _read_pairs(path, comment_prefix)
+    edges = pairs[pairs[:, 0] != pairs[:, 1]]
+    if edges.shape[0] == 0:
         raise GraphFormatError(f"{path}: empty edge set")
+    max_id = int(pairs.max())
     n = max_id + 1
     if num_nodes is not None:
         if num_nodes < n:
             raise GraphFormatError(
                 f"{path}: num_nodes={num_nodes} smaller than max id {max_id}")
         n = num_nodes
-    return build_graph(n, np.asarray(pairs, dtype=np.int64))
+    return build_graph(n, edges)
 
 
 def save_edge_list(graph: Graph, path) -> None:
@@ -439,18 +421,28 @@ def save_split(split: EdgeSplit, out_dir) -> None:
         fh.write("\n")
 
 
-def _read_pairs(path) -> np.ndarray:
+def _read_pairs(path, comment_prefix: str = "#") -> np.ndarray:
+    """The (n, 2) int64 node id pairs of a file, one a line; GraphFormatError
+    names ``path:line`` of a malformed one."""
     pairs = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(comment_prefix):
                 continue
-            a, b = line.split()
-            pairs.append((int(a), int(b)))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected two node ids, got {raw.rstrip()!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: non-integer node id in {raw.rstrip()!r}") from None
+            if u < 0 or v < 0:
+                raise GraphFormatError(f"{path}:{lineno}: negative node id")
+            pairs.append((u, v))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def load_split(in_dir, features=None) -> EdgeSplit:

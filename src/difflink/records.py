@@ -13,8 +13,12 @@ link is a chunk of one.
 
 Record file layout (little-endian):
     magic "S3GR", version u16
-    per record: u u32, v u32, label u8, p u16, r_plus_1 u16, w u32,
-                p global node ids u32, r_plus_1 * p * w float32 values
+    per record: u u32, v u32, label u8, p u16, r_plus_1 u16, w u32, nnz u32,
+                p global node ids u32, then the (p, r_plus_1, w) float32
+                blocks in batch-row order: all p * r_plus_1 * w values when
+                nnz is 0xFFFFFFFF, else the nnz nonzero ones (bits other
+                than +0.0's) as u32 positions, strictly increasing, then
+                float32 values; a chunk's records are all one or the other
 """
 from __future__ import annotations
 
@@ -41,18 +45,21 @@ from .sampling import (Subgraph, _hop_sizes, graph_power, hop_subgraphs,
                        walk_subgraphs)
 
 _MAGIC = b"S3GR"
-_VERSION = 1
+_VERSION = 2
 _FILE_HEADER = struct.Struct("<4sH")
 # The record header, a packed numpy record; the file layout above.
 _HEADER = np.dtype([("u", "<u4"), ("v", "<u4"), ("label", "u1"), ("p", "<u2"),
-                    ("r1", "<u2"), ("w", "<u4")])
+                    ("r1", "<u2"), ("w", "<u4"), ("nnz", "<u4")])
 # The same header as a struct, derived from ``_HEADER``, to read one at a time.
 _HEADER_STRUCT = struct.Struct("<" + "".join(_HEADER[name].char for name in _HEADER.names))
+_DENSE = 0xFFFFFFFF       # the nnz of a record stored dense
 
 
-def _record_bytes(p, r1, w):
-    """Bytes of a record of p pooled rows, r1 operators and width w."""
-    return _HEADER.itemsize + 4 * p + 4 * r1 * p * w
+def _record_bytes(p, r1, w, nnz=_DENSE):
+    """Bytes of a record of p pooled rows, r1 operators and width w, stored
+    dense (its logical size) or as nnz positions and values."""
+    return (_HEADER.itemsize + 4 * p + 4 * r1 * p * w * (nnz == _DENSE)
+            + 8 * nnz * (nnz != _DENSE))
 
 
 class _CaseInsensitiveEnum(str, Enum):
@@ -91,6 +98,11 @@ CHUNK_LINKS = 64
 # Bytes a RecordFile reads at a time while it verifies and indexes a file;
 # a file that fits in one piece is kept whole. Bounds a reader's memory.
 READ_PIECE = 2 << 20
+# A chunk is stored sparse only if that takes at most this share of its dense
+# bytes (8 bytes a nonzero against 4 a value): a sparse value decodes by a
+# dearer scatter, so PoS h=3 blocks on cora_like (25% nonzero) stay dense and
+# read as fast as h=1. Per chunk, not per record: a dense file keeps one stride.
+SPARSE_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -210,7 +222,7 @@ class LinkRecord:
         return self.blocks.shape[2]
 
     def byte_size(self) -> int:
-        """Serialized size in bytes; a function of (r, p, w) only."""
+        """Logical (dense) size in bytes; a function of (r, p, w) only."""
         r1, p, w = self.blocks.shape
         return _record_bytes(p, r1, w)
 
@@ -371,13 +383,38 @@ def serialize_record(rec: LinkRecord) -> bytes:
     return _encode(*_record_arrays([rec]))
 
 
-def deserialize_record(buf: bytes, offset: int = 0) -> tuple[LinkRecord, int]:
-    """The record at ``offset`` of ``buf``, and the offset after it."""
-    u, v, label, p, r1, w = _HEADER_STRUCT.unpack_from(buf, offset)
+def deserialize_record(buf: bytes, offset: int = 0,
+                       name: str = "record") -> tuple[LinkRecord, int]:
+    """The record at ``offset`` of ``buf`` (named ``name``), and the offset after it."""
+    u, v, label, p, r1, w, nnz = _HEADER_STRUCT.unpack_from(buf, offset)
     at = offset + _HEADER.itemsize
     ids = np.frombuffer(buf, "<u4", p, at).astype(np.int64)
-    blocks = np.frombuffer(buf, "<f4", r1 * p * w, at + 4 * p).reshape(r1, p, w)
-    return LinkRecord(u, v, label, ids, blocks.copy()), offset + _record_bytes(p, r1, w)
+    size = r1 * p * w
+    rows = (np.frombuffer(buf, "<f4", size, at + 4 * p) if nnz == _DENSE else
+            _scatter(np.zeros((1, size), np.float32), [0], [memoryview(buf)[at + 4 * p:]],
+                     [nnz], [size], name))
+    blocks = rows.reshape(p, r1, w).transpose(1, 0, 2).copy()
+    return LinkRecord(u, v, label, ids, blocks), offset + _record_bytes(p, r1, w, nnz)
+
+
+def _scatter(out, rows, payloads, counts, limits, name) -> np.ndarray:
+    """``out``, a zeroed C-contiguous (B, L) array, with sparse payload j
+    (counts[j] positions, then values) written into row rows[j], rows
+    ascending; RecordFormatError naming ``name`` if positions leave
+    [0, limits[j]) or do not increase, so no value lands in another row."""
+    counts = np.asarray(counts, dtype=np.int64)
+    pos = np.concatenate([np.frombuffer(b, "<u4", n) for b, n in
+                          zip(payloads, counts.tolist())]).astype(np.int64)
+    values = np.concatenate([np.frombuffer(b, "<f4", n, 4 * n) for b, n in
+                             zip(payloads, counts.tolist())])
+    base = np.asarray(rows, dtype=np.int64) * out.shape[1]
+    pos += np.repeat(base, counts)
+    last = (np.cumsum(counts) - 1)[counts > 0]
+    if (np.diff(pos) <= 0).any() or (pos[last] >= (base + limits)[counts > 0]).any():
+        raise RecordFormatError(f"{name}: sparse positions not increasing "
+                                f"or out of range")
+    out.reshape(-1)[pos] = values
+    return out
 
 
 def _record_arrays(records: list):
@@ -395,33 +432,39 @@ def _record_arrays(records: list):
 def _encode(links: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
             blocks: np.ndarray) -> bytes:
     """Record bytes of a chunk in the file layout, straight from its arrays
-    (as ``_link_records`` returns them): header, ids and blocks of each
-    link in turn. ValueError if a header field falls outside its type."""
+    (as ``_link_records`` returns them): header, ids and payload of each link
+    in turn, all dense or all sparse (``SPARSE_SHARE``). ValueError if a
+    header field falls outside its type."""
     b = links.shape[0]
-    r1, total, w = blocks.shape
+    r1, _, w = blocks.shape
     p = np.diff(starts)
+    # the chunk's batch rows, flat (link b's a slice); u32 positions reach 2**32
+    rows = np.ascontiguousarray(blocks.transpose(1, 0, 2), dtype="<f4").reshape(-1)
+    bits = rows.view("<u4")
+    if (8 * np.count_nonzero(bits) <= SPARSE_SHARE * 4 * bits.size
+            and r1 * w * p.max(initial=0) <= 2**32):
+        at = np.flatnonzero(bits != 0)
+        cut = np.searchsorted(at, r1 * w * starts)
+        nnz = np.diff(cut)
+        payload = ((at - np.repeat(r1 * w * starts[:-1], nnz)).astype("<u4"), rows[at])
+    else:
+        cut, nnz, payload = r1 * w * starts, _DENSE, (rows,)
     head = np.empty(b, dtype=_HEADER)
-    for name, values in zip(_HEADER.names, (*links.T, p, r1, w)):
+    for name, values in zip(_HEADER.names, (*links.T, p, r1, w, nnz)):
         bound = np.iinfo(_HEADER[name])
         if np.any(values < bound.min) or np.any(values > bound.max):
             raise ValueError(f"record {name} outside {bound.min}..{bound.max}")
         head[name] = values
     ids = pooled.astype("<u4")
-    # Link b's payload is its (r1, p_b, w) slice, operator-major: for each
-    # operator a run of p_b rows of the (r1 * total, w) row stack.
-    run_start = (np.arange(r1) * total + starts[:-1, None]).ravel()
-    run_len = np.repeat(p, r1)
-    rows = (np.repeat(run_start - np.cumsum(run_len) + run_len, run_len)
-            + np.arange(run_len.sum()))
-    payload = np.ascontiguousarray(blocks.reshape(r1 * total, w)[rows], dtype="<f4")
-    head, ids, payload = (memoryview(a.view(np.uint8).reshape(-1))
-                          for a in (head, ids, payload))
+    head, ids, *payload = (memoryview(a.view(np.uint8).reshape(-1))
+                           for a in (head, ids, *payload))
     id_at = (4 * starts).tolist()
-    pay_at = (4 * r1 * w * starts).tolist()
+    pay_at = (4 * cut).tolist()
     parts = []
     for i in range(b):
         parts += (head[_HEADER.itemsize * i:_HEADER.itemsize * (i + 1)],
-                  ids[id_at[i]:id_at[i + 1]], payload[pay_at[i]:pay_at[i + 1]])
+                  ids[id_at[i]:id_at[i + 1]],
+                  *(part[pay_at[i]:pay_at[i + 1]] for part in payload))
     return b"".join(parts)
 
 
@@ -478,7 +521,7 @@ def _check_file_header(buf, name) -> None:
     if magic != _MAGIC:
         raise RecordFormatError(f"{name}: bad magic {magic!r}")
     if version != _VERSION:
-        raise RecordFormatError(f"{name}: unsupported version {version}")
+        raise RecordFormatError(f"{name}: version {version}, expected version {_VERSION}")
 
 
 def _scan(buf, base: int, off: int):
@@ -488,19 +531,20 @@ def _scan(buf, base: int, off: int):
 
     Returns the headers (a ``_HEADER`` array), their offsets (int64) and
     the offset of the record after them, which may lie past ``buf``. When
-    every header in ``buf`` has the first one's shape, as in a Center
-    file, they are read as one strided view; otherwise one at a time.
+    every header in ``buf`` has the first one's shape and nnz, as in a
+    dense Center file, they are one strided view; otherwise one at a time.
     """
     last = base + len(buf) - _HEADER.itemsize      # the last offset a header fits at
     if off > last:
         return np.zeros(0, dtype=_HEADER), np.zeros(0, dtype=np.int64), off
     # The header at every byte of ``buf`` that can hold one.
     head_at = np.ndarray((last - base + 1,), _HEADER, buf, 0, (1,))
-    p, r1, w = _HEADER_STRUCT.unpack_from(buf, off - base)[3:]
-    stride = _record_bytes(p, r1, w)
+    p, r1, w, nnz = _HEADER_STRUCT.unpack_from(buf, off - base)[3:]
+    stride = _record_bytes(p, r1, w, nnz)
     n = (last - off) // stride + 1
     run = head_at[off - base::stride]
-    if ((run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)).all():
+    if ((run["p"] == p) & (run["r1"] == r1) & (run["w"] == w)
+            & (run["nnz"] == nnz)).all():
         return run.copy(), off + stride * np.arange(n, dtype=np.int64), off + stride * n
     offsets = []
     while off <= last:
@@ -516,8 +560,8 @@ class _RecordBuffer:
 
     ``offsets``, ``p`` and ``labels`` give each record's byte offset,
     pooled count and label. This class holds the bytes in memory; when
-    every record has the same (p, r+1, w) all blocks are also one strided
-    array view. ``batch`` writes model inputs for any index array.
+    every record is dense with the same (p, r+1, w), all blocks are also
+    one strided array view. ``batch`` writes model inputs for any index array.
     ``manifest`` is the parsed manifest the records were verified
     against, or None.
     """
@@ -542,16 +586,17 @@ class _RecordBuffer:
         self.offsets = np.concatenate(offsets)
         self.p = head["p"].astype(np.int64)
         self.labels = head["label"].copy()
-        self._r1, self._w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
-        self._size = _record_bytes(self.p, self._r1, self._w)
+        self._r1, self._w, self._nnz = (head[name].astype(np.int64)
+                                        for name in ("r1", "w", "nnz"))
+        self._size = _record_bytes(self.p, self._r1, self._w, self._nnz)
         self._payload = None
-        if self._buf is not None and len(self) and all(
-                (a == a[0]).all() for a in (self.p, self._r1, self._w)):
-            p, r1, w = int(self.p[0]), int(self._r1[0]), int(self._w[0])
+        if self._buf is not None and len(self) and self._nnz[0] == _DENSE and all(
+                (a == a[0]).all() for a in (self.p, self._r1, self._w, self._nnz)):
+            p, row = int(self.p[0]), int(self._r1[0] * self._w[0])
             self._payload = np.ndarray(
-                (len(self), r1, p, w), "<f4", self._buf,
+                (len(self), p, row), "<f4", self._buf,
                 int(self.offsets[0]) + _HEADER.itemsize + 4 * p,
-                (int(self._size[0]), 4 * p * w, 4 * w, 4))
+                (int(self._size[0]), 4 * row, 4))
 
     def _read(self, offset: int, size: int):
         """The ``size`` bytes at file offset ``offset``."""
@@ -561,11 +606,12 @@ class _RecordBuffer:
         return self.offsets.shape[0]
 
     def __getitem__(self, i: int) -> LinkRecord:
-        return deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])))[0]
+        return deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])),
+                                  name=self._name)[0]
 
     def __iter__(self):
         for off, size in zip(self.offsets.tolist(), self._size.tolist()):
-            yield deserialize_record(self._read(off, size))[0]
+            yield deserialize_record(self._read(off, size), name=self._name)[0]
 
     @property
     def row_width(self) -> int:
@@ -589,14 +635,20 @@ class _RecordBuffer:
         p = self.p[index]
         p_max = int(p.max())
         z = np.zeros((index.shape[0], p_max, r1 * w), dtype=dtype)
-        rows = z.reshape(index.shape[0], p_max, r1, w)
         if self._payload is not None:
-            rows[...] = self._payload[index].transpose(0, 2, 1, 3)
+            z[...] = self._payload[index]
         else:
+            rows = z.reshape(index.shape[0], -1)
             at = self.offsets[index] + _HEADER.itemsize + 4 * p
-            for row, off, count in zip(rows, at.tolist(), p.tolist()):
-                blocks = np.frombuffer(self._read(off, 4 * r1 * count * w), "<f4")
-                row[:count] = blocks.reshape(r1, count, w).transpose(1, 0, 2)
+            sparse = []
+            for i, (off, size, nnz) in enumerate(zip(
+                    at.tolist(), (r1 * w * p).tolist(), self._nnz[index].tolist())):
+                if nnz == _DENSE:
+                    rows[i, :size] = np.frombuffer(self._read(off, 4 * size), "<f4")
+                else:
+                    sparse.append((i, self._read(off, 8 * nnz), nnz, size))
+            if sparse:
+                _scatter(rows, *zip(*sparse), self._name)
         mask = np.arange(p_max) < p[:, None]
         return z, mask, self.labels[index].astype(dtype)
 
@@ -766,11 +818,11 @@ def _init_worker(graph, config, seed, power_cache):
     _WORKER["args"] = (graph, config, seed, power_cache)
 
 
-def _build_chunk(links) -> tuple[bytes, int]:
-    """Record bytes of ``links`` and their largest pooled count."""
+def _build_chunk(links) -> tuple[bytes, np.ndarray]:
+    """Record bytes of ``links`` and their pooled counts."""
     graph, config, seed, power_cache = _WORKER["args"]
     pooled, starts, blocks = _link_records(graph, links, config, seed, power_cache)
-    return _encode(links, pooled, starts, blocks), int(np.diff(starts).max())
+    return _encode(links, pooled, starts, blocks), np.diff(starts)
 
 
 def _built_chunks(graph, config, seed, chunks, worker_count):
@@ -807,17 +859,20 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
     """Build and store LinkRecords for every (u, v, label) in ``links``.
 
     Records are written in input order and the output is byte-identical
-    for any ``worker_count``. A JSON manifest is written next to the file.
+    for any ``worker_count``. A JSON manifest is written next to the file,
+    with its stored ``total_bytes`` and the dense ``logical_bytes``.
     """
     links = np.asarray(links, dtype=np.int64).reshape(-1, 3)
     out_path = Path(out_path)
+    w = config.block_width(graph)
     t0 = time.monotonic()
-    p_max = 0
+    p_max, logical = 0, _FILE_HEADER.size
     with _RecordWriter(out_path) as out:
-        for blob, chunk_p_max in _built_chunks(graph, config, seed,
-                                               _chunks(links), worker_count):
+        for blob, p in _built_chunks(graph, config, seed, _chunks(links),
+                                     worker_count):
             out.write(blob)
-            p_max = max(p_max, chunk_p_max)
+            p_max = max(p_max, int(p.max()))
+            logical += int(_record_bytes(p, config.num_operators, w).sum())
     elapsed = time.monotonic() - t0
     n = int(links.shape[0])
     positives = int((links[:, 2] == 1).sum())
@@ -826,9 +881,10 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
         "config": {**config.echo(), "seed": seed},
         "counts": {"records": n, "positives": positives,
                    "negatives": n - positives},
-        "w": config.block_width(graph),
+        "w": w,
         "p_max": p_max,
         "total_bytes": out.total_bytes,
+        "logical_bytes": logical,
         "checksum": "sha256:" + out.sha256.hexdigest(),
     }
     with open(manifest_path(out_path), "w") as fh:
@@ -840,7 +896,7 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
 
 @dataclass(frozen=True)
 class StorageReport:
-    """Actual record bytes vs an analytic SEAL-style store for one link set."""
+    """Logical (dense) record bytes vs a SEAL-style store for one link set."""
 
     num_links: int
     record_bytes: int
@@ -854,7 +910,8 @@ def storage_comparison(graph: Graph, links, config: SamplingOperatorSet) -> Stor
 
     The baseline stores, per link, the h-hop subgraph's edge list (two u32
     ids per edge) plus all node feature rows (w float32 each); ours stores
-    the fixed-size record. Reduction may be negative and is not clamped.
+    the fixed-size record, counted dense. Reduction may be negative and is
+    not clamped.
     """
     links = np.asarray(links, dtype=np.int64).reshape(-1, 3)
     w = config.block_width(graph)

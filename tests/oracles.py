@@ -3,7 +3,7 @@
 Everything here is deliberately naive: networkx for graph traversal, dense
 numpy matrix powers for diffusion, O(N^2) loops for metrics, linear solves
 for PageRank, straight-line scalar math for the model forward pass, and
-struct packing for record bytes.
+struct packing for record bytes, dense or sparse.
 None of it shares code with the package under test, except ``link_record``,
 which is not a reference: it hands tests one link's record from the
 package's own chunk engine.
@@ -233,14 +233,41 @@ def ppr_solve(graph, src: int, alpha: float = 0.15) -> np.ndarray:
     return np.linalg.solve(np.eye(n) - (1 - alpha) * p.T, alpha * e)
 
 
-def serialize_reference(rec) -> bytes:
-    """One record's bytes in the file layout, packed field by field:
-    header (u u32, v u32, label u8, p u16, r+1 u16, w u32), ids, blocks."""
+def _batch_order_words(rec) -> list:
+    """A record's float32 values as little-endian 4-byte words, in a batch
+    row's order: pooled node, then operator, then column."""
     r1, p, w = rec.blocks.shape
-    head = struct.pack("<IIBHHI", rec.u, rec.v, rec.label, p, r1, w)
-    ids = rec.pooled_ids.astype("<u4").tobytes()
-    payload = np.ascontiguousarray(rec.blocks, dtype="<f4").tobytes()
-    return head + ids + payload
+    return [struct.pack("<f", rec.blocks[op, node, col])
+            for node in range(p) for op in range(r1) for col in range(w)]
+
+
+def sparse_chunk(records) -> bool:
+    """Whether a chunk of ``records`` is stored sparse: its nonzero words
+    (any bits but +0.0's), at 8 bytes each, take at most a quarter of its
+    4 bytes a value."""
+    words = [word for rec in records for word in _batch_order_words(rec)]
+    nonzero = sum(word != bytes(4) for word in words)
+    return 8 * nonzero <= len(words)
+
+
+def serialize_reference(rec, sparse: bool | None = None) -> bytes:
+    """One record's bytes in the file layout, packed field by field: header
+    (u u32, v u32, label u8, p u16, r+1 u16, w u32, nnz u32), ids, then its
+    values in batch-row order, dense (nnz 0xFFFFFFFF) or as the positions
+    and words of the nonzero ones. ``sparse`` picks the form; by default
+    the record decides as a chunk of one (``sparse_chunk``)."""
+    r1, p, w = rec.blocks.shape
+    if sparse is None:
+        sparse = sparse_chunk([rec])
+    words = _batch_order_words(rec)
+    kept = [(i, word) for i, word in enumerate(words) if word != bytes(4)]
+    nnz = len(kept) if sparse else 0xFFFFFFFF
+    head = struct.pack("<IIBHHII", rec.u, rec.v, rec.label, p, r1, w, nnz)
+    ids = b"".join(struct.pack("<I", int(i)) for i in rec.pooled_ids)
+    if not sparse:
+        return head + ids + b"".join(words)
+    return (head + ids + b"".join(struct.pack("<I", i) for i, _ in kept)
+            + b"".join(word for _, word in kept))
 
 
 def scalar_forward(record, params, agg: str = "mean") -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ def test_run_experiment_repeats_identically_modulo_timings(tmp_path):
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_report_names_the_blas_outside_timings(tmp_path, monkeypatch):
+    # the last bits of scores depend on the BLAS and its thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    report = run_experiment(_toy_config(tmp_path, runs={"seeds": [0]})).to_dict()
+    blas = report["blas"]
+    assert blas["OPENBLAS_NUM_THREADS"] == "1"
+    assert blas["cpu_count"] == os.cpu_count()
+    assert blas["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert "blas" not in report["timings"]
 
 
 def test_report_config_is_not_the_callers_config(tmp_path):

@@ -253,6 +253,23 @@ def test_save_and_load_split(tmp_path):
         load_split(tmp_path / "sp", features=dense[1:])
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1 2 3", "expected two node ids"),
+    ("1 x", "non-integer node id"),
+], ids=["three-ids", "non-integer"])
+def test_load_split_names_a_malformed_part_line(tmp_path, line, message):
+    rng = np.random.default_rng(11)
+    save_split(split_edges(gnp_graph(rng, n_lo=20, n_hi=20, p=0.4), seed=7),
+               tmp_path / "sp")
+    part = tmp_path / "sp" / "test_pos.txt"
+    lines = part.read_text().count("\n")
+    with open(part, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{part}:{lines + 1}: {message}")):
+        load_split(tmp_path / "sp")
+
+
 def test_normalized_adjacency_single_node_and_star():
     g = Graph(1, np.array([0, 0], dtype=np.int64),
               np.zeros(0, dtype=np.int32))

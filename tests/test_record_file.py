@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from difflink import (LinkRecord, Pooling, RecordFile, RecordFormatError,
-                      SamplingOperatorSet, precompute_dataset, read_records,
-                      serialize_record, write_records)
+                      SamplingOperatorSet, build_graph, precompute_dataset,
+                      read_records, serialize_record, write_records)
 from difflink import records as records_module
 from difflink.model import TrainConfig, init_params, predict, train
 from difflink.records import manifest_path
@@ -20,7 +20,7 @@ from difflink.records import manifest_path
 from conftest import gnp_graph, random_pair
 from oracles import stack_reference
 
-# pieces that cut record headers (17 bytes) and payloads at many places
+# pieces that cut record headers (21 bytes) and payloads at many places
 SMALL_PIECES = [17, 40, 97, 1000]
 
 
@@ -33,29 +33,35 @@ def _links(rng, g, count):
                            np.column_stack([neg, np.zeros(len(neg), np.int64)])])
 
 
-def _ccn_file(tmp_path, seed=70, count=60):
+def _ccn_file(tmp_path, seed=70, count=60, sparse=False):
+    """A CCN file of dense records or, with ``sparse``, of sparse ones: its
+    nodes then have 100 features, one of them nonzero."""
     rng = np.random.default_rng(seed)
     g = gnp_graph(rng, n_lo=14, n_hi=14, p=0.45, features=3)
+    if sparse:
+        feats = np.eye(100, dtype=np.float32)[rng.integers(100, size=g.num_nodes)]
+        g = build_graph(g.num_nodes, g.edge_array(), feats)
     cfg = SamplingOperatorSet(variant="PoSPlus", r=2, h=1, labeling="drnl",
                               label_cap=4)
-    path = tmp_path / "ccn.rec"
+    path = tmp_path / f"ccn-{'sparse' if sparse else 'dense'}.rec"
     precompute_dataset(g, _links(rng, g, count), cfg, path)
     return path
 
 
 def _header_walk(data: bytes):
-    """(offsets, p, labels) of every record, walking the headers of the
-    whole file one at a time."""
-    offsets, ps, labels = [], [], []
+    """(offsets, p, labels, nnz) of every record, walking the headers of
+    the whole file one at a time."""
+    offsets, ps, labels, nnzs = [], [], [], []
     off = 6
     while off < len(data):
-        _, _, label, p, r1, w = struct.unpack_from("<IIBHHI", data, off)
+        _, _, label, p, r1, w, nnz = struct.unpack_from("<IIBHHII", data, off)
         offsets.append(off)
         ps.append(p)
         labels.append(label)
-        off += 17 + 4 * p + 4 * r1 * p * w
+        nnzs.append(nnz)
+        off += 21 + 4 * p + (4 * r1 * p * w if nnz == 0xFFFFFFFF else 8 * nnz)
     assert off == len(data)
-    return offsets, ps, labels
+    return offsets, ps, labels, nnzs
 
 
 def _fd_count() -> int:
@@ -64,10 +70,16 @@ def _fd_count() -> int:
 
 @pytest.mark.parametrize("piece", SMALL_PIECES)
 def test_streamed_ccn_index_equals_header_walk(tmp_path, monkeypatch, piece):
-    path = _ccn_file(tmp_path)
+    for sparse in (False, True):
+        _check_streamed_index(_ccn_file(tmp_path, sparse=sparse), sparse,
+                              monkeypatch, piece)
+
+
+def _check_streamed_index(path, sparse, monkeypatch, piece):
     data = path.read_bytes()
-    offsets, ps, labels = _header_walk(data)
+    offsets, ps, labels, nnzs = _header_walk(data)
     assert len(set(ps)) > 1                         # mixed pooled counts
+    assert (0xFFFFFFFF not in nnzs) == sparse       # every chunk one form
     assert len(data) > 4 * piece                    # several pieces
     want = read_records(path)                       # read as one piece
     monkeypatch.setattr(records_module, "READ_PIECE", piece)
@@ -98,7 +110,7 @@ def test_short_runs_of_one_shape_index_like_a_header_walk(tmp_path, monkeypatch,
                                     rng.random((3, p, 2), dtype=np.float32))
                          for i, p in enumerate(ps)))
     data = path.read_bytes()
-    offsets, walked_ps, labels = _header_walk(data)
+    offsets, walked_ps, labels, _ = _header_walk(data)
     assert walked_ps == ps
     if piece is not None:
         monkeypatch.setattr(records_module, "READ_PIECE", piece)
@@ -192,7 +204,7 @@ def test_open_and_batch_memory_is_bounded_by_a_piece_and_a_batch(tmp_path):
     piece = records_module.READ_PIECE
     rng = np.random.default_rng(73)
     r1, p, w, batch = 4, 2, 1024, 32
-    size = 17 + 4 * p + 4 * r1 * p * w
+    size = 21 + 4 * p + 4 * r1 * p * w
     bound = None
     peaks = {}
     for pieces in (4, 8):

@@ -11,13 +11,14 @@ from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       read_records, serialize_record, storage_comparison,
                       walk_subgraphs, write_records)
 from difflink.model import TrainConfig, train
+from difflink import records as records_module
 from difflink.records import (CHUNK_LINKS, _encode, _link_records,
                               _record_buffer, _walk_seed, deserialize_record,
                               manifest_path)
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
 from oracles import (dense_record_blocks, link_record, seal_bytes,
-                     serialize_reference, stack_reference, to_nx)
+                     serialize_reference, sparse_chunk, stack_reference, to_nx)
 
 
 def _triangle():
@@ -248,12 +249,14 @@ def test_record_byte_size_independent_of_h():
         rec = link_record(g, (u, v, 1), cfg)
         blob = serialize_record(rec)
         assert blob == serialize_reference(rec)
-        assert len(blob) == rec.byte_size()
-        sizes.add(len(blob))
+        # the logical size is the dense form's; a sparse form is smaller
+        assert len(serialize_reference(rec, sparse=False)) == rec.byte_size()
+        assert len(blob) <= rec.byte_size()
+        sizes.add(rec.byte_size())
         payloads.append(blob)
     assert len(sizes) == 1
     # sizes identical, payload contents legitimately differ
-    assert rec.byte_size() == 17 + 4 * 2 + 4 * 4 * 2 * cfg.block_width(g)
+    assert rec.byte_size() == 21 + 4 * 2 + 4 * 4 * 2 * cfg.block_width(g)
 
 
 def test_serialize_round_trip_bit_identical():
@@ -270,6 +273,125 @@ def test_serialize_round_trip_bit_identical():
     assert np.array_equal(back.pooled_ids, rec.pooled_ids)
     assert back.blocks.tobytes() == rec.blocks.tobytes()
     assert serialize_record(back) == blob
+
+
+def _nnz_field(blob: bytes) -> int:
+    return int.from_bytes(blob[17:21], "little")
+
+
+def test_negative_zero_and_all_zero_records_round_trip(tmp_path):
+    blocks = np.zeros((2, 3, 8), dtype=np.float32)
+    blocks[0, 1, 2] = -0.0
+    blocks[1, 2, 5] = 1.5
+    signed = LinkRecord(3, 4, 1, np.array([3, 4, 9]), blocks)
+    empty = LinkRecord(5, 6, 0, np.array([5, 6, 7]), np.zeros_like(blocks))
+    for rec, nnz in ((signed, 2), (empty, 0)):     # -0.0 is a nonzero
+        blob = serialize_record(rec)
+        assert blob == serialize_reference(rec)
+        assert _nnz_field(blob) == nnz
+        assert len(blob) == 21 + 4 * 3 + 8 * nnz
+        back, offset = deserialize_record(blob)
+        assert offset == len(blob)
+        assert back.blocks.tobytes() == rec.blocks.tobytes()
+    path = tmp_path / "zeros.rec"
+    write_records(path, [signed, empty])
+    z, mask, _ = RecordFile(path).batch([1, 0, 1])
+    assert z.tobytes() == stack_reference([empty, signed, empty])[0].tobytes()
+    assert np.signbit(z[1, 1, 2]) and np.count_nonzero(z) == 1
+
+
+def test_chunk_stays_dense_above_an_eighth_nonzero():
+    # 8 bytes a stored nonzero against 4 a dense value: a chunk goes sparse
+    # while its sparse payload is at most a quarter of its dense one
+    for nonzero, sparse in ((8, True), (9, False), (64, False)):
+        blocks = np.zeros((2, 2, 16), dtype=np.float32)
+        blocks.reshape(-1)[:nonzero] = np.arange(1, nonzero + 1)
+        rec = LinkRecord(0, 1, 1, np.arange(2), blocks)
+        blob = serialize_record(rec)
+        assert blob == serialize_reference(rec, sparse)
+        assert (_nnz_field(blob) == 0xFFFFFFFF) != sparse
+        assert (len(blob) == rec.byte_size()) != sparse
+        assert deserialize_record(blob)[0].blocks.tobytes() == blocks.tobytes()
+
+
+@pytest.mark.parametrize("piece", [None, 97])      # held whole, streamed
+def test_file_of_dense_and_sparse_chunks_batches_across_both(tmp_path,
+                                                            monkeypatch, piece):
+    rng = np.random.default_rng(62)
+    dense = [LinkRecord(i, i + 1, 1, np.arange(3), rng.random((2, 3, 6), np.float32)
+                        + 1) for i in range(CHUNK_LINKS)]
+    sparse = [LinkRecord(i, i + 2, 0, np.arange(3), np.zeros((2, 3, 6), np.float32))
+              for i in range(10)]
+    for rec in sparse:
+        rec.blocks[rng.integers(2), rng.integers(3), rng.integers(6)] = rng.random()
+    recs = dense + sparse
+    path = tmp_path / "mixed.rec"
+    write_records(path, recs)
+    assert path.read_bytes()[6:] == b"".join(
+        [serialize_reference(rec, False) for rec in dense]
+        + [serialize_reference(rec, True) for rec in sparse])
+    if piece is not None:
+        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    with RecordFile(path) as rf:
+        for index in (rng.permutation(len(recs)), np.array([70, 3, 70, 63, 64])):
+            for dtype in (np.float32, np.float64):
+                got = rf.batch(index, dtype)
+                want = stack_reference([recs[i] for i in index], dtype)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert [r.blocks.tobytes() for r in rf] == [r.blocks.tobytes() for r in recs]
+
+
+def _sparse_pair_file(tmp_path, edit):
+    """A file of two sparse records, p = 2 then p = 3, whose first record's
+    positions ``edit`` rewrites (bytes 35 to 43 of the file)."""
+    rows = [np.zeros((1, p, 16), dtype=np.float32) for p in (2, 3)]
+    rows[0][0, :, 1] = (1.0, 2.0)
+    rows[1][0, 2, 9] = 3.0
+    blob = bytearray(b"S3GR\x02\x00")
+    for i, blocks in enumerate(rows):
+        blob += serialize_record(LinkRecord(i, i + 1, 1, np.arange(blocks.shape[1]),
+                                            blocks))
+    pos = np.frombuffer(bytes(blob[35:43]), "<u4").copy()
+    assert pos.tolist() == [1, 17]                  # (node, column) (0, 1), (1, 1)
+    blob[35:43] = edit(pos).astype("<u4").tobytes()
+    path = tmp_path / "edited.rec"
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda pos: np.array([1, 40]),     # in the batch row padded to p = 3,
+                                       # past the record's own 2 * 16 values
+    lambda pos: np.array([1, 60]),     # in the next record's batch row
+    lambda pos: np.array([17, 1]),     # decreasing
+    lambda pos: np.array([17, 17]),    # repeated
+    lambda pos: np.array([1, 2**32 - 1]),
+], ids=["out-of-range", "next-row", "decreasing", "repeated", "huge"])
+def test_bad_sparse_positions_raise_without_verify(tmp_path, edit):
+    # nothing but the decoder guards these: no manifest, no checksum
+    path = _sparse_pair_file(tmp_path, edit)
+    named = str(path).replace("\\", "\\\\") + ".*sparse positions"
+    with RecordFile(path, verify=False) as rf:
+        assert len(rf) == 2
+        for read in (lambda: rf.batch([0, 1]), lambda: rf.batch([0]),
+                     lambda: rf[0], lambda: list(rf)):
+            with pytest.raises(RecordFormatError, match=named):
+                read()
+        assert rf[1].blocks[0, 2, 9] == 3.0
+    with pytest.raises(RecordFormatError, match="sparse positions"):
+        deserialize_record(path.read_bytes(), 6)
+    good = _sparse_pair_file(tmp_path, lambda pos: pos)
+    z = RecordFile(good, verify=False).batch([0, 1])[0]
+    assert z[0, :, 1].tolist() == [1, 2, 0] and np.count_nonzero(z[0]) == 2
+
+
+def test_version_1_file_is_refused(tmp_path):
+    path = tmp_path / "old.rec"
+    path.write_bytes(b"S3GR\x01\x00" + bytes(40))
+    for verify in (True, False):
+        with pytest.raises(RecordFormatError, match=str(path) + ".*version 1.*version 2"):
+            RecordFile(path, verify=verify)
 
 
 def test_write_and_read_records(tmp_path):
@@ -355,8 +477,12 @@ def test_precompute_total_bytes_formula(tmp_path):
     links = np.array([[0, 1, 1], [2, 3, 0], [4, 5, 0], [6, 7, 1]])
     stats = precompute_dataset(g, links, cfg, tmp_path / "d.rec")
     w = cfg.block_width(g)
-    per_record = 17 + 4 * 2 + (cfg.r + 1) * 2 * w * 4
-    assert stats.total_bytes == 6 + 4 * per_record
+    per_record = 21 + 4 * 2 + (cfg.r + 1) * 2 * w * 4
+    manifest = json.loads(manifest_path(tmp_path / "d.rec").read_text())
+    assert manifest["logical_bytes"] == 6 + 4 * per_record
+    # random features leave these records dense: stored bytes are logical
+    assert stats.total_bytes == manifest["total_bytes"] == 6 + 4 * per_record
+    assert (tmp_path / "d.rec").stat().st_size == stats.total_bytes
     assert stats.record_count == 4
     assert stats.wall_time_s > 0 and stats.records_per_sec > 0
 
@@ -501,7 +627,9 @@ def test_storage_comparison_matches_actual_file(tmp_path):
     links = np.concatenate([edges, np.ones((5, 1), dtype=np.int64)], axis=1)
     stats = precompute_dataset(g, links, cfg, tmp_path / "d.rec")
     report = storage_comparison(g, links, cfg)
-    assert report.record_bytes == stats.total_bytes
+    # the report counts records dense; these are stored dense too
+    manifest = json.loads(manifest_path(tmp_path / "d.rec").read_text())
+    assert report.record_bytes == manifest["logical_bytes"] == stats.total_bytes
     assert report.num_links == 5
     assert report.seal_bytes > 0
 
@@ -545,6 +673,13 @@ def test_storage_reduction_grows_with_subgraph_size():
     links = np.concatenate([edges, np.ones((20, 1), dtype=np.int64)], axis=1)
     report = storage_comparison(g, links, cfg)
     assert report.reduction_pct > 50
+
+
+def _one_hot_features(g, rng, width=100):
+    """``g`` with ``width`` features a node, one of them nonzero: records
+    sparse enough to be stored sparse."""
+    feats = np.eye(width, dtype=np.float32)[rng.integers(width, size=g.num_nodes)]
+    return build_graph(g.num_nodes, g.edge_array(), features=feats)
 
 
 def _edge_case_chunk(rng):
@@ -638,11 +773,25 @@ def test_chunk_encoder_matches_serialize_record(variant, labeling):
     walk = {"k": 2, "l": 2} if "ScaLed" in variant else {}
     cfg = SamplingOperatorSet(variant=variant, r=3, h=2, labeling=labeling,
                               **walk)
-    pooled, starts, blocks = _link_records(g, links, cfg, 4, None)
-    want = b"".join(
-        serialize_reference(LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi]))
-        for (u, v, label), lo, hi in zip(links.tolist(), starts, starts[1:]))
-    assert _encode(links, pooled, starts, blocks) == want
+    forms = set()
+    for graph in (g, _one_hot_features(g, rng)):
+        pooled, starts, blocks = _link_records(graph, links, cfg, 4, None)
+        recs = [LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi])
+                for (u, v, label), lo, hi in zip(links.tolist(), starts, starts[1:])]
+        # the chunk picks one form for all its records
+        sparse = sparse_chunk(recs)
+        forms.add(sparse)
+        blob = _encode(links, pooled, starts, blocks)
+        assert blob == b"".join(serialize_reference(rec, sparse) for rec in recs)
+        # a record decoded from the chunk is bit for bit the record alone
+        off = 0
+        for rec in recs:
+            back, off = deserialize_record(blob, off)
+            assert back.blocks.tobytes() == rec.blocks.tobytes()
+            assert back.pooled_ids.tolist() == rec.pooled_ids.tolist()
+        assert off == len(blob)
+    # drnl's 101 one-hot label columns leave both chunks sparse
+    assert forms == ({True} if labeling == "drnl" else {False, True})
     empty = np.zeros((0, 3), dtype=np.int64)
     assert _encode(empty, pooled[:0], starts[:1], blocks[:, :0]) == b""
 
@@ -693,3 +842,19 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
         RecordFile(path)
     with pytest.raises(RecordFormatError, match="checksum mismatch"):
         train(path, tmp_path / "valid.rec", TrainConfig(d_prime=4, epochs=1))
+
+
+def test_flipped_position_byte_fails_checksum(tmp_path):
+    rng = np.random.default_rng(63)
+    g = _one_hot_features(gnp_graph(rng, n_lo=14, n_hi=14, p=0.3), rng)
+    cfg = SamplingOperatorSet(variant="PoS", r=2, h=1)
+    path = tmp_path / "sparse.rec"
+    precompute_dataset(g, _mixed_links(rng, g, 20), cfg, path)
+    data = bytearray(path.read_bytes())
+    first = 6 + 21 + 4 * 2                          # the first record's positions
+    assert _nnz_field(bytes(data[6:])) < 0xFFFFFFFF
+    assert RecordFile(path).batch(np.arange(20))[0].any()
+    data[first + 1] ^= 0x10                         # a position's bits
+    path.write_bytes(bytes(data))
+    with pytest.raises(RecordFormatError, match="checksum mismatch"):
+        RecordFile(path)
