@@ -9,15 +9,18 @@ timed repeats that follow one untimed first run, whose seconds are
 reported apart: it also pays for what a graph builds once. Each graph is
 generated in a forked child and each configuration runs in a child of
 that one, so a peak RSS counts the interpreter, its own graph and its own
-work, and nothing from another graph or configuration. ``ratio`` is rec/s
-at the largest size over rec/s at the smallest, per family and
-configuration: 1.0 means the cost of a link does not depend on the size
-of the graph around it.
+work, and nothing from another graph or configuration. Every row also
+gives its graph's ``generate_s``, ``split_s`` (``split_edges`` with seed 0)
+and ``graph_peak_rss_mb``, the peak RSS of generating and splitting it.
+``ratio`` is rec/s at the largest size over rec/s at the smallest, per
+family and configuration: 1.0 means the cost of a link does not depend on
+the size of the graph around it.
 
     PYTHONPATH=src python scripts/scale_probe.py --out scale.json
 
 The defaults (n = 10k, 50k and 200k, 1280 links, 3 timed repeats) take a
-few minutes; generating a 1M-edge graph alone takes several seconds.
+few minutes. On a 1M-edge graph, generating and splitting take about a
+second each for "er"; the sequential preferential generator takes several.
 """
 import argparse
 import json
@@ -104,7 +107,9 @@ def in_child(fn, *args):
 
 def _graph_rows(family, n, links, repeats) -> list:
     """Rows of every configuration on one generated graph. Each runs in a
-    child of its own, so its peak RSS holds this graph and no other."""
+    child of its own, so its peak RSS holds this graph and no other. The
+    graph is then split here, after the configurations, so that their
+    peaks do not hold the split's."""
     start = time.perf_counter()
     graph = make_graph(family, n)
     generate_s = time.perf_counter() - start
@@ -119,6 +124,13 @@ def _graph_rows(family, n, links, repeats) -> list:
                      "first_run_s": round(first_s, 4),
                      "peak_rss_mb": round(peak_mb, 1),
                      "generate_s": round(generate_s, 2)})
+    start = time.perf_counter()
+    dl.split_edges(graph, seed=0)
+    split_s = time.perf_counter() - start
+    graph_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    for row in rows:
+        row.update(split_s=round(split_s, 4),
+                   graph_peak_rss_mb=round(graph_peak_mb, 1))
     return rows
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import CSRMatrix, Graph, build_graph, load_edge_list, load_features
+from .graphs import (CSRMatrix, Graph, _draw_pairs, build_graph, load_edge_list,
+                     load_features)
 
 DATA_ENV = "DIFFLINK_DATA"
 
@@ -52,26 +53,13 @@ def load_dataset(edge_list, features=None) -> Graph:
 
 def random_graph(n: int, m: int, seed: int = 0) -> Graph:
     """Uniform random simple graph with exactly m edges."""
-    total = n * (n - 1) // 2
-    if m > total:
+    if m < 0:
+        raise ValueError(f"m: expected an integer >= 0, got {m}")
+    if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    rng = np.random.default_rng(seed)
-    chosen = set()
-    out = []
-    while len(out) < m:
-        u = rng.integers(0, n, size=2 * (m - len(out)) + 16)
-        v = rng.integers(0, n, size=u.shape[0])
-        for a, b in zip(u, v):
-            if a == b:
-                continue
-            key = (min(a, b) * n + max(a, b))
-            if key in chosen:
-                continue
-            chosen.add(key)
-            out.append((int(min(a, b)), int(max(a, b))))
-            if len(out) == m:
-                break
-    return build_graph(n, np.asarray(out, dtype=np.int64))
+    keys = _draw_pairs(np.random.default_rng(seed), n, m, np.zeros(0, dtype=np.int64),
+                       lambda remaining: 2 * remaining + 16)
+    return build_graph(n, np.stack(np.divmod(keys, n), axis=1))
 
 
 def preferential_graph(n: int, attach: int, seed: int = 0,

@@ -110,8 +110,8 @@ class SamplingOperatorSet:
     """Which subgraphs to sample and which diffusion operators to apply.
 
     ``r`` is the operator count (powers 1..r; the identity operator is
-    always prepended, so records hold r+1 blocks). ``pooling`` is derived
-    from the variant when omitted. ``normalized`` switches the adjacency
+    always prepended, so records hold r+1 blocks). ``pooling`` follows from
+    the variant. ``normalized`` switches the adjacency
     powers to the degree-normalized form, for ablation only.
     """
 
@@ -121,7 +121,6 @@ class SamplingOperatorSet:
     k: int | None = None
     l: int | None = None
     labeling: LabelScheme = LabelScheme.ZERO_ONE
-    pooling: Pooling | None = None
     label_cap: int = 100
     normalized: bool = False
     ccn_cap: int = CCN_CAP
@@ -129,22 +128,13 @@ class SamplingOperatorSet:
     def __post_init__(self):
         # every message starts with the field name, so config parsing can
         # report it as ``sampling.<field>``
-        for name, kind in (("variant", Variant), ("labeling", LabelScheme),
-                           ("pooling", Pooling)):
+        for name, kind in (("variant", Variant), ("labeling", LabelScheme)):
             value = getattr(self, name)
-            if value is None and name == "pooling":
-                continue                    # derived from the variant below
             try:
                 object.__setattr__(self, name, kind(value))
             except ValueError:
                 raise ValueError(f"{name}: {value!r} is not one of "
                                  f"{[m.value for m in kind]}") from None
-        derived = Pooling.CCN if self.variant in _CCN_VARIANTS else Pooling.CENTER
-        if self.pooling is None:
-            object.__setattr__(self, "pooling", derived)
-        elif self.pooling is not derived:
-            raise ValueError(f"pooling: variant {self.variant.value} implies "
-                             f"{derived.value} pooling")
         if not 1 <= self.r <= MAX_R:
             raise ValueError(f"r: expected 1..{MAX_R}, got {self.r!r}")
         if self.h < 1:
@@ -162,6 +152,10 @@ class SamplingOperatorSet:
             raise ValueError(f"label_cap: expected an integer >= 1, got {self.label_cap!r}")
         if not 0 <= self.ccn_cap <= MAX_CCN_CAP:
             raise ValueError(f"ccn_cap: expected 0..{MAX_CCN_CAP}, got {self.ccn_cap!r}")
+
+    @property
+    def pooling(self) -> Pooling:
+        return Pooling.CCN if self.variant in _CCN_VARIANTS else Pooling.CENTER
 
     @property
     def num_operators(self) -> int:

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: networkx for graph traversal, dense
 numpy matrix powers for diffusion, O(N^2) loops for metrics, linear solves
 for PageRank, straight-line scalar math for the model forward pass, and
-struct packing for record bytes, dense or sparse.
-None of it shares code with the package under test, except ``link_record``,
-which is not a reference: it hands tests one link's record from the
-package's own chunk engine.
+struct packing for record bytes, dense or sparse, and the pair samplers
+and ``build_graph`` as first written (Python sets, per-candidate loops,
+``np.unique`` and ``np.lexsort``), which the sorted-key versions must match
+bit for bit. None of it shares code with the package under test, except
+``link_record``, which is not a reference: it hands tests one link's record
+from the package's own chunk engine.
 """
 from __future__ import annotations
 
@@ -351,3 +353,145 @@ def seal_bytes(g: nx.Graph, links, h: int, w: int) -> int:
         edges = g.subgraph(nodes).number_of_edges() - int(g.has_edge(u, v))
         total += edges * 2 * 4 + len(nodes) * w * 4
     return total
+
+
+def build_graph_reference(num_nodes: int, edges) -> tuple:
+    """``(indptr, indices)`` of ``build_graph(num_nodes, edges)``: hash-based
+    ``np.unique`` of the pair keys, then a ``np.lexsort`` of both
+    orientations by (src, dst)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size:
+        lo = np.minimum(e[:, 0], e[:, 1])
+        hi = np.maximum(e[:, 0], e[:, 1])
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        enc = np.unique(lo * num_nodes + hi)
+        lo, hi = enc // num_nodes, enc % num_nodes
+    else:
+        lo = hi = np.zeros(0, dtype=np.int64)
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, dst.astype(np.int32)
+
+
+def _encode_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+    hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+    return lo * n + hi
+
+
+def sample_negatives_reference(graph, count: int, seed: int,
+                               exclude=None) -> np.ndarray:
+    """``sample_negatives``: a Python set of the forbidden pair keys, then
+    batches of ``max(1024, 2 * remaining)`` draws deduplicated one
+    candidate at a time; dense enumeration when the graph is near-complete."""
+    n = graph.num_nodes
+    total_pairs = n * (n - 1) // 2
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    dst = graph.indices.astype(np.int64)
+    forbidden = set(_encode_pairs(np.stack([src, dst], axis=1)[src < dst],
+                                  n).tolist())
+    if exclude is not None:
+        ex = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
+        if ex.size:
+            ex = ex[ex[:, 0] != ex[:, 1]]
+            forbidden.update(_encode_pairs(ex, n).tolist())
+    available = total_pairs - len(forbidden)
+    if count > available:
+        raise ValueError(
+            f"requested {count} negatives but only {available} non-edges available")
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    forbidden_sorted = np.fromiter(forbidden, dtype=np.int64, count=len(forbidden))
+    forbidden_sorted.sort()
+
+    if count > available // 2 and total_pairs <= 20_000_000:
+        iu, ju = np.triu_indices(n, k=1)
+        enc = iu.astype(np.int64) * n + ju
+        mask = np.ones(enc.shape[0], dtype=bool)
+        pos = np.searchsorted(enc, forbidden_sorted)
+        mask[pos] = False
+        cands = enc[mask]
+        chosen = rng.choice(cands, size=count, replace=False)
+        return np.stack([chosen // n, chosen % n], axis=1)
+
+    out = []
+    seen = set()
+    while len(out) < count:
+        batch = max(1024, 2 * (count - len(out)))
+        u = rng.integers(0, n, size=batch)
+        v = rng.integers(0, n, size=batch)
+        ok = u != v
+        u, v = u[ok], v[ok]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        enc = lo * n + hi
+        if forbidden_sorted.size:
+            idx = np.minimum(np.searchsorted(forbidden_sorted, enc),
+                             forbidden_sorted.shape[0] - 1)
+            is_edge = forbidden_sorted[idx] == enc
+        else:
+            is_edge = np.zeros(enc.shape[0], dtype=bool)
+        for e in enc[~is_edge]:
+            e = int(e)
+            if e in seen:
+                continue
+            seen.add(e)
+            out.append(e)
+            if len(out) == count:
+                break
+    out = np.asarray(out, dtype=np.int64)
+    return np.stack([out // n, out % n], axis=1)
+
+
+def random_graph_reference(n: int, m: int, seed: int = 0) -> tuple:
+    """``(indptr, indices)`` of ``datasets.random_graph(n, m, seed)``:
+    batches of ``2 * remaining + 16`` draws, kept one candidate at a time
+    unless a Python set already holds its pair."""
+    rng = np.random.default_rng(seed)
+    chosen = set()
+    out = []
+    while len(out) < m:
+        u = rng.integers(0, n, size=2 * (m - len(out)) + 16)
+        v = rng.integers(0, n, size=u.shape[0])
+        for a, b in zip(u, v):
+            if a == b:
+                continue
+            key = (min(a, b) * n + max(a, b))
+            if key in chosen:
+                continue
+            chosen.add(key)
+            out.append((int(min(a, b)), int(max(a, b))))
+            if len(out) == m:
+                break
+    return build_graph_reference(n, np.asarray(out, dtype=np.int64))
+
+
+def split_reference(graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> dict:
+    """``split_edges``' six arrays, and the observed graph's ``indptr`` and
+    ``indices``, from the reference ``build_graph`` and sampler above."""
+    src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64),
+                    np.diff(graph.indptr))
+    dst = graph.indices.astype(np.int64)
+    edges = np.stack([src, dst], axis=1)[src < dst]
+    m = edges.shape[0]
+    n_valid, n_test = int(ratios[1] * m), int(ratios[2] * m)
+    n_train = m - n_valid - n_test
+    perm = np.random.default_rng(seed).permutation(m)
+    out = {"train_pos": edges[perm[:n_train]],
+           "valid_pos": edges[perm[n_train:n_train + n_valid]],
+           "test_pos": edges[perm[n_train + n_valid:]]}
+    out["indptr"], out["indices"] = build_graph_reference(graph.num_nodes,
+                                                          out["train_pos"])
+    s0, s1, s2 = (int(x) for x in np.random.SeedSequence(seed).generate_state(3))
+    out["train_neg"] = sample_negatives_reference(graph, n_train, s0)
+    out["valid_neg"] = sample_negatives_reference(graph, n_valid, s1,
+                                                  exclude=out["train_neg"])
+    out["test_neg"] = sample_negatives_reference(
+        graph, n_test, s2, exclude=np.concatenate([out["train_neg"],
+                                                   out["valid_neg"]]))
+    return out

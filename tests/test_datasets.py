@@ -6,7 +6,7 @@ from difflink.datasets import (DATASET_STATS, SYNTHETIC, binary_features,
                                cora_like, find_dataset, preferential_graph,
                                random_graph, resolve_dataset)
 
-from oracles import dense_binary_features
+from oracles import dense_binary_features, random_graph_reference
 
 
 def test_random_graph_exact_edge_count():
@@ -15,6 +15,21 @@ def test_random_graph_exact_edge_count():
     assert g.edge_array().shape[0] == 100
     with pytest.raises(ValueError):
         random_graph(4, 10)
+
+
+@pytest.mark.parametrize("n,m,seed", [
+    (40, 100, 1), (10, 15, 4), (60, 140, 0), (50, 110, 4), (2, 1, 0), (9, 0, 2),
+    (30, 435, 3), (4941, 6594, 0),   # a complete graph, power_like's shape
+])
+def test_random_graph_matches_reference(n, m, seed):
+    g = random_graph(n, m, seed=seed)
+    indptr, indices = random_graph_reference(n, m, seed=seed)
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+
+def test_random_graph_rejects_negative_m():
+    with pytest.raises(ValueError, match="m: .* got -3"):
+        random_graph(5, -3)
 
 
 def test_preferential_graph_trims_to_target():

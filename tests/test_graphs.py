@@ -7,11 +7,12 @@ from difflink import (Graph, GraphFormatError, build_graph, load_edge_list,
                       load_features, load_split, normalized_adjacency,
                       sample_negatives, save_edge_list, save_split,
                       split_edges)
-from difflink.datasets import binary_features
+from difflink.datasets import binary_features, ns_like, power_like, random_graph
 from difflink.graphs import _common_neighbors
 
 from conftest import gnp_graph, hub_graph, hub_links
-from oracles import normalized_dense, to_nx
+from oracles import (build_graph_reference, normalized_dense,
+                     sample_negatives_reference, split_reference, to_nx)
 
 
 def test_build_graph_dedupes_and_drops_self_loops():
@@ -177,6 +178,105 @@ def test_sample_negatives_exclude_and_exhaustion():
         assert tuple(sorted((int(u), int(v)))) not in taken
     with pytest.raises(ValueError):
         sample_negatives(g, 3, seed=3, exclude=ex)
+
+
+def _same_negatives(graph, count, seed, exclude=None):
+    got = sample_negatives(graph, count, seed, exclude=exclude)
+    want = sample_negatives_reference(graph, count, seed, exclude=exclude)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_negatives_matches_reference_over_several_batches(seed):
+    # 50 non-edges of 1770 pairs: a 1024-draw batch finds fewer than 25
+    g = random_graph(60, 1720, seed=seed)
+    forbidden = set(map(tuple, g.edge_array().tolist()))
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, 60, size=1024), rng.integers(0, 60, size=1024)
+    first = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())
+             if a != b} - forbidden
+    assert len(first) < 25
+    _same_negatives(g, 25, seed)
+
+
+def test_sample_negatives_matches_reference_with_duplicate_draws():
+    # 8 nodes: each 1024-draw batch repeats every pair many times
+    g = build_graph(8, [(0, 1), (2, 5), (6, 7)])
+    for seed in range(5):
+        for count in (1, 7, 12):
+            _same_negatives(g, count, seed)
+
+
+def test_sample_negatives_matches_reference_with_exclude():
+    g = ns_like(seed=0)
+    ex = sample_negatives(g, 300, seed=9)
+    ex = np.concatenate([ex, ex[:40, ::-1], ex[40:60], [[3, 3], [0, 0]],
+                         g.edge_array()[:5, ::-1]])
+    excluded = set(map(tuple, np.sort(ex, axis=1).tolist()))
+    for seed in range(3):
+        for count in (1, 137, 2000):
+            got = _same_negatives(g, count, seed, exclude=ex)
+            assert not excluded & set(map(tuple, np.sort(got, axis=1).tolist()))
+
+
+def test_sample_negatives_matches_reference_count_zero_and_dense():
+    g = random_graph(30, 400, seed=1)
+    for seed in range(3):
+        assert _same_negatives(g, 0, seed).shape == (0, 2)
+        dense = _same_negatives(g, 30, seed)   # 35 non-edges: enumerated
+        assert np.unique(np.sort(dense, axis=1), axis=0).shape[0] == 30
+
+
+def test_sample_negatives_rejects_negative_count():
+    g = build_graph(4, [(0, 1)])
+    with pytest.raises(ValueError, match="count: .* got -1"):
+        sample_negatives(g, -1, seed=0)
+
+
+@pytest.mark.parametrize("pair,count", [
+    ([0, 15], 1),      # would encode as the real pair (1, 5)
+    ([9, 15], 40),     # in the dense branch, indexed past the candidates
+    ([-1, 3], 1),
+], ids=["past-n", "past-n-dense", "negative"])
+def test_sample_negatives_rejects_exclude_out_of_range(pair, count):
+    g = build_graph(10, [(0, 1), (2, 3)])
+    message = re.escape(f"exclude: node id out of range: ({pair[0]}, {pair[1]})")
+    with pytest.raises(ValueError, match=message):
+        sample_negatives(g, count, seed=0, exclude=[[2, 4], pair])
+
+
+def test_sample_negatives_ignores_self_pairs_in_exclude():
+    g = build_graph(4, [(0, 1)])
+    neg = sample_negatives(g, 5, seed=0, exclude=[[2, 2], [3, 3]])
+    assert np.array_equal(neg, sample_negatives(g, 5, seed=0))
+
+
+def test_build_graph_matches_reference():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 9, 40):
+        e = rng.integers(0, n, size=(6 * n, 2))
+        e = np.concatenate([e, e[: 2 * n, ::-1], e[:n], np.stack([e[:3, 0]] * 2, 1)])
+        e = e[rng.permutation(e.shape[0])]
+        g = build_graph(n, e)
+        indptr, indices = build_graph_reference(n, e)
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert g.indices.dtype == indices.dtype
+    empty = build_graph(5, np.zeros((0, 2), dtype=np.int64))
+    assert np.array_equal(empty.indptr, build_graph_reference(5, [])[0])
+
+
+@pytest.mark.parametrize("stand_in", [ns_like, power_like], ids=["ns", "power"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_edges_matches_reference(stand_in, seed):
+    g = stand_in(seed=0)
+    split = split_edges(g, seed=seed)
+    want = split_reference(g, seed=seed)
+    for name in ("train_pos", "valid_pos", "test_pos",
+                 "train_neg", "valid_neg", "test_neg"):
+        assert np.array_equal(getattr(split, name), want[name]), name
+    assert np.array_equal(split.observed_graph.indptr, want["indptr"])
+    assert np.array_equal(split.observed_graph.indices, want["indices"])
 
 
 def test_split_edges_counts_and_disjointness():

@@ -40,8 +40,6 @@ def test_operator_set_validation():
         SamplingOperatorSet(variant="PoSScaLed", h=1)
     with pytest.raises(ValueError, match="no walk parameters"):
         SamplingOperatorSet(variant="SoP", h=1, k=2, l=2)
-    with pytest.raises(ValueError, match="implies"):
-        SamplingOperatorSet(variant="PoS", h=1, pooling="CCN")
     with pytest.raises(ValueError):
         SamplingOperatorSet(variant="NotAVariant", h=1)
     # the record header stores r+1 and p as u16

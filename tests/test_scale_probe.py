@@ -28,6 +28,8 @@ def test_scale_probe_runs_at_toy_sizes(tmp_path):
         assert row["links"] == 64 and row["edges"] > 0
         assert row["rec_per_s"] > 0 and row["first_run_s"] > 0
         assert row["peak_rss_mb"] > 0
+        assert row["generate_s"] >= 0 and row["split_s"] > 0
+        assert row["graph_peak_rss_mb"] > 0
     ratios = result["ratio_500_over_300"]
     assert set(ratios) == {f"{f}/{c}" for f in ("er", "preferential")
                            for c in probe.CONFIGS}
