@@ -17,10 +17,12 @@ keeps the record files (named by dataset, case and worker count) for a
 closer look; otherwise they go to a temporary directory.
 
 ``--decoded`` digests what a reader gets instead of the file bytes: every
-case's ``RecordFile.batch`` arrays (z, mask, labels) over the whole file, in
-batches of 8 records in a seeded order, and the ids and blocks of its
-``read_records``. Two builds that store the same records in different
-file layouts print the same decoded JSON.
+case's ``RecordFile.batch`` arrays over the whole file, in batches of 8
+records in a seeded order, and the ids and blocks of its ``read_records``.
+A batch is digested as the padded arrays (z, mask, labels), z of shape
+(B, p_max, (r+1)*w) rebuilt from the packed rows and the mask, so the JSON
+does not depend on the batch layout either. Two builds that store the same
+records in different file layouts print the same decoded JSON.
 """
 import argparse
 import hashlib
@@ -77,7 +79,10 @@ def decoded_digest(path: Path) -> dict:
     with dl.RecordFile(path) as rf:
         order = np.random.default_rng(0).permutation(len(rf))
         for start in range(0, len(rf), BATCH):
-            for key, array in zip(batch, rf.batch(order[start:start + BATCH])):
+            rows, mask, labels = rf.batch(order[start:start + BATCH])
+            z = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+            z[mask] = rows
+            for key, array in zip(batch, (z, mask, labels)):
                 batch[key].update(array.tobytes())
     for rec in dl.read_records(path):
         for array in (np.array([rec.u, rec.v, rec.label]), rec.pooled_ids,

@@ -133,38 +133,55 @@ class TrainConfig:
 
 def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
                 pooling: Pooling, dtype=np.float32) -> ModelParams:
-    """Glorot-uniform weights, zero biases."""
+    """Glorot-uniform weights, zero biases.
+
+    Each weight's float64 draws are written into the flat buffer a block of
+    about ``ADAM_BLOCK`` values at a time; the stream and the rounding are
+    those of one whole-array draw cast to ``dtype``.
+    """
     pool_dim = 2 * d_prime if Pooling(pooling) is Pooling.CCN else d_prime
-
-    def glorot(fan_in, fan_out):
+    shapes = {"W": (in_dim, d_prime), "hidden_w": (pool_dim, d_prime),
+              "hidden_b": (d_prime,), "out_w": (d_prime,), "out_b": ()}
+    params = _flat_params({k: np.broadcast_to(np.zeros((), dtype), shape)
+                           for k, shape in shapes.items()}, dtype, copy=False)
+    for out in (params.W, params.hidden_w, params.out_w[:, None]):
+        fan_in, fan_out = out.shape
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(dtype)
-
-    return _flat_params({
-        "W": glorot(in_dim, d_prime),
-        "hidden_w": glorot(pool_dim, d_prime),
-        "hidden_b": np.zeros(d_prime, dtype=dtype),
-        "out_w": glorot(d_prime, 1)[:, 0],
-        "out_b": np.zeros((), dtype=dtype),
-    }, dtype)
+        step = max(1, ADAM_BLOCK // fan_out)
+        for lo in range(0, fan_in, step):
+            block = out[lo:lo + step]
+            block[...] = rng.uniform(-lim, lim, size=block.shape)
+    params.hidden_b[...] = 0.0
+    params.out_b[...] = 0.0
+    return params
 
 
-def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
-    """Logits plus every intermediate needed for the backward pass."""
+def _forward_batch(rows, mask, params: ModelParams, dropout_mask, agg: str):
+    """Logits plus every intermediate needed for the backward pass.
+
+    ``rows`` holds the batch's real pooled rows, (sum of p, (r+1)*w), in
+    batch-row order: the rows of ``mask``'s True entries, in C order.
+    """
     ccn = params.pooling is Pooling.CCN
-    b, p, width = z.shape
-    # one GEMM over all B*p rows: a 3-D ``z @ W`` runs one small GEMM per
-    # record, each streaming the whole of W again
-    h = np.maximum(z.reshape(b * p, width) @ params.W, 0.0).reshape(b, p, -1)
+    b, p_max = mask.shape
+    # one GEMM over the real rows only: a 3-D ``z @ W`` runs one small GEMM
+    # per record, each streaming the whole of W again
+    real = np.maximum(rows @ params.W, 0.0)
+    if real.shape[0] == b * p_max:
+        h = real.reshape(b, p_max, -1)
+    else:
+        # pooled counts differ: hidden rows go into (B, p_max, d') for pooling
+        h = np.zeros((b, p_max, real.shape[1]), dtype=real.dtype)
+        h[mask] = real
     qc = h[:, 0] * h[:, 1]                     # Hadamard of target rows
     cn_idx = None
     if ccn:
         hn = h[:, 2:]
         if hn.shape[1] == 0:
             qn = np.zeros_like(qc)
-            cnt = np.zeros(z.shape[0], dtype=z.dtype)
+            cnt = np.zeros(b, dtype=rows.dtype)
         else:
-            cnt = mask[:, 2:].sum(axis=1).astype(z.dtype)
+            cnt = mask[:, 2:].sum(axis=1).astype(rows.dtype)
             if agg == "mean":
                 qn = hn.sum(axis=1) / np.maximum(cnt, 1.0)[:, None]
             elif agg == "sum":
@@ -180,15 +197,15 @@ def _forward_batch(z, mask, params: ModelParams, dropout_mask, agg: str):
     hid = np.maximum(hid_pre, 0.0)
     hid_d = hid if dropout_mask is None else hid * dropout_mask
     logit = hid_d @ params.out_w + params.out_b
-    cache = {"z": z, "mask": mask, "h": h, "q": q, "hid": hid, "hid_d": hid_d,
-             "dropout_mask": dropout_mask, "cnt": cnt, "cn_idx": cn_idx,
-             "agg": agg, "ccn": ccn, "logit": logit}
+    cache = {"rows": rows, "mask": mask, "h": h, "q": q, "hid": hid,
+             "hid_d": hid_d, "dropout_mask": dropout_mask, "cnt": cnt,
+             "cn_idx": cn_idx, "agg": agg, "ccn": ccn, "logit": logit}
     return logit, cache
 
 
 def _backward_batch(dlogit, cache, params: ModelParams, out=None) -> ModelParams:
     """Exact gradients, written into ``out``, else into one new flat buffer."""
-    z, mask, h = cache["z"], cache["mask"], cache["h"]
+    rows, mask, h = cache["rows"], cache["mask"], cache["h"]
     d_prime = params.d_prime
     dhid_d = dlogit[:, None] * params.out_w[None, :]
     dhid = dhid_d if cache["dropout_mask"] is None else dhid_d * cache["dropout_mask"]
@@ -208,13 +225,15 @@ def _backward_batch(dlogit, cache, params: ModelParams, out=None) -> ModelParams
             dh[:, 2:] += dqn[:, None, :] * mask[:, 2:, None]
         else:
             # each (b, 2 + cn_idx[b, f], f) target is distinct, since f is
-            b_idx = np.arange(z.shape[0])[:, None]
+            b_idx = np.arange(mask.shape[0])[:, None]
             f_idx = np.arange(d_prime)[None, :]
             dh[b_idx, 2 + cache["cn_idx"], f_idx] += dqn
     dh_pre = dh * (h > 0)
-    bp = z.shape[0] * z.shape[1]
-    grads = _flat_params(params.tensors(), z.dtype, copy=False) if out is None else out
-    np.matmul(z.reshape(bp, -1).T, dh_pre.reshape(bp, d_prime), out=grads.W)
+    # dW over the real rows only
+    dh_pre = (dh_pre.reshape(-1, d_prime) if rows.shape[0] == mask.size
+              else dh_pre[mask])
+    grads = _flat_params(params.tensors(), rows.dtype, copy=False) if out is None else out
+    np.matmul(rows.T, dh_pre, out=grads.W)
     np.matmul(cache["q"].T, dhid_pre, out=grads.hidden_w)
     grads.hidden_b[...] = dhid_pre.sum(axis=0)
     np.matmul(cache["hid_d"].T, dlogit, out=grads.out_w)
@@ -235,27 +254,28 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
                        rng: np.random.Generator | None = None, out=None):
     """Mean binary cross-entropy over a batch and exact gradients.
 
-    ``batch`` is the (z, mask, labels) arrays of ``RecordFile.batch``. The
+    ``batch`` is the (rows, mask, labels) arrays of ``RecordFile.batch``. The
     sigmoid and BCE are fused in log space (softplus form), so extreme
     logits cannot overflow. The dropout mask is drawn once and shared
     between forward and backward. The gradients are written into ``out``
     (ModelParams over one flat buffer of the batch's dtype) when given,
     else into a new buffer.
     """
-    z, mask, y = batch
-    if z.shape[0] == 0:
+    rows, mask, y = batch
+    b = mask.shape[0]
+    if b == 0:
         raise ValueError("batch must be nonempty")
     dtype = params.W.dtype
     dmask = None
     if config.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout > 0 needs an rng")
-        dmask = ((rng.random((z.shape[0], params.d_prime)) >= config.dropout)
+        dmask = ((rng.random((b, params.d_prime)) >= config.dropout)
                  .astype(dtype) / (1.0 - config.dropout)).astype(dtype)
-    logit, cache = _forward_batch(z, mask, params, dmask, config.agg)
+    logit, cache = _forward_batch(rows, mask, params, dmask, config.agg)
     # loss_i = softplus(logit) - y * logit;  dloss/dlogit = sigmoid(logit) - y
     loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
-    dlogit = (_sigmoid(logit) - y) / z.shape[0]
+    dlogit = (_sigmoid(logit) - y) / b
     grads = _backward_batch(dlogit, cache, params, out)
     return loss, grads
 
@@ -411,12 +431,12 @@ def predict(dataset, params: ModelParams, agg: str = "mean",
         scores = np.zeros(n, dtype=np.float64)
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
-            z, mask, _ = records.batch(np.arange(start, stop), dtype)
-            if z.shape[2] != params.W.shape[0]:
-                raise ValueError(f"record width {z.shape[2]} does not match "
+            rows, mask, _ = records.batch(np.arange(start, stop), dtype)
+            if rows.shape[1] != params.W.shape[0]:
+                raise ValueError(f"record width {rows.shape[1]} does not match "
                                  f"W rows {params.W.shape[0]}")
-            logit = _forward_batch(z, mask, params, None, agg)[0]
-            del z, mask             # freed before the next batch is built
+            logit = _forward_batch(rows, mask, params, None, agg)[0]
+            del rows, mask          # freed before the next batch is built
             scores[start:stop] = _sigmoid(logit.astype(np.float64))
     return scores
 

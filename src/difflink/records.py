@@ -96,7 +96,8 @@ MAX_CCN_CAP = 0xFFFF - 2
 # Links built together by the chunk engine; bounds its memory.
 CHUNK_LINKS = 64
 # Bytes a RecordFile reads at a time while it verifies and indexes a file;
-# a file that fits in one piece is kept whole. Bounds a reader's memory.
+# a file that fits in one piece is kept whole. Iteration decodes at most
+# this many bytes of float32 rows at a time. Bounds a reader's memory.
 READ_PIECE = 2 << 20
 # A chunk is stored sparse only if that takes at most this share of its dense
 # bytes (8 bytes a nonzero against 4 a value): a sparse value decodes by a
@@ -245,9 +246,7 @@ def _pooled_ids(graph: Graph, u: np.ndarray, v: np.ndarray,
     order = np.argsort(np.concatenate([3 * links, 3 * links + 1, 3 * cn_link + 2]),
                        kind="stable")
     ids = np.concatenate([u, v, cn])[order]
-    starts = np.zeros(links.shape[0] + 1, dtype=np.int64)
-    np.cumsum(2 + np.bincount(cn_link, minlength=links.shape[0]), out=starts[1:])
-    return ids, starts
+    return ids, _starts(2 + np.bincount(cn_link, minlength=links.shape[0]))
 
 
 def _block_product(y: CSRMatrix, a: CSRMatrix, lo: np.ndarray,
@@ -379,36 +378,31 @@ def serialize_record(rec: LinkRecord) -> bytes:
 
 def deserialize_record(buf: bytes, offset: int = 0,
                        name: str = "record") -> tuple[LinkRecord, int]:
-    """The record at ``offset`` of ``buf`` (named ``name``), and the offset after it."""
-    u, v, label, p, r1, w, nnz = _HEADER_STRUCT.unpack_from(buf, offset)
-    at = offset + _HEADER.itemsize
-    ids = np.frombuffer(buf, "<u4", p, at).astype(np.int64)
-    size = r1 * p * w
-    rows = (np.frombuffer(buf, "<f4", size, at + 4 * p) if nnz == _DENSE else
-            _scatter(np.zeros((1, size), np.float32), [0], [memoryview(buf)[at + 4 * p:]],
-                     [nnz], [size], name))
-    blocks = rows.reshape(p, r1, w).transpose(1, 0, 2).copy()
-    return LinkRecord(u, v, label, ids, blocks), offset + _record_bytes(p, r1, w, nnz)
+    """The record at ``offset`` of ``buf`` (named ``name``), and the offset
+    after it; decoded as a one-record file would be."""
+    end = offset + _record_bytes(*_HEADER_STRUCT.unpack_from(buf, offset)[3:])
+    one = _RecordBuffer(_FILE_HEADER.pack(_MAGIC, _VERSION) + bytes(buf[offset:end]),
+                        name)
+    return one[0], end
 
 
-def _scatter(out, rows, payloads, counts, limits, name) -> np.ndarray:
-    """``out``, a zeroed C-contiguous (B, L) array, with sparse payload j
-    (counts[j] positions, then values) written into row rows[j], rows
-    ascending; RecordFormatError naming ``name`` if positions leave
-    [0, limits[j]) or do not increase, so no value lands in another row."""
+def _scatter(out, bases, payloads, counts, limits, name) -> None:
+    """Write sparse payload j (counts[j] positions, then values) into the
+    zeroed flat array ``out`` from ``out[bases[j]]`` on, bases ascending;
+    RecordFormatError naming ``name`` if positions leave [0, limits[j]) or
+    do not increase, so no value lands in another record's rows."""
     counts = np.asarray(counts, dtype=np.int64)
     pos = np.concatenate([np.frombuffer(b, "<u4", n) for b, n in
                           zip(payloads, counts.tolist())]).astype(np.int64)
     values = np.concatenate([np.frombuffer(b, "<f4", n, 4 * n) for b, n in
                              zip(payloads, counts.tolist())])
-    base = np.asarray(rows, dtype=np.int64) * out.shape[1]
+    base = np.asarray(bases, dtype=np.int64)
     pos += np.repeat(base, counts)
     last = (np.cumsum(counts) - 1)[counts > 0]
     if (np.diff(pos) <= 0).any() or (pos[last] >= (base + limits)[counts > 0]).any():
         raise RecordFormatError(f"{name}: sparse positions not increasing "
                                 f"or out of range")
-    out.reshape(-1)[pos] = values
-    return out
+    out[pos] = values
 
 
 def _record_arrays(records: list):
@@ -417,8 +411,7 @@ def _record_arrays(records: list):
     if len({(rec.blocks.shape[0], rec.blocks.shape[2]) for rec in records}) > 1:
         raise ValueError("records disagree on operator count or block width")
     links = np.array([(rec.u, rec.v, rec.label) for rec in records], dtype=np.int64)
-    starts = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum([rec.pooled_count for rec in records], out=starts[1:])
+    starts = _starts(np.array([rec.pooled_count for rec in records], dtype=np.int64))
     return (links, np.concatenate([rec.pooled_ids for rec in records]), starts,
             np.concatenate([rec.blocks for rec in records], axis=1))
 
@@ -548,19 +541,99 @@ def _scan(buf, base: int, off: int):
     return head_at[offsets - base], offsets, off
 
 
-class _RecordBuffer:
-    """Records in the file layout, indexed by arrays and read through one
-    primitive, ``_read(offset, size)``: the bytes at an offset.
+def _starts(p: np.ndarray) -> np.ndarray:
+    """Row offsets of records that pool ``p`` rows each: record i's rows
+    are ``starts[i]:starts[i + 1]``."""
+    starts = np.zeros(p.shape[0] + 1, dtype=np.int64)
+    np.cumsum(p, out=starts[1:])
+    return starts
 
-    ``offsets``, ``p`` and ``labels`` give each record's byte offset,
-    pooled count and label. This class holds the bytes in memory; when
-    every record is dense with the same (p, r+1, w), all blocks are also
-    one strided array view. ``batch`` writes model inputs for any index array.
-    ``manifest`` is the parsed manifest the records were verified
-    against, or None.
+
+class _Records:
+    """Records indexed by arrays, batched into model inputs.
+
+    ``p`` and ``labels`` give each record's pooled count and label, ``_r1``
+    and ``_w`` its operator count and block width. A subclass writes the
+    rows of the records asked for (``_fill``). ``manifest`` is the parsed
+    manifest the records were verified against, or None.
     """
 
     manifest = None
+
+    def __len__(self) -> int:
+        return self.p.shape[0]
+
+    @property
+    def row_width(self) -> int:
+        """(r+1) * w of the first record: the width of a batch row."""
+        return int(self._r1[0] * self._w[0]) if len(self) else 0
+
+    def batch(self, index, dtype=np.float32):
+        """Model inputs (rows, mask, labels) of the records at ``index``.
+
+        rows is (sum of p, (r+1)*w): every pooled row of the records, in
+        batch-row order (record by record, its rows in pooled order), each
+        pooled node's blocks concatenated operator-major. mask is
+        (B, p_max), True at a record's real rows, so a padded (B, p_max,
+        (r+1)*w) batch ``z`` would have ``z[mask] == rows``; labels is float
+        (B,). ValueError naming the records if ``index`` holds a
+        non-integer or a number outside 0..len-1.
+        """
+        index = np.asarray(index).reshape(-1)
+        if index.shape[0] == 0:
+            raise ValueError("no records to batch")
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"{self._name}: record index {index[:8].tolist()} "
+                             f"is not integer (dtype {index.dtype})")
+        if index.min() < 0 or index.max() >= len(self):
+            bad = index[(index < 0) | (index >= len(self))][0]
+            raise ValueError(f"{self._name}: record index {bad} outside "
+                             f"0..{len(self) - 1}")
+        index = index.astype(np.int64, copy=False)
+        r1, w = self._r1[index], self._w[index]
+        if (r1 != r1[0]).any() or (w != w[0]).any():
+            raise ValueError("records disagree on operator count or block width")
+        p = self.p[index]
+        rows = self._fill(index, p, int(r1[0] * w[0]), dtype)
+        mask = np.arange(p.max()) < p[:, None]
+        return rows, mask, self.labels[index].astype(dtype)
+
+
+class _RecordList(_Records):
+    """A LinkRecord sequence, batched by stacking the records' rows."""
+
+    _name = "<records>"
+
+    def __init__(self, records):
+        self._records = list(records)
+        if len({(rec.blocks.shape[0], rec.blocks.shape[2])
+                for rec in self._records}) > 1:
+            raise ValueError("records disagree on operator count or block width")
+        self.p = np.array([rec.pooled_count for rec in self._records], dtype=np.int64)
+        self.labels = np.array([rec.label for rec in self._records], dtype=np.int64)
+        self._r1, self._w = (np.array([rec.blocks.shape[k] for rec in self._records],
+                                      dtype=np.int64) for k in (0, 2))
+
+    def _fill(self, index, p, row, dtype):
+        starts = _starts(p)
+        rows = np.empty((starts[-1], row), dtype)
+        for i, lo, hi in zip(index.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
+            blocks = self._records[i].blocks
+            # rounded to float32 first, as a record file holds them
+            rows[lo:hi].reshape(hi - lo, blocks.shape[0], -1)[...] = (
+                blocks.transpose(1, 0, 2).astype(np.float32, copy=False))
+        return rows
+
+
+class _RecordBuffer(_Records):
+    """Records in the file layout, indexed by arrays and read through one
+    primitive, ``_read(offset, size)``: the bytes at an offset.
+
+    ``offsets`` gives each record's byte offset. This class holds the bytes
+    in memory; when every record is dense with the same (p, r+1, w), all
+    blocks are also one strided array view. Iteration decodes a piece of
+    records at a time with one ``batch`` call (``_pieces``).
+    """
 
     def __init__(self, buf, name):
         self._buf, self._name = buf, name
@@ -588,63 +661,70 @@ class _RecordBuffer:
                 (a == a[0]).all() for a in (self.p, self._r1, self._w, self._nnz)):
             p, row = int(self.p[0]), int(self._r1[0] * self._w[0])
             self._payload = np.ndarray(
-                (len(self), p, row), "<f4", self._buf,
+                (len(self), p * row), "<f4", self._buf,
                 int(self.offsets[0]) + _HEADER.itemsize + 4 * p,
-                (int(self._size[0]), 4 * row, 4))
+                (int(self._size[0]), 4))
 
     def _read(self, offset: int, size: int):
         """The ``size`` bytes at file offset ``offset``."""
         return memoryview(self._buf)[offset:offset + size]
 
-    def __len__(self) -> int:
-        return self.offsets.shape[0]
-
     def __getitem__(self, i: int) -> LinkRecord:
-        return deserialize_record(self._read(int(self.offsets[i]), int(self._size[i])),
-                                  name=self._name)[0]
+        i = range(len(self))[i]
+        return next(self._decoded(i, i + 1))
 
     def __iter__(self):
-        for off, size in zip(self.offsets.tolist(), self._size.tolist()):
-            yield deserialize_record(self._read(off, size), name=self._name)[0]
+        for lo, hi in self._pieces():
+            yield from self._decoded(lo, hi)
 
-    @property
-    def row_width(self) -> int:
-        """(r+1) * w of the first record: the width of a batch row."""
-        return int(self._r1[0] * self._w[0]) if len(self) else 0
+    def _pieces(self):
+        """Runs [lo, hi) of consecutive records of one (r+1, w) that decode
+        to at most ``READ_PIECE`` bytes of float32 rows (or one record)."""
+        end = np.cumsum(4 * self.p * self._r1 * self._w)
+        cuts = np.flatnonzero(np.diff(self._r1) | np.diff(self._w)) + 1
+        lo = 0
+        for stop in [*cuts.tolist(), len(self)]:
+            while lo < stop:
+                done = int(end[lo - 1]) if lo else 0
+                hi = int(np.searchsorted(end, done + READ_PIECE, side="right"))
+                hi = min(stop, max(hi, lo + 1))
+                yield lo, hi
+                lo = hi
 
-    def batch(self, index, dtype=np.float32):
-        """Model inputs (z, mask, labels) of the records at ``index``.
+    def _decoded(self, lo: int, hi: int):
+        """LinkRecords lo..hi-1, decoded by one ``batch`` call; each one's
+        blocks are a view of that batch's rows."""
+        rows = self.batch(np.arange(lo, hi))[0]
+        at = 0
+        for off, p in zip(self.offsets[lo:hi].tolist(), self.p[lo:hi].tolist()):
+            head = self._read(off, _HEADER.itemsize + 4 * p)
+            u, v, label, _, r1, w, _ = _HEADER_STRUCT.unpack_from(head)
+            ids = np.frombuffer(head, "<u4", p, _HEADER.itemsize).astype(np.int64)
+            blocks = rows[at:at + p].reshape(p, r1, w).transpose(1, 0, 2)
+            at += p
+            yield LinkRecord(u, v, label, ids, blocks)
 
-        z is (B, p_max, (r+1)*w), padded to the largest pooled count among
-        them, with each pooled node's blocks concatenated operator-major;
-        mask flags real (unpadded) rows; labels is float (B,).
-        """
-        index = np.asarray(index, dtype=np.int64).reshape(-1)
-        if index.shape[0] == 0:
-            raise ValueError("no records to batch")
-        r1, w = self._r1[index], self._w[index]
-        if (r1 != r1[0]).any() or (w != w[0]).any():
-            raise ValueError("records disagree on operator count or block width")
-        r1, w = int(r1[0]), int(w[0])
-        p = self.p[index]
-        p_max = int(p.max())
-        z = np.zeros((index.shape[0], p_max, r1 * w), dtype=dtype)
+    def _fill(self, index, p, row, dtype):
+        """The batch rows of the records at ``index``, which pool ``p`` rows
+        each, ``row`` values a row."""
         if self._payload is not None:
-            z[...] = self._payload[index]
-        else:
-            rows = z.reshape(index.shape[0], -1)
-            at = self.offsets[index] + _HEADER.itemsize + 4 * p
-            sparse = []
-            for i, (off, size, nnz) in enumerate(zip(
-                    at.tolist(), (r1 * w * p).tolist(), self._nnz[index].tolist())):
-                if nnz == _DENSE:
-                    rows[i, :size] = np.frombuffer(self._read(off, 4 * size), "<f4")
-                else:
-                    sparse.append((i, self._read(off, 8 * nnz), nnz, size))
-            if sparse:
-                _scatter(rows, *zip(*sparse), self._name)
-        mask = np.arange(p_max) < p[:, None]
-        return z, mask, self.labels[index].astype(dtype)
+            return self._payload[index].reshape(-1, row).astype(dtype, copy=False)
+        starts = _starts(p)
+        nnz = self._nnz[index]
+        sparse = nnz != _DENSE
+        rows = (np.zeros if sparse.any() else np.empty)((starts[-1], row), dtype)
+        flat = rows.reshape(-1)
+        size = row * np.diff(starts)
+        at = self.offsets[index] + _HEADER.itemsize + 4 * self.p[index]
+        for lo, off, n in zip((row * starts[:-1])[~sparse].tolist(),
+                              at[~sparse].tolist(), size[~sparse].tolist()):
+            flat[lo:lo + n] = np.frombuffer(self._read(off, 4 * n), "<f4")
+        if sparse.any():
+            _scatter(flat, row * starts[:-1][sparse],
+                     [self._read(off, 8 * n) for off, n in
+                      zip(at[sparse].tolist(), nnz[sparse].tolist())],
+                     nnz[sparse], size[sparse], self._name)
+        return rows
 
 
 class RecordFile(_RecordBuffer):
@@ -750,21 +830,17 @@ class RecordFile(_RecordBuffer):
 
 @contextmanager
 def _record_buffer(records):
-    """``records`` as a _RecordBuffer for a ``with`` block: a _RecordBuffer
-    is used as it is, a record file path is opened (and verified) and
-    closed after the block, and a LinkRecord sequence is encoded in
-    memory."""
-    if isinstance(records, _RecordBuffer):
+    """``records`` as batchable records for a ``with`` block: a _Records is
+    used as it is, a record file path is opened (and verified) and closed
+    after the block, and a LinkRecord sequence is batched from its records'
+    own rows."""
+    if isinstance(records, _Records):
         yield records
     elif isinstance(records, (str, Path)):
         with RecordFile(records) as opened:
             yield opened
     else:
-        records = list(records)
-        blob = _FILE_HEADER.pack(_MAGIC, _VERSION)
-        if records:
-            blob += _encode(*_record_arrays(records))
-        yield _RecordBuffer(blob, "<records>")
+        yield _RecordList(records)
 
 
 def read_records(path, verify: bool = True) -> list:

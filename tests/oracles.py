@@ -6,9 +6,13 @@ for PageRank, straight-line scalar math for the model forward pass, and
 struct packing for record bytes, dense or sparse, and the pair samplers
 and ``build_graph`` as first written (Python sets, per-candidate loops,
 ``np.unique`` and ``np.lexsort``), which the sorted-key versions must match
-bit for bit. None of it shares code with the package under test, except
-``link_record``, which is not a reference: it hands tests one link's record
-from the package's own chunk engine.
+bit for bit. The model head's padded layout is kept too: batches padded to
+their largest pooled count, and the forward and backward passes over every
+padded row, as the head first ran them. None of it shares code with the
+package under test, except ``link_record``, which is not a reference: it
+hands tests one link's record from the package's own chunk engine; and
+``train_reference``, which runs the padded passes inside the package's own
+``init_params``, ``Adam`` and ``auc``, each tested on its own.
 """
 from __future__ import annotations
 
@@ -327,6 +331,21 @@ def adam_reference(params: dict, m: dict, v: dict, grads: dict, t: int,
     return new_p, new_m, new_v
 
 
+def init_params_reference(rng, in_dim: int, d_prime: int, ccn: bool,
+                          dtype=np.float32) -> dict:
+    """Glorot-uniform weights drawn as one whole float64 array each (W,
+    hidden_w, out_w in turn) and cast to ``dtype``; zero biases."""
+    def glorot(fan_in, fan_out):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(dtype)
+
+    return {"W": glorot(in_dim, d_prime),
+            "hidden_w": glorot(2 * d_prime if ccn else d_prime, d_prime),
+            "hidden_b": np.zeros(d_prime, dtype=dtype),
+            "out_w": glorot(d_prime, 1)[:, 0],
+            "out_b": np.zeros((), dtype=dtype)}
+
+
 def stack_reference(records, dtype=np.float32):
     """Model inputs (z, mask, labels) of a LinkRecord list, one record at
     a time: rows padded to the largest pooled count, each pooled node's
@@ -342,6 +361,150 @@ def stack_reference(records, dtype=np.float32):
         mask[i, :p] = True
         labels[i] = rec.label
     return z, mask, labels
+
+
+def pack_batch(batch):
+    """A padded (z, mask, labels) batch in the packed layout
+    ``RecordFile.batch`` returns: only the real rows, ``z[mask]``."""
+    z, mask, labels = batch
+    return z[mask], mask, labels
+
+
+def pad_batch(batch):
+    """A packed (rows, mask, labels) batch padded back to (z, mask, labels):
+    z is (B, p_max, width), zero past each record's pooled count."""
+    rows, mask, labels = batch
+    z = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    z[mask] = rows
+    return z, mask, labels
+
+
+def forward_reference(z, mask, params, dropout_mask, agg: str):
+    """The head's forward pass over a padded batch, every padded row
+    included: (logit, cache for ``backward_reference``)."""
+    ccn = params.hidden_w.shape[0] == 2 * params.W.shape[1]
+    b, p, width = z.shape
+    h = np.maximum(z.reshape(b * p, width) @ params.W, 0.0).reshape(b, p, -1)
+    qc = h[:, 0] * h[:, 1]
+    cn_idx = cnt = None
+    if ccn:
+        hn = h[:, 2:]
+        if hn.shape[1] == 0:
+            qn = np.zeros_like(qc)
+            cnt = np.zeros(b, dtype=z.dtype)
+        else:
+            cnt = mask[:, 2:].sum(axis=1).astype(z.dtype)
+            if agg == "mean":
+                qn = hn.sum(axis=1) / np.maximum(cnt, 1.0)[:, None]
+            elif agg == "sum":
+                qn = hn.sum(axis=1)
+            else:
+                qn = hn.max(axis=1)
+                cn_idx = hn.argmax(axis=1)
+        q = np.concatenate([qc, qn], axis=1)
+    else:
+        q = qc
+    hid = np.maximum(q @ params.hidden_w + params.hidden_b, 0.0)
+    hid_d = hid if dropout_mask is None else hid * dropout_mask
+    logit = hid_d @ params.out_w + params.out_b
+    cache = {"z": z, "mask": mask, "h": h, "q": q, "hid": hid, "hid_d": hid_d,
+             "dropout_mask": dropout_mask, "cnt": cnt, "cn_idx": cn_idx,
+             "agg": agg, "ccn": ccn}
+    return logit, cache
+
+
+def backward_reference(dlogit, cache, params, grads) -> None:
+    """Exact gradients of a padded batch written into ``grads``; dW sums
+    over every padded row."""
+    z, mask, h = cache["z"], cache["mask"], cache["h"]
+    d_prime = params.W.shape[1]
+    dhid = dlogit[:, None] * params.out_w[None, :]
+    if cache["dropout_mask"] is not None:
+        dhid = dhid * cache["dropout_mask"]
+    dhid_pre = dhid * (cache["hid"] > 0)
+    dq = dhid_pre @ params.hidden_w.T
+    dh = np.zeros_like(h)
+    dqc = dq[:, :d_prime]
+    dh[:, 0] = dqc * h[:, 1]
+    dh[:, 1] = dqc * h[:, 0]
+    if cache["ccn"] and h.shape[1] > 2:
+        dqn = dq[:, d_prime:]
+        if cache["agg"] == "mean":
+            share = dqn / np.maximum(cache["cnt"], 1.0)[:, None]
+            dh[:, 2:] += share[:, None, :] * mask[:, 2:, None]
+        elif cache["agg"] == "sum":
+            dh[:, 2:] += dqn[:, None, :] * mask[:, 2:, None]
+        else:
+            b_idx = np.arange(z.shape[0])[:, None]
+            f_idx = np.arange(d_prime)[None, :]
+            dh[b_idx, 2 + cache["cn_idx"], f_idx] += dqn
+    dh_pre = dh * (h > 0)
+    bp = z.shape[0] * z.shape[1]
+    np.matmul(z.reshape(bp, -1).T, dh_pre.reshape(bp, d_prime), out=grads.W)
+    np.matmul(cache["q"].T, dhid_pre, out=grads.hidden_w)
+    grads.hidden_b[...] = dhid_pre.sum(axis=0)
+    np.matmul(cache["hid_d"].T, dlogit, out=grads.out_w)
+    grads.out_b[...] = dlogit.sum()
+
+
+def _sigmoid_reference(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def predict_reference(records, params, agg: str = "mean", batch_size: int = 256):
+    """``model.predict`` on a LinkRecord list through padded batches."""
+    return np.concatenate([
+        _sigmoid_reference(forward_reference(
+            *stack_reference(records[i:i + batch_size])[:2], params, None,
+            agg)[0].astype(np.float64))
+        for i in range(0, len(records), batch_size)])
+
+
+def train_reference(train_records, valid_records, config, predict_batch=256):
+    """``model.train`` on LinkRecord lists with padded batches
+    (``stack_reference``) through the padded forward and backward passes:
+    (params of the best validation epoch, history)."""
+    from difflink import Adam, init_params
+    from difflink.metrics import ScoredPairs, auc
+    from difflink.model import _flat, _flat_params
+
+    rng = np.random.default_rng(config.seed)
+    first = train_records[0]
+    params = init_params(rng, first.num_operators * first.block_width,
+                         config.d_prime, config.pooling)
+    opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+    grads = _flat_params(params.tensors(), copy=False)
+    n = len(train_records)
+    labels = np.array([rec.label for rec in valid_records])
+    best_auc, best, history = -1.0, None, []
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            index = perm[start:start + config.batch_size]
+            z, mask, y = stack_reference([train_records[i] for i in index])
+            dmask = None
+            if config.dropout > 0.0:
+                dmask = ((rng.random((z.shape[0], config.d_prime)) >= config.dropout)
+                         .astype(np.float32) / (1.0 - config.dropout)).astype(np.float32)
+            logit, cache = forward_reference(z, mask, params, dmask, config.agg)
+            loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
+            backward_reference((_sigmoid_reference(logit) - y) / z.shape[0], cache,
+                               params, grads)
+            opt.step(params, grads)
+            total += loss * index.shape[0]
+        scores = predict_reference(valid_records, params, config.agg, predict_batch)
+        val_auc = auc(ScoredPairs(scores[labels == 1], scores[labels == 0]))
+        history.append({"epoch": epoch, "train_loss": total / n, "valid_auc": val_auc})
+        if val_auc > best_auc:
+            best_auc, best = val_auc, params.copy()
+    assert _flat(best) is not None
+    return best, history
 
 
 def seal_bytes(g: nx.Graph, links, h: int, w: int) -> int:

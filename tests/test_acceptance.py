@@ -34,7 +34,7 @@ from difflink.metrics import Heuristic, ScoredPairs
 from difflink.records import _walk_seed
 
 from conftest import gnp_graph, random_pair, require_dataset
-from oracles import dense_record_blocks, link_record, stack_reference
+from oracles import dense_record_blocks, link_record, pack_batch, stack_reference
 
 # Reference mean AUCs from the benchmark the defaults reproduce.
 PB_AA_REFERENCE = 91.76
@@ -152,8 +152,9 @@ def test_criterion_2_gradients_match_finite_differences():
         params.out_b = np.asarray(rng.normal() * 0.1)
         config = TrainConfig(d_prime=d_prime, dropout=dropout, epochs=1,
                              agg=agg, pooling=pooling)
-        worst = max(worst, _fd_worst_error(stack_reference(batch, np.float64),
-                                           params, config, seed=1000 + trial))
+        worst = max(worst, _fd_worst_error(
+            pack_batch(stack_reference(batch, np.float64)), params, config,
+            seed=1000 + trial))
         configs += 1
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 60.0

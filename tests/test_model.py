@@ -1,18 +1,23 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       SamplingOperatorSet, TrainConfig, auc, build_graph,
-                      init_params, load_params, loss_and_gradients,
-                      precompute_dataset, predict, save_params, train,
+                      datasets, init_params, labeled_links, load_params,
+                      loss_and_gradients, precompute_dataset, predict,
+                      read_records, save_params, split_edges, train,
                       write_records)
 from difflink.metrics import ScoredPairs
 from difflink.model import ADAM_BLOCK, _flat, _flat_params, _forward_batch
+from difflink import records as records_module
 from difflink.records import RecordFile, _record_buffer
 
-from oracles import adam_reference, link_record, scalar_forward, stack_reference
+from oracles import (adam_reference, init_params_reference, link_record,
+                     pack_batch, predict_reference, scalar_forward,
+                     stack_reference, train_reference)
 
 
 def _random_record(rng, r1=3, p=4, w=5, label=1):
@@ -41,6 +46,34 @@ def test_init_param_shapes():
     assert ccn.hidden_w.shape == (16, 8)
     assert ccn.pooling is Pooling.CCN
     assert ccn.pool_dim == 16
+
+
+@pytest.mark.parametrize("pooling,in_dim,d_prime,dtype", [
+    (Pooling.CCN, 1000, 256, np.float32),      # W in 8 row blocks, the last partial
+    (Pooling.CENTER, 7, 3, np.float32),
+    (Pooling.CCN, 300, 64, np.float64),
+])
+def test_init_params_matches_whole_array_draws(pooling, in_dim, d_prime, dtype):
+    params = init_params(np.random.default_rng(5), in_dim, d_prime, pooling, dtype)
+    want = init_params_reference(np.random.default_rng(5), in_dim, d_prime,
+                                 pooling is Pooling.CCN, dtype)
+    assert _flat(params) is not None
+    for k, t in params.tensors().items():
+        assert t.dtype == dtype and t.shape == want[k].shape, k
+        assert np.array_equal(t, want[k]), k
+
+
+def test_init_params_memory_is_the_parameters_and_a_block():
+    # cora_plus's shapes: W is 6136 x 256
+    tracemalloc.start()
+    try:
+        params = init_params(np.random.default_rng(0), 6136, 256, Pooling.CCN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = _flat(params).nbytes
+    # a block of float64 draws and its cast, plus small objects
+    assert peak <= held + 16 * ADAM_BLOCK + (64 << 10), (peak, held)
 
 
 def test_zero_params_give_half():
@@ -95,7 +128,7 @@ def test_eval_equals_train_without_dropout():
     y = np.array([rec.label for rec in batch])
     bce = -np.mean(y * np.log(prob) + (1 - y) * np.log(1 - prob))
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
-    loss, _ = loss_and_gradients(stack_reference(batch), params, cfg)
+    loss, _ = loss_and_gradients(pack_batch(stack_reference(batch)), params, cfg)
     assert loss == pytest.approx(bce, rel=1e-5)
 
 
@@ -106,7 +139,7 @@ def test_loss_is_ln2_at_zero_params():
     for k, t in params.tensors().items():
         t[...] = 0.0
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
-    loss, grads = loss_and_gradients(stack_reference(batch), params, cfg)
+    loss, grads = loss_and_gradients(pack_batch(stack_reference(batch)), params, cfg)
     assert loss == pytest.approx(np.log(2.0), abs=1e-7)
 
 
@@ -115,8 +148,9 @@ def test_duplicated_batch_keeps_mean_loss_and_grads():
     batch = [_random_record(rng, label=i % 2) for i in range(3)]
     params = _random_params(rng, 15, 6, Pooling.CCN)
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
-    loss1, g1 = loss_and_gradients(stack_reference(batch), params, cfg)
-    loss2, g2 = loss_and_gradients(stack_reference(batch + batch), params, cfg)
+    loss1, g1 = loss_and_gradients(pack_batch(stack_reference(batch)), params, cfg)
+    loss2, g2 = loss_and_gradients(pack_batch(stack_reference(batch + batch)), params,
+                                  cfg)
     assert loss1 == pytest.approx(loss2, rel=1e-6)
     for k, t in g1.tensors().items():
         assert np.allclose(t, g2.tensors()[k], rtol=1e-5, atol=1e-7)
@@ -125,7 +159,8 @@ def test_duplicated_batch_keeps_mean_loss_and_grads():
 def test_gradients_written_into_out_match_a_new_buffer():
     # train writes every step's gradients into one kept buffer
     rng = np.random.default_rng(8)
-    batch = stack_reference([_random_record(rng, label=i % 2) for i in range(3)])
+    batch = pack_batch(stack_reference([_random_record(rng, label=i % 2)
+                                        for i in range(3)]))
     params = _random_params(rng, 15, 6, Pooling.CCN)
     cfg = TrainConfig(d_prime=6, dropout=0.0, epochs=1)
     _, fresh = loss_and_gradients(batch, params, cfg)
@@ -176,8 +211,9 @@ def _relative_grad_error(batch, params, cfg, seed, samples=10):
 def test_gradients_match_finite_differences(pooling, agg, dropout):
     rng = np.random.default_rng(8)
     p = 2 if pooling is Pooling.CENTER else 5
-    batch = stack_reference([_random_record(rng, r1=2, p=p, w=4, label=i % 2)
-                             for i in range(3)], np.float64)
+    batch = pack_batch(stack_reference([_random_record(rng, r1=2, p=p, w=4,
+                                                       label=i % 2)
+                                        for i in range(3)], np.float64))
     params = _random_params(rng, 8, 5, pooling, dtype=np.float64)
     cfg = TrainConfig(d_prime=5, dropout=dropout, epochs=1, agg=agg)
     assert _relative_grad_error(batch, params, cfg, seed=13) < 1e-6
@@ -253,10 +289,10 @@ def test_params_and_gradients_are_flat_buffers():
         flat = _flat(p)
         assert flat is not None and flat.size == sum(t.size for t in p.tensors().values())
     cfg = TrainConfig(d_prime=5, dropout=0.0, epochs=1)
-    _, grads = loss_and_gradients(stack_reference(records), params, cfg)
+    _, grads = loss_and_gradients(pack_batch(stack_reference(records)), params, cfg)
     assert _flat(grads) is not None
-    with _record_buffer(records) as encoded:
-        _, same = loss_and_gradients(encoded.batch([0, 1, 2]), params, cfg)
+    with _record_buffer(records) as listed:
+        _, same = loss_and_gradients(listed.batch([0, 1, 2]), params, cfg)
     for k, g in grads.tensors().items():
         assert np.array_equal(g, same.tensors()[k])
 
@@ -290,11 +326,11 @@ def test_logit_does_not_depend_on_batch_padding(pooling, agg):
     small = _random_record(rng, r1=3, p=2 if pooling is Pooling.CENTER else 3, w=7)
     larger = [_random_record(rng, r1=3, p=p, w=7, label=0) for p in (6, 9, 4)]
     params = _random_params(rng, 21, 16, pooling)
-    z, mask, _ = stack_reference([small])
-    alone, _ = _forward_batch(z, mask, params, None, agg)
-    z, mask, _ = stack_reference([larger[0], small] + larger[1:])
-    padded, _ = _forward_batch(z, mask, params, None, agg)
-    assert z.shape[1] == 9 and not mask[1, small.pooled_count:].any()
+    rows, mask, _ = pack_batch(stack_reference([small]))
+    alone, _ = _forward_batch(rows, mask, params, None, agg)
+    rows, mask, _ = pack_batch(stack_reference([larger[0], small] + larger[1:]))
+    padded, _ = _forward_batch(rows, mask, params, None, agg)
+    assert mask.shape[1] == 9 and not mask[1, small.pooled_count:].any()
     np.testing.assert_allclose(padded[1], alone[0], rtol=1e-6)
 
 
@@ -453,6 +489,26 @@ def test_predict_from_file_matches_records(tmp_path):
             predict(recs, params, batch_size=bad)
 
 
+def test_record_list_is_batched_from_its_own_rows(monkeypatch):
+    # train and predict stack a list's rows; nothing is encoded to file bytes
+    def refuse(*args):
+        raise AssertionError("a record list was encoded")
+
+    monkeypatch.setattr(records_module, "_encode", refuse)
+    rng = np.random.default_rng(22)
+    recs = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
+            for i, p in enumerate((2, 5, 3, 2))]
+    params = _random_params(rng, 8, 5, Pooling.CCN)
+    with _record_buffer(recs) as listed:
+        rows, mask, labels = listed.batch([2, 0, 2])
+    want = pack_batch(stack_reference([recs[2], recs[0], recs[2]]))
+    for a, b in zip((rows, mask, labels), want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(predict(recs, params),
+                          predict_reference(recs, params))
+    train(recs, recs, TrainConfig(d_prime=5, epochs=1, batch_size=2, seed=1))
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     params = _random_params(rng, 12, 6, Pooling.CCN)
@@ -468,7 +524,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_stack_records_rejects_width_mismatch():
-    # a record list is encoded into one buffer before it is batched
+    # a record list must agree on one shape before its rows are stacked
     rng = np.random.default_rng(16)
     params = init_params(rng, 8, 5, Pooling.CENTER)
     a = _random_record(rng, r1=2, p=2, w=4)
@@ -494,3 +550,57 @@ def test_train_config_validation():
     TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, dropout=0.0, d_prime=1)
     cfg = TrainConfig(pooling="ccn")
     assert cfg.pooling is Pooling.CCN
+
+
+def _standin_files(tmp_path, dataset, operators, counts=(600, 60)):
+    """Train and valid record files of ``counts`` links on a stand-in, half
+    positives, and their config."""
+    split = split_edges(getattr(datasets, dataset)(seed=0), (0.85, 0.05, 0.10), seed=0)
+    cfg = SamplingOperatorSet(**operators)
+    rng = np.random.default_rng(0)
+    paths = []
+    for part, count in zip(("train", "valid"), counts):
+        links = labeled_links(split, part)
+        picked = [rows[rng.choice(rows.shape[0], count // 2, replace=False)]
+                  for rows in (links[links[:, 2] == 1], links[links[:, 2] == 0])]
+        paths.append(tmp_path / f"{part}.rec")
+        precompute_dataset(split.observed_graph, np.concatenate(picked), cfg,
+                           paths[-1])
+    return cfg, paths
+
+
+@pytest.mark.parametrize("dataset,operators,epochs", [
+    ("cora_like", {"variant": "PoSPlus", "r": 3, "h": 1, "labeling": "drnl"}, 1),
+    ("ns_like", {"variant": "PoS", "r": 3, "h": 2}, 3),
+], ids=["cora_like-PoSPlus-drnl-h1", "ns_like-PoS-h2"])
+def test_packed_training_matches_the_padded_reference_bit_for_bit(
+        tmp_path, dataset, operators, epochs):
+    # the benchmark's shapes: no padded training batch here exceeds the
+    # BLAS's K block, so dropping the zero rows leaves every sum as it was
+    cfg, paths = _standin_files(tmp_path, dataset, operators)
+    tc = TrainConfig(d_prime=256, epochs=epochs, seed=3, pooling=cfg.pooling)
+    params, history = train(*paths, tc)
+    train_recs, valid_recs = (read_records(path) for path in paths)
+    ref, ref_history = train_reference(train_recs, valid_recs, tc)
+    assert history == ref_history
+    for k, t in params.tensors().items():
+        assert np.array_equal(t, ref.tensors()[k]), k
+    assert np.array_equal(predict(paths[1], params),
+                          predict_reference(valid_recs, ref))
+
+
+def test_packed_training_matches_the_padded_reference_at_a_wide_p_max(tmp_path):
+    # pb_like pools up to 30 rows a link, so a padded batch of 32 has up to
+    # 960 rows: past the BLAS's K block, dropping the zero rows regroups
+    # dW's float32 partial sums, and bits may differ in the last places
+    cfg, paths = _standin_files(tmp_path, "pb_like",
+                                {"variant": "PoSPlus", "r": 3, "h": 1})
+    train_recs, valid_recs = (read_records(path) for path in paths)
+    assert max(rec.pooled_count for rec in train_recs) == 30
+    tc = TrainConfig(d_prime=256, epochs=1, seed=3, pooling=cfg.pooling)
+    params, _ = train(*paths, tc)
+    ref, _ = train_reference(train_recs, valid_recs, tc)
+    for k, t in params.tensors().items():
+        np.testing.assert_allclose(t, ref.tensors()[k], rtol=0, atol=1e-6, err_msg=k)
+    np.testing.assert_allclose(predict(paths[1], params),
+                               predict_reference(valid_recs, ref), rtol=0, atol=1e-6)

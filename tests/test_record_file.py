@@ -18,7 +18,7 @@ from difflink.model import TrainConfig, init_params, predict, train
 from difflink.records import manifest_path
 
 from conftest import gnp_graph, random_pair
-from oracles import stack_reference
+from oracles import pack_batch, stack_reference
 
 # pieces that cut record headers (21 bytes) and payloads at many places
 SMALL_PIECES = [17, 40, 97, 1000]
@@ -93,7 +93,7 @@ def _check_streamed_index(path, sparse, monkeypatch, piece):
         for index in (rng.permutation(len(rf)), np.array([3, 3, 0])):
             for dtype in (np.float32, np.float64):
                 got = rf.batch(index, dtype)
-                ref = stack_reference([want[i] for i in index], dtype)
+                ref = pack_batch(stack_reference([want[i] for i in index], dtype))
                 for a, b in zip(got, ref):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -158,7 +158,8 @@ def test_reads_come_from_the_verified_file(tmp_path, monkeypatch, piece):
         assert [serialize_record(r) for r in rf] == [serialize_record(r) for r in want]
         assert serialize_record(rf[7]) == serialize_record(want[7])
         index = rng.permutation(len(rf))
-        for a, b in zip(rf.batch(index), stack_reference([want[i] for i in index])):
+        for a, b in zip(rf.batch(index),
+                        pack_batch(stack_reference([want[i] for i in index]))):
             assert np.array_equal(a, b)
     assert [[r.u, r.v, r.label] for r in read_records(path)] == new_links.tolist()
 
@@ -221,14 +222,14 @@ def test_open_and_batch_memory_is_bounded_by_a_piece_and_a_batch(tmp_path):
         tracemalloc.start()
         try:
             with RecordFile(path) as rf:
-                z, mask, labels = rf.batch(index)
+                rows, mask, labels = rf.batch(index)
             peaks[pieces] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert z.shape == (batch, p, r1 * w) and labels.shape == (batch,)
+        assert rows.shape == (batch * p, r1 * w) and labels.shape == (batch,)
         # one piece being read, one batch and its last record read, plus a
         # fixed allowance for the index and small objects
-        batch_bytes = z.nbytes + mask.nbytes + labels.nbytes + size
+        batch_bytes = rows.nbytes + mask.nbytes + labels.nbytes + size
         bound = piece + batch_bytes + (256 << 10)
         assert path.stat().st_size > 2 * bound
     assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
@@ -293,3 +294,116 @@ def test_train_takes_pooling_from_the_manifest_it_verified(tmp_path, monkeypatch
     assert len(reads) == 3                          # train and valid, once each
     with RecordFile(path, verify=False) as rf:      # no manifest: a guess from p
         assert train(rf, rf, tc)[0].pooling is Pooling.CENTER
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _same_record(a, b) -> bool:
+    return ((a.u, a.v, a.label) == (b.u, b.v, b.label)
+            and a.pooled_ids.dtype == b.pooled_ids.dtype
+            and np.array_equal(a.pooled_ids, b.pooled_ids)
+            and a.blocks.shape == b.blocks.shape
+            and a.blocks.tobytes() == b.blocks.tobytes())
+
+
+@pytest.mark.parametrize("piece", [None, 4096, 1000, 17])
+def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
+    rng = np.random.default_rng(75)
+    dense = tmp_path / "dense.rec"                  # one stride: a strided view
+    write_records(dense, (LinkRecord(i, i + 1, i % 2, np.arange(2),
+                                     rng.random((3, 2, 5), dtype=np.float32))
+                          for i in range(40)))
+    mixed = tmp_path / "mixed.rec"                  # runs of two (r+1, w) shapes
+    write_records(mixed, (LinkRecord(i, i + 1, i % 2, np.arange(2 + i % 3),
+                                     rng.random((3 - i // 7 % 2, 2 + i % 3, 5 + i // 7 % 2),
+                                                dtype=np.float32))
+                          for i in range(30)))
+    paths = [dense, mixed, _ccn_file(tmp_path), _ccn_file(tmp_path, sparse=True)]
+    if piece is not None:
+        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    for path in paths:
+        with RecordFile(path) as rf:
+            got = list(rf)
+            assert len(got) == len(rf)
+            assert all(_same_record(a, rf[i]) for i, a in enumerate(got))
+            assert [serialize_record(r) for r in got] == [
+                serialize_record(r) for r in read_records(path)]
+            # the records decoded by one batch call share its rows; a
+            # piece holds one (r+1, w)
+            owners = {id(_owner(r.blocks)) for r in got}
+            runs = 1 + sum(a.blocks.shape[::2] != b.blocks.shape[::2]
+                           for a, b in zip(got, got[1:]))
+            sizes = np.array([4 * r.blocks.size for r in got])
+            if piece is None:
+                assert len(owners) == runs
+            else:
+                assert len(owners) >= max(runs, sizes.sum() / max(piece, sizes.max()))
+
+
+@pytest.mark.parametrize("piece", [None, 97])
+def test_iteration_over_a_malformed_sparse_payload_names_the_file(tmp_path,
+                                                                   monkeypatch, piece):
+    path = _ccn_file(tmp_path, sparse=True)
+    data = bytearray(path.read_bytes())
+    p = struct.unpack_from("<H", data, 6 + 9)[0]
+    first = 6 + 21 + 4 * p                          # the first record's positions
+    data[first:first + 4] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(data))
+    if piece is not None:
+        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    with RecordFile(path, verify=False) as rf:
+        with pytest.raises(RecordFormatError,
+                           match=re.escape(str(path)) + ".*sparse positions"):
+            list(rf)
+        assert rf[1].pooled_count == rf.p[1]        # other records still read
+
+
+def test_iteration_memory_is_bounded_by_a_piece(tmp_path):
+    # each record dropped once yielded: one piece of decoded rows at a
+    # time, plus the record being read
+    piece = records_module.READ_PIECE
+    rng = np.random.default_rng(76)
+    r1, p, w = 4, 2, 1024
+    size = 21 + 4 * p + 4 * r1 * p * w
+    peaks = {}
+    for pieces in (4, 8):
+        path = tmp_path / f"{pieces}.rec"
+        n = pieces * piece // size + 1
+        write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
+                                        rng.random((r1, p, w), dtype=np.float32))
+                             for i in range(n)))
+        with RecordFile(path) as rf:
+            tracemalloc.start()
+            try:
+                count = 0
+                for rec in rf:
+                    count += 1
+                    del rec
+                peaks[pieces] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert count == n
+    bound = piece + size + (256 << 10)
+    assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
+
+
+def test_batch_rejects_a_non_integer_or_out_of_range_index(tmp_path):
+    path = _ccn_file(tmp_path, count=10)
+    named = re.escape(str(path))
+    with RecordFile(path) as rf:
+        assert len(rf) == 10
+        for bad, message in (([1.5], r"\[1\.5\] is not integer"),
+                             (np.array([2.0]), r"\[2\.0\] is not integer"),
+                             (np.array([True, False]), r"\[True, False\] is not integer"),
+                             ([3, 10], "10 outside 0..9"),
+                             ([-1], "-1 outside 0..9")):
+            with pytest.raises(ValueError, match=named + ": record index " + message):
+                rf.batch(bad)
+        assert rf.batch(np.array([9], dtype=np.uint8))[1].shape[0] == 1
+    with pytest.raises(ValueError, match="no records"):
+        RecordFile(path).batch([])

@@ -17,8 +17,9 @@ from difflink.records import (CHUNK_LINKS, _encode, _link_records,
                               manifest_path)
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
-from oracles import (dense_record_blocks, link_record, seal_bytes,
-                     serialize_reference, sparse_chunk, stack_reference, to_nx)
+from oracles import (dense_record_blocks, link_record, pack_batch, pad_batch,
+                     seal_bytes, serialize_reference, sparse_chunk,
+                     stack_reference, to_nx)
 
 
 def _triangle():
@@ -293,7 +294,7 @@ def test_negative_zero_and_all_zero_records_round_trip(tmp_path):
         assert back.blocks.tobytes() == rec.blocks.tobytes()
     path = tmp_path / "zeros.rec"
     write_records(path, [signed, empty])
-    z, mask, _ = RecordFile(path).batch([1, 0, 1])
+    z, mask, _ = pad_batch(RecordFile(path).batch([1, 0, 1]))
     assert z.tobytes() == stack_reference([empty, signed, empty])[0].tobytes()
     assert np.signbit(z[1, 1, 2]) and np.count_nonzero(z) == 1
 
@@ -334,7 +335,7 @@ def test_file_of_dense_and_sparse_chunks_batches_across_both(tmp_path,
         for index in (rng.permutation(len(recs)), np.array([70, 3, 70, 63, 64])):
             for dtype in (np.float32, np.float64):
                 got = rf.batch(index, dtype)
-                want = stack_reference([recs[i] for i in index], dtype)
+                want = pack_batch(stack_reference([recs[i] for i in index], dtype))
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert [r.blocks.tobytes() for r in rf] == [r.blocks.tobytes() for r in recs]
@@ -380,7 +381,7 @@ def test_bad_sparse_positions_raise_without_verify(tmp_path, edit):
     with pytest.raises(RecordFormatError, match="sparse positions"):
         deserialize_record(path.read_bytes(), 6)
     good = _sparse_pair_file(tmp_path, lambda pos: pos)
-    z = RecordFile(good, verify=False).batch([0, 1])[0]
+    z = pad_batch(RecordFile(good, verify=False).batch([0, 1]))[0]
     assert z[0, :, 1].tolist() == [1, 2, 0] and np.count_nonzero(z[0]) == 2
 
 
@@ -816,9 +817,9 @@ def test_record_file_batch_matches_stack_records(tmp_path, variant):
         picked = [recs[i] for i in index]
         for dtype in (np.float32, np.float64):
             got = rf.batch(index, dtype)
-            with _record_buffer(picked) as encoded:     # as predict batches a list
-                in_memory = encoded.batch(np.arange(len(picked)), dtype)
-            for want in (stack_reference(picked, dtype), in_memory):
+            with _record_buffer(picked) as listed:      # as predict batches a list
+                in_memory = listed.batch(np.arange(len(picked)), dtype)
+            for want in (pack_batch(stack_reference(picked, dtype)), in_memory):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
