@@ -6,46 +6,57 @@ of the pooled nodes in fixed-size binary records, and train a shallow
 pooled head on those records. Sampling, labeling and diffusion run on a
 chunk of links at a time, as one block-diagonal graph. Heuristic baselines, ranking metrics, and a
 config-driven benchmark harness round out the package.
-"""
 
-from .graphs import (EdgeSplit, Graph, GraphFormatError, build_graph,
-                     load_edge_list, load_features, load_split,
-                     normalized_adjacency, sample_negatives, save_edge_list,
-                     save_split, split_edges)
-from .sampling import (Subgraph, UNREACHABLE, graph_power, hop_subgraphs,
-                       walk_subgraphs)
-from .labeling import (LabelScheme, drnl_labels, label_dim_for, node_labels,
-                       zero_one_labels)
-from .records import (CCN_CAP, DatasetStats, LinkRecord, Pooling, RecordFile,
-                      RecordFormatError, SamplingOperatorSet, StorageReport,
-                      Variant, precompute_dataset, read_records,
-                      serialize_record, storage_comparison, write_records)
-from .model import (Adam, ModelParams, TrainConfig, init_params, load_params,
-                    loss_and_gradients, predict, save_params, train)
-from .metrics import (Heuristic, ScoredPairs, auc, hits_at_k, mrr, ppr_vector,
-                      score_pairs)
-from .bench import (ConfigError, ExperimentReport, ExperimentSpec,
-                    labeled_links, load_config, operator_config, parse_config,
-                    precompute_split, run_experiment, run_seed,
-                    storage_summary, timing_probe)
-from . import datasets
+Each public name is imported from its submodule on first use (PEP 562), so
+a process that only builds and splits graphs loads ``graphs`` and
+``datasets``, not the records, model and benchmark layers.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adam", "CCN_CAP", "ConfigError", "DatasetStats", "EdgeSplit",
-    "ExperimentReport", "ExperimentSpec", "Graph", "GraphFormatError",
-    "Heuristic", "LabelScheme", "LinkRecord", "ModelParams", "Pooling",
-    "RecordFile", "RecordFormatError", "SamplingOperatorSet", "ScoredPairs",
-    "StorageReport", "Subgraph", "TrainConfig", "UNREACHABLE", "Variant",
-    "auc", "build_graph", "datasets", "drnl_labels", "graph_power",
-    "hits_at_k", "hop_subgraphs", "init_params", "label_dim_for",
-    "labeled_links", "load_config", "load_edge_list", "load_features",
-    "load_params", "load_split", "loss_and_gradients", "mrr", "node_labels",
-    "normalized_adjacency", "operator_config", "parse_config", "ppr_vector",
-    "precompute_dataset", "precompute_split", "predict", "read_records",
-    "run_experiment", "run_seed", "sample_negatives", "save_edge_list",
-    "save_params", "save_split", "score_pairs", "serialize_record",
-    "split_edges", "storage_comparison", "storage_summary", "timing_probe",
-    "train", "walk_subgraphs", "write_records", "zero_one_labels",
-]
+# Submodule -> the public names it exports. ``datasets`` is exported as a
+# module; every submodule here is also reachable as ``difflink.<module>``.
+_EXPORTS = {
+    "graphs": ("EdgeSplit", "Graph", "GraphFormatError", "build_graph",
+               "labeled_links", "load_edge_list", "load_features", "load_split",
+               "normalized_adjacency", "sample_negatives", "save_edge_list",
+               "save_split", "split_edges"),
+    "sampling": ("Subgraph", "UNREACHABLE", "graph_power", "hop_subgraphs",
+                 "walk_subgraphs"),
+    "labeling": ("LabelScheme", "drnl_labels", "label_dim_for", "node_labels",
+                 "zero_one_labels"),
+    "records": ("CCN_CAP", "DatasetStats", "LinkRecord", "Pooling", "RecordFile",
+                "RecordFormatError", "SamplingOperatorSet", "StorageReport",
+                "Variant", "precompute_dataset", "read_records",
+                "serialize_record", "storage_comparison", "write_records"),
+    "model": ("Adam", "ModelParams", "TrainConfig", "init_params", "load_params",
+              "loss_and_gradients", "predict", "save_params", "train"),
+    "metrics": ("Heuristic", "ScoredPairs", "auc", "hits_at_k", "mrr",
+                "ppr_vector", "score_pairs"),
+    "bench": ("ConfigError", "ExperimentReport", "ExperimentSpec", "load_config",
+              "operator_config", "parse_config", "precompute_split",
+              "run_experiment", "run_seed", "storage_summary", "timing_probe"),
+    "datasets": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# Sorted, so a caller that resolves the names in order (perfbench's tracer
+# does) has loaded every layer, through "Adam" and "ConfigError", before it
+# reaches the first function.
+__all__ = sorted([*_OWNER, "datasets"])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # importing a submodule binds it on the package, so this runs once
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

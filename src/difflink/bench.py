@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import resolve_dataset
-from .graphs import EdgeSplit, Graph, split_edges
+from .graphs import EdgeSplit, Graph, labeled_links, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
 from .model import ModelParams, TrainConfig, predict, train
 from .records import (RecordFile, SamplingOperatorSet, Variant,
@@ -204,17 +204,6 @@ def operator_config(spec: ExperimentSpec, graph: Graph) -> SamplingOperatorSet:
                                k=s["k"], l=s["l"], labeling=s["labeling"],
                                label_cap=s["label_cap"],
                                normalized=s["normalized"], ccn_cap=s["ccn_cap"])
-
-
-def labeled_links(split: EdgeSplit, part: str) -> np.ndarray:
-    """(u, v, label) rows for one split part: positives first, then negatives."""
-    pos = split.positives(part)
-    neg = split.negatives(part)
-    out = np.zeros((pos.shape[0] + neg.shape[0], 3), dtype=np.int64)
-    out[:pos.shape[0], :2] = pos
-    out[:pos.shape[0], 2] = 1
-    out[pos.shape[0]:, :2] = neg
-    return out
 
 
 def precompute_split(split: EdgeSplit, config: SamplingOperatorSet,

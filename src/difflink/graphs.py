@@ -281,35 +281,46 @@ def load_features(path, graph: Graph) -> Graph:
     return Graph(graph.num_nodes, graph.indptr, graph.indices, feats)
 
 
+# Draws of a round that ``_draw_pairs`` sorts and deduplicates at a time. A
+# round draws twice the pairs still wanted, millions on a large graph, so
+# this bounds the split layer's memory to the round's ids and one slice.
+DRAW_SLICE = 1 << 20
+
+
 def _draw_pairs(rng: np.random.Generator, n: int, count: int,
                 forbidden: np.ndarray, batch) -> np.ndarray:
     """Keys of ``count`` distinct node pairs drawn uniformly, in draw order,
     none of them in the sorted key array ``forbidden``.
 
-    Each round draws ``batch(remaining)`` ids u, then as many ids v, drops
-    self pairs, keeps the first draw of each key that is not forbidden and
-    takes as many of those as are still wanted; taken keys are forbidden
-    from then on. Draws past the last one taken are discarded.
+    Each round draws ``batch(remaining)`` ids u, then as many ids v, and
+    goes through them in slices of ``DRAW_SLICE`` draws, in draw order. A
+    slice drops self pairs, keeps the first draw of each key that is not
+    forbidden and takes as many of those as are still wanted; taken keys
+    are forbidden from then on. Draws past the last one taken are discarded.
     """
     taken = [np.zeros(0, dtype=np.int64)]
     while count > 0:
         size = batch(count)
         u = rng.integers(0, n, size=size)
         v = rng.integers(0, n, size=size)
-        keys = _pair_keys(u, v, n)[u != v]
-        del u, v   # a batch's arrays set the peak memory: keep few alive
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        ranked, order = ranked[first], order[first]
-        at = np.searchsorted(forbidden, ranked)
-        fresh = at == forbidden.shape[0]
-        fresh[~fresh] = forbidden[at[~fresh]] != ranked[~fresh]
-        new = keys[np.sort(order[fresh])[:count]]
-        taken.append(new)
-        new = np.sort(new)
-        forbidden = np.insert(forbidden, np.searchsorted(forbidden, new), new)
-        count -= new.shape[0]
+        for lo in range(0, size, DRAW_SLICE):
+            su, sv = u[lo:lo + DRAW_SLICE], v[lo:lo + DRAW_SLICE]
+            keys = _pair_keys(su, sv, n)[su != sv]
+            order = np.argsort(keys, kind="stable")
+            ranked = keys[order]
+            first = np.ones(ranked.shape[0], dtype=bool)
+            first[1:] = ranked[1:] != ranked[:-1]
+            ranked, order = ranked[first], order[first]
+            at = np.searchsorted(forbidden, ranked)
+            fresh = at == forbidden.shape[0]
+            fresh[~fresh] = forbidden[at[~fresh]] != ranked[~fresh]
+            new = keys[np.sort(order[fresh])[:count]]
+            taken.append(new)
+            count -= new.shape[0]
+            if count == 0:
+                break
+            new = np.sort(new)
+            forbidden = np.insert(forbidden, np.searchsorted(forbidden, new), new)
     return np.concatenate(taken)
 
 
@@ -380,6 +391,17 @@ class EdgeSplit:
                 "test": self.test_neg}[name]
 
 
+def labeled_links(split: EdgeSplit, part: str) -> np.ndarray:
+    """(u, v, label) rows for one split part: positives first, then negatives."""
+    pos = split.positives(part)
+    neg = split.negatives(part)
+    out = np.zeros((pos.shape[0] + neg.shape[0], 3), dtype=np.int64)
+    out[:pos.shape[0], :2] = pos
+    out[:pos.shape[0], 2] = 1
+    out[pos.shape[0]:, :2] = neg
+    return out
+
+
 def split_edges(graph: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
     """Shuffle edges with ``seed`` and partition into train/valid/test.
 
@@ -403,6 +425,7 @@ def split_edges(graph: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeS
     train_pos = edges[perm[:n_train]]
     valid_pos = edges[perm[n_train:n_train + n_valid]]
     test_pos = edges[perm[n_train + n_valid:]]
+    del edges, perm   # the negatives below set the peak: hold only the parts
     observed = build_graph(graph.num_nodes, train_pos, features=graph.features)
     s0, s1, s2 = (int(x) for x in np.random.SeedSequence(seed).generate_state(3))
     train_neg = sample_negatives(graph, n_train, s0)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import Pooling, RecordFormatError, _record_buffer, manifest_path
+from .records import (Pooling, RecordFormatError, _is_integer, _record_buffer,
+                      manifest_path)
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
@@ -112,9 +113,9 @@ class TrainConfig:
         # every message starts with the field name, so config parsing can
         # report it as ``training.<field>``
         for name in ("d_prime", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: expected an integer >= 1, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name}: expected an integer >= 1, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout: expected a value in [0, 1), got {self.dropout!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing as mp
 import os
 import struct
 import time
@@ -106,6 +105,12 @@ READ_PIECE = 2 << 20
 SPARSE_SHARE = 0.25
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and for every
+    float, even an integral one such as 3.0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplingOperatorSet:
     """Which subgraphs to sample and which diffusion operators to apply.
@@ -136,9 +141,9 @@ class SamplingOperatorSet:
             except ValueError:
                 raise ValueError(f"{name}: {value!r} is not one of "
                                  f"{[m.value for m in kind]}") from None
-        if not 1 <= self.r <= MAX_R:
-            raise ValueError(f"r: expected 1..{MAX_R}, got {self.r!r}")
-        if self.h < 1:
+        if not (_is_integer(self.r) and 1 <= self.r <= MAX_R):
+            raise ValueError(f"r: expected an integer in 1..{MAX_R}, got {self.r!r}")
+        if not (_is_integer(self.h) and self.h >= 1):
             raise ValueError(f"h: expected an integer >= 1, got {self.h!r}")
         scaled = self.variant in _SCALED_VARIANTS
         for name in ("k", "l"):
@@ -146,13 +151,14 @@ class SamplingOperatorSet:
             if not scaled and value is not None:
                 raise ValueError(f"{name}: variant {self.variant.value} takes no "
                                  f"walk parameters")
-            if scaled and (value is None or value < 1):
-                raise ValueError(f"{name}: ScaLed variants require walk parameters "
+            if scaled and not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name}: ScaLed variants require integer walk parameters "
                                  f"k, l >= 1, got {value!r}")
-        if self.label_cap < 1:
+        if not (_is_integer(self.label_cap) and self.label_cap >= 1):
             raise ValueError(f"label_cap: expected an integer >= 1, got {self.label_cap!r}")
-        if not 0 <= self.ccn_cap <= MAX_CCN_CAP:
-            raise ValueError(f"ccn_cap: expected 0..{MAX_CCN_CAP}, got {self.ccn_cap!r}")
+        if not (_is_integer(self.ccn_cap) and 0 <= self.ccn_cap <= MAX_CCN_CAP):
+            raise ValueError(f"ccn_cap: expected an integer in 0..{MAX_CCN_CAP}, "
+                             f"got {self.ccn_cap!r}")
 
     @property
     def pooling(self) -> Pooling:
@@ -903,6 +909,8 @@ def _built_chunks(graph, config, seed, chunks, worker_count):
         # An unattributed graph's column of ones is built before the fork,
         # so the workers share one copy instead of each building its own.
         graph._feature_rows
+        # imported here, so a process that runs no pool never loads it
+        import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(worker_count, initializer=_init_worker,
                       initargs=args) as pool:

@@ -8,11 +8,13 @@ from difflink import (Graph, GraphFormatError, build_graph, load_edge_list,
                       sample_negatives, save_edge_list, save_split,
                       split_edges)
 from difflink.datasets import binary_features, ns_like, power_like, random_graph
+from difflink import graphs as graphs_module
 from difflink.graphs import _common_neighbors
 
 from conftest import gnp_graph, hub_graph, hub_links
 from oracles import (build_graph_reference, normalized_dense,
-                     sample_negatives_reference, split_reference, to_nx)
+                     random_graph_reference, sample_negatives_reference,
+                     split_reference, to_nx)
 
 
 def test_build_graph_dedupes_and_drops_self_loops():
@@ -277,6 +279,27 @@ def test_split_edges_matches_reference(stand_in, seed):
         assert np.array_equal(getattr(split, name), want[name]), name
     assert np.array_equal(split.observed_graph.indptr, want["indptr"])
     assert np.array_equal(split.observed_graph.indices, want["indices"])
+
+
+@pytest.mark.parametrize("draw_slice", [1, 7, 1000])
+def test_sliced_draw_rounds_match_reference(monkeypatch, draw_slice):
+    # a round is sorted and deduplicated a slice at a time, in draw order;
+    # any slice length gives the set-based references' pairs and RNG use
+    monkeypatch.setattr(graphs_module, "DRAW_SLICE", draw_slice)
+    for seed in range(2):
+        # every pair drawn many times, in many slices of a round
+        _same_negatives(build_graph(8, [(0, 1), (2, 5), (6, 7)]), 12, seed)
+        _same_negatives(random_graph(60, 1720, seed=seed), 25, seed)   # rounds
+    g = ns_like(seed=0)
+    _same_negatives(g, 137, 1, exclude=sample_negatives(g, 300, seed=9))
+    for n, m, seed in ((2, 1, 0), (40, 100, 1), (30, 435, 3)):
+        graph = random_graph(n, m, seed=seed)
+        indptr, indices = random_graph_reference(n, m, seed=seed)
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, indices)
+    split, want = split_edges(g, seed=1), split_reference(g, seed=1)
+    for name in ("train_neg", "valid_neg", "test_neg"):
+        assert np.array_equal(getattr(split, name), want[name]), name
 
 
 def test_split_edges_counts_and_disjointness():

@@ -544,10 +544,15 @@ def test_train_config_validation():
                        ("lr", float("inf")), ("lr", float("nan")),
                        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
                        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
-                       ("agg", "median")]:
+                       ("agg", "median"),
+                       # integer fields take no bool and no float, even 3.0
+                       ("d_prime", True), ("d_prime", 3.0), ("epochs", 2.5),
+                       ("epochs", np.float64(2.0)), ("batch_size", 2.5),
+                       ("batch_size", np.True_)]:
         with pytest.raises(ValueError, match=f"^{field}: "):
             TrainConfig(**{field: bad})
     TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, dropout=0.0, d_prime=1)
+    TrainConfig(d_prime=np.int64(4), epochs=np.int32(2), batch_size=np.uint8(8))
     cfg = TrainConfig(pooling="ccn")
     assert cfg.pooling is Pooling.CCN
 

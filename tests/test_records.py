@@ -48,6 +48,16 @@ def test_operator_set_validation():
         SamplingOperatorSet(variant="PoS", r=65535, h=1)
     with pytest.raises(ValueError, match="ccn_cap"):
         SamplingOperatorSet(variant="PoSPlus", h=1, ccn_cap=65534)
+    # integer fields take no bool and no float, even 3.0; numpy ints pass
+    for field, bad in [("r", 2.5), ("r", True), ("h", 2.0), ("h", np.True_),
+                       ("k", 2.0), ("l", 1.5), ("label_cap", 10.0),
+                       ("ccn_cap", 3.0), ("ccn_cap", False)]:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            SamplingOperatorSet(**{"variant": "PoSPlusScaLed", "h": 1, "k": 2,
+                                   "l": 3, field: bad})
+    SamplingOperatorSet(variant="PoSPlusScaLed", r=np.int64(2), h=np.int32(1),
+                        k=np.int64(2), l=np.uint8(3), label_cap=np.int64(5),
+                        ccn_cap=np.int16(4))
 
 
 def test_operator_set_echo_round_trips():
