@@ -1,11 +1,11 @@
 """Config-driven experiment runner: split, precompute, train, evaluate, report.
 
 Configs are JSON with sections {dataset, split, variant, sampling, training,
-eval, runs}; defaults reproduce the benchmark setup (r=3, h=3 attributed /
-h=2 non-attributed, 256 hidden units, dropout 0.5, 50 epochs, batch 32,
-seeds 0..9), so a minimal config is just a dataset and a variant. Reports
-keep every wall-clock measurement under "timings" and the BLAS facts under
-"blas"; everything else is a pure function of the config and seeds.
+eval, runs}; defaults reproduce the benchmark setup (SamplingOperatorSet's and
+TrainConfig's, h=3 attributed / h=2 non-attributed, seeds 0..9), so a minimal
+config is just a dataset and a variant. Reports keep every wall-clock
+measurement under "timings" and the BLAS facts under "blas"; everything else
+is a pure function of the config and seeds.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .datasets import resolve_dataset
 from .graphs import EdgeSplit, Graph, labeled_links, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
 from .model import ModelParams, TrainConfig, predict, train
-from .records import (RecordFile, SamplingOperatorSet, Variant,
+from .records import (RecordFile, SamplingOperatorSet, Variant, _is_integer,
                       precompute_dataset, storage_comparison)
 
 
@@ -36,6 +36,9 @@ class ConfigError(ValueError):
 _DEFAULT_SEEDS = list(range(10))
 _SECTIONS = ("dataset", "split", "variant", "sampling", "training", "eval",
              "runs", "mode", "heuristics", "workers", "storage")
+# Settable fields of the config objects, which own their defaults and checks
+_SAMPLING_KEYS = tuple(f.name for f in fields(SamplingOperatorSet) if f.name != "variant")
+_TRAINING_KEYS = ("d_prime", "dropout", "epochs", "batch_size", "lr", "agg")
 
 
 def _section(cfg: dict, name: str, keys: tuple) -> dict:
@@ -49,16 +52,13 @@ def _section(cfg: dict, name: str, keys: tuple) -> dict:
     return val
 
 
-def _pick(section: dict, path: str, key: str, default, kind):
-    val = section.get(key, default)
-    if val is None:
-        return None
-    if kind is float and type(val) is int:
-        val = float(val)
-    # JSON true/false arrive as bools, which Python also counts as ints
-    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
-    return val
+def _build(kind, section: str, **kwargs):
+    """``kind(**kwargs)``; its ValueError "<field>: ..." becomes a ConfigError
+    "<section>.<field>: ..."."""
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,8 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     if not isinstance(dataset, dict) or not dataset.get("name"):
         raise ConfigError("dataset.name: required")
     dataset = dict(dataset)
+    if "seed" in dataset and not (_is_integer(dataset["seed"]) and dataset["seed"] >= 0):
+        raise ConfigError(f"dataset.seed: expected an integer >= 0, got {dataset['seed']!r}")
 
     split = _section(cfg, "split", ("ratios",))
     ratios = split.get("ratios", [0.85, 0.05, 0.10])
@@ -105,46 +107,23 @@ def parse_config(cfg: dict) -> ExperimentSpec:
             f"variant: {variant!r} is not one of "
             f"{[v.value for v in Variant]}") from None
 
-    s = _section(cfg, "sampling", ("r", "h", "k", "l", "labeling", "label_cap",
-                                   "normalized", "ccn_cap"))
-    sampling = {
-        "r": _pick(s, "sampling", "r", 3, int),
-        "h": _pick(s, "sampling", "h", None, int),
-        "k": _pick(s, "sampling", "k", None, int),
-        "l": _pick(s, "sampling", "l", None, int),
-        "labeling": _pick(s, "sampling", "labeling", "zero_one", str),
-        "label_cap": _pick(s, "sampling", "label_cap", 100, int),
-        "normalized": _pick(s, "sampling", "normalized", False, bool),
-        "ccn_cap": _pick(s, "sampling", "ccn_cap", 128, int),
-    }
-    # an unset h is resolved against the graph later; 1 stands in for it here
-    placeholder = {"h": 1} if sampling["h"] is None else {}
-    try:
-        SamplingOperatorSet(variant=variant, **{**sampling, **placeholder})
-    except ValueError as exc:   # its messages start with the field name
-        raise ConfigError(f"sampling.{exc}") from None
-
-    t = _section(cfg, "training", ("d_prime", "dropout", "epochs", "batch_size",
-                                   "lr", "agg"))
-    training = {
-        "d_prime": _pick(t, "training", "d_prime", 256, int),
-        "dropout": _pick(t, "training", "dropout", 0.5, float),
-        "epochs": _pick(t, "training", "epochs", 50, int),
-        "batch_size": _pick(t, "training", "batch_size", 32, int),
-        "lr": _pick(t, "training", "lr", 1e-3, float),
-        "agg": _pick(t, "training", "agg", "mean", str),
-    }
-    try:
-        TrainConfig(**training)
-    except ValueError as exc:   # its messages start with the field name
-        raise ConfigError(f"training.{exc}") from None
+    s = _section(cfg, "sampling", _SAMPLING_KEYS)
+    # an unset (or null) h is resolved against the graph later; 1 stands in here
+    h = s.get("h")
+    ops = _build(SamplingOperatorSet, "sampling", variant=variant,
+                 **{**s, "h": 1 if h is None else h})
+    sampling = {**{k: getattr(ops, k) for k in _SAMPLING_KEYS}, "h": h}
+    tc = _build(TrainConfig, "training", **_section(cfg, "training", _TRAINING_KEYS))
+    training = {k: getattr(tc, k) for k in _TRAINING_KEYS}
 
     e = _section(cfg, "eval", ("hits_k", "mrr"))
     hits_k = e.get("hits_k", [])
     if not isinstance(hits_k, list) or not all(
             type(k) is int and k >= 1 for k in hits_k):
         raise ConfigError("eval.hits_k: expected a list of positive integers")
-    eval_opts = {"hits_k": list(hits_k), "mrr": _pick(e, "eval", "mrr", False, bool)}
+    eval_opts = {"hits_k": list(hits_k), "mrr": e.get("mrr", False)}
+    if not isinstance(eval_opts["mrr"], bool):
+        raise ConfigError(f"eval.mrr: expected true or false, got {eval_opts['mrr']!r}")
 
     runs = _section(cfg, "runs", ("seeds",))
     seeds = runs.get("seeds", _DEFAULT_SEEDS)
@@ -197,13 +176,8 @@ def _as_spec(config) -> ExperimentSpec:
 
 def operator_config(spec: ExperimentSpec, graph: Graph) -> SamplingOperatorSet:
     """Resolve the sampling section against the graph (default h by class)."""
-    s = dict(spec.sampling)
-    if s["h"] is None:
-        s["h"] = 3 if graph.features is not None else 2
-    return SamplingOperatorSet(variant=spec.variant, r=s["r"], h=s["h"],
-                               k=s["k"], l=s["l"], labeling=s["labeling"],
-                               label_cap=s["label_cap"],
-                               normalized=s["normalized"], ccn_cap=s["ccn_cap"])
+    h = spec.sampling["h"] or (3 if graph.features is not None else 2)
+    return SamplingOperatorSet(variant=spec.variant, **{**spec.sampling, "h": h})
 
 
 def precompute_split(split: EdgeSplit, config: SamplingOperatorSet,

@@ -335,7 +335,9 @@ def sample_negatives(graph: Graph, count: int, seed: int, exclude=None) -> np.nd
     n = graph.num_nodes
     if count < 0:
         raise ValueError(f"count: expected an integer >= 0, got {count}")
-    forbidden = _pair_keys(*graph.edge_array().T, n)   # sorted, distinct
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    upper = rows < graph.indices   # one entry an edge; keys sorted, distinct
+    forbidden = rows[upper] * n + graph.indices[upper]
     if exclude is not None:
         ex = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
         bad = np.flatnonzero(((ex < 0) | (ex >= n)).any(axis=1))

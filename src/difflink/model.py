@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ScoredPairs, auc
-from .records import (Pooling, RecordFormatError, _is_integer, _record_buffer,
-                      manifest_path)
+from .records import (Pooling, RecordFormatError, _as_member, _check_integer,
+                      _record_buffer, manifest_path)
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
@@ -113,9 +113,14 @@ class TrainConfig:
         # every message starts with the field name, so config parsing can
         # report it as ``training.<field>``
         for name in ("d_prime", "epochs", "batch_size"):
+            _check_integer(name, getattr(self, name), 1)
+        _check_integer("seed", self.seed, 0)
+        for name in ("dropout", "lr", "beta1", "beta2", "eps"):
             value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name}: expected an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name}: expected a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout: expected a value in [0, 1), got {self.dropout!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
@@ -129,7 +134,7 @@ class TrainConfig:
         if self.agg not in ("mean", "sum", "max"):
             raise ValueError(f"agg: unknown aggregation {self.agg!r}")
         if self.pooling is not None:
-            object.__setattr__(self, "pooling", Pooling(self.pooling))
+            object.__setattr__(self, "pooling", _as_member(Pooling, "pooling", self.pooling))
 
 
 def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
@@ -424,8 +429,7 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
 def predict(dataset, params: ModelParams, agg: str = "mean",
             batch_size: int = 256) -> np.ndarray:
     """Eval-mode probabilities for every record, in file order."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size: expected an integer >= 1, got {batch_size!r}")
+    _check_integer("batch_size", batch_size, 1)
     dtype = params.W.dtype
     with _record_buffer(dataset) as records:
         n = len(records)
@@ -459,13 +463,17 @@ def save_params(path, params: ModelParams, extra: dict | None = None) -> None:
 
 
 def load_params(path):
-    """Read a checkpoint; returns (ModelParams, extra dict)."""
+    """Read a checkpoint; returns (ModelParams, extra dict). A header that
+    is not a checkpoint's is a ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            shapes = {k: tuple(int(d) for d in header["tensors"][k]) for k in _ORDER}
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: bad checkpoint header ({exc!r})") from None
         loaded = {}
-        for k in _ORDER:
-            shape = tuple(header["tensors"][k])
-            count = int(np.prod(shape)) if shape else 1
+        for k, shape in shapes.items():
+            count = math.prod(shape)
             buf = fh.read(4 * count)
             if len(buf) != 4 * count:
                 raise ValueError(f"{path}: truncated checkpoint tensor {k}")

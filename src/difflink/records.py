@@ -111,6 +111,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """ValueError "<name>: ..." unless ``value`` is an integer (as ``_is_integer``
+    counts them) in low..high, or >= low when ``high`` is None."""
+    if not (_is_integer(value) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name}: expected an integer {bound}, got {value!r}")
+
+
+def _as_member(kind, name: str, value):
+    """``kind(value)`` for an enum ``kind``; the ValueError names ``name``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{name}: {value!r} is not one of "
+                         f"{[m.value for m in kind]}") from None
+
+
 @dataclass(frozen=True)
 class SamplingOperatorSet:
     """Which subgraphs to sample and which diffusion operators to apply.
@@ -135,16 +152,9 @@ class SamplingOperatorSet:
         # every message starts with the field name, so config parsing can
         # report it as ``sampling.<field>``
         for name, kind in (("variant", Variant), ("labeling", LabelScheme)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except ValueError:
-                raise ValueError(f"{name}: {value!r} is not one of "
-                                 f"{[m.value for m in kind]}") from None
-        if not (_is_integer(self.r) and 1 <= self.r <= MAX_R):
-            raise ValueError(f"r: expected an integer in 1..{MAX_R}, got {self.r!r}")
-        if not (_is_integer(self.h) and self.h >= 1):
-            raise ValueError(f"h: expected an integer >= 1, got {self.h!r}")
+            object.__setattr__(self, name, _as_member(kind, name, getattr(self, name)))
+        _check_integer("r", self.r, 1, MAX_R)
+        _check_integer("h", self.h, 1)
         scaled = self.variant in _SCALED_VARIANTS
         for name in ("k", "l"):
             value = getattr(self, name)
@@ -154,11 +164,11 @@ class SamplingOperatorSet:
             if scaled and not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name}: ScaLed variants require integer walk parameters "
                                  f"k, l >= 1, got {value!r}")
-        if not (_is_integer(self.label_cap) and self.label_cap >= 1):
-            raise ValueError(f"label_cap: expected an integer >= 1, got {self.label_cap!r}")
-        if not (_is_integer(self.ccn_cap) and 0 <= self.ccn_cap <= MAX_CCN_CAP):
-            raise ValueError(f"ccn_cap: expected an integer in 0..{MAX_CCN_CAP}, "
-                             f"got {self.ccn_cap!r}")
+        _check_integer("label_cap", self.label_cap, 1)
+        _check_integer("ccn_cap", self.ccn_cap, 0, MAX_CCN_CAP)
+        if not isinstance(self.normalized, (bool, np.bool_)):
+            raise ValueError(f"normalized: expected a bool, got {self.normalized!r}")
+        object.__setattr__(self, "normalized", bool(self.normalized))
 
     @property
     def pooling(self) -> Pooling:
@@ -940,6 +950,8 @@ def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,
     for any ``worker_count``. A JSON manifest is written next to the file,
     with its stored ``total_bytes`` and the dense ``logical_bytes``.
     """
+    _check_integer("worker_count", worker_count, 1)
+    _check_integer("seed", seed, 0)
     links = np.asarray(links, dtype=np.int64).reshape(-1, 3)
     out_path = Path(out_path)
     w = config.block_width(graph)

@@ -105,6 +105,17 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x"}, "workers": True}, "^workers: "),
     ({"dataset": {"name": "x"}, "runs": {"seeds": [True]}}, r"^runs\.seeds: "),
     ({"dataset": {"name": "x"}, "eval": {"hits_k": [True]}}, r"^eval\.hits_k: "),
+    # null stands for "unset" only in sampling.h, k and l
+    ({"dataset": {"name": "x"}, "training": {"lr": None}}, r"^training\.lr: "),
+    ({"dataset": {"name": "x"}, "training": {"dropout": None}},
+     r"^training\.dropout: "),
+    ({"dataset": {"name": "x"}, "sampling": {"normalized": None}},
+     r"^sampling\.normalized: "),
+    ({"dataset": {"name": "x"}, "eval": {"mrr": None}}, r"^eval\.mrr: "),
+    # the dataset section is open, but a seed must be an integer
+    ({"dataset": {"name": "x", "seed": 1.7}}, r"^dataset\.seed: "),
+    ({"dataset": {"name": "x", "seed": True}}, r"^dataset\.seed: "),
+    ({"dataset": {"name": "x", "seed": "x"}}, r"^dataset\.seed: "),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

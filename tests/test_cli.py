@@ -155,6 +155,15 @@ def test_cli_reports_config_errors(workspace, capsys):
     assert main(["split", "--config", str(missing)]) == 2
 
 
+def test_cli_reports_null_training_field(workspace, capsys):
+    tmp, _, _ = workspace
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps({"dataset": {"name": "x"}, "training": {"lr": None}}))
+    assert main(["bench", "--config", str(bad), "--out", str(tmp / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "error: training.lr" in err and "Traceback" not in err
+
+
 def test_cli_never_mutates_inputs(workspace):
     tmp, cfg, edges = workspace
     before = hashlib.sha256(edges.read_bytes()).hexdigest()

@@ -523,6 +523,15 @@ def test_checkpoint_round_trip(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("header", [b"[1, 2]", b'"x"', b"{}", b'{"tensors": {}}',
+                                    b'{"tensors": {"W": 5}}', b"{not json"])
+def test_load_params_names_the_checkpoint(tmp_path, header):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(header + b"\n" + bytes(64))
+    with pytest.raises(ValueError, match="model.ckpt: bad checkpoint header"):
+        load_params(path)
+
+
 def test_stack_records_rejects_width_mismatch():
     # a record list must agree on one shape before its rows are stacked
     rng = np.random.default_rng(16)
@@ -548,11 +557,17 @@ def test_train_config_validation():
                        # integer fields take no bool and no float, even 3.0
                        ("d_prime", True), ("d_prime", 3.0), ("epochs", 2.5),
                        ("epochs", np.float64(2.0)), ("batch_size", 2.5),
-                       ("batch_size", np.True_)]:
+                       ("batch_size", np.True_),
+                       # real fields take numbers only, and no bool
+                       ("lr", "x"), ("dropout", "0.5"), ("beta1", None),
+                       ("lr", True), ("eps", None),
+                       ("seed", 1.5), ("seed", "a"), ("seed", -1),
+                       ("pooling", "bad")]:
         with pytest.raises(ValueError, match=f"^{field}: "):
             TrainConfig(**{field: bad})
     TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, dropout=0.0, d_prime=1)
-    TrainConfig(d_prime=np.int64(4), epochs=np.int32(2), batch_size=np.uint8(8))
+    TrainConfig(d_prime=np.int64(4), epochs=np.int32(2), batch_size=np.uint8(8),
+                dropout=np.float32(0.25), lr=np.float64(0.01), seed=np.int64(3))
     cfg = TrainConfig(pooling="ccn")
     assert cfg.pooling is Pooling.CCN
 

@@ -58,6 +58,11 @@ def test_operator_set_validation():
     SamplingOperatorSet(variant="PoSPlusScaLed", r=np.int64(2), h=np.int32(1),
                         k=np.int64(2), l=np.uint8(3), label_cap=np.int64(5),
                         ccn_cap=np.int16(4))
+    # normalized takes a bool only: a truthy string must not switch it on
+    for bad in ("no", None, 1):
+        with pytest.raises(ValueError, match="^normalized: "):
+            SamplingOperatorSet(variant="PoS", h=1, normalized=bad)
+    assert SamplingOperatorSet(variant="PoS", h=1, normalized=np.True_).normalized is True
 
 
 def test_operator_set_echo_round_trips():
@@ -552,6 +557,18 @@ def test_precompute_worker_count_invariance(tmp_path, variant, extra):
     precompute_dataset(g, links, cfg, p4, worker_count=4, seed=9)
     assert p1.read_bytes() == p4.read_bytes()
     assert [[r.u, r.v, r.label] for r in RecordFile(p1)] == links.tolist()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("worker_count", 2.5), ("worker_count", 0), ("worker_count", -1),
+    ("worker_count", True), ("seed", 1.5), ("seed", -1)])
+def test_precompute_rejects_bad_workers_and_seed(tmp_path, field, value):
+    g = _triangle()
+    cfg = SamplingOperatorSet(variant="PoSScaLed", r=1, h=1, k=2, l=2)
+    path = tmp_path / "x.rec"
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        precompute_dataset(g, [(0, 1, 1)], cfg, path, **{field: value})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
