@@ -29,7 +29,7 @@ _EXPORTS = {
     "records": ("CCN_CAP", "DatasetStats", "LinkRecord", "Pooling", "RecordFile",
                 "RecordFormatError", "SamplingOperatorSet", "StorageReport",
                 "Variant", "precompute_dataset", "read_records",
-                "serialize_record", "storage_comparison", "write_records"),
+                "storage_comparison", "write_records"),
     "model": ("Adam", "ModelParams", "TrainConfig", "init_params", "load_params",
               "loss_and_gradients", "predict", "save_params", "train"),
     "metrics": ("Heuristic", "ScoredPairs", "auc", "hits_at_k", "mrr",

@@ -89,6 +89,8 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     dataset = cfg.get("dataset", {})
     if not isinstance(dataset, dict) or not dataset.get("name"):
         raise ConfigError("dataset.name: required")
+    if not isinstance(dataset["name"], str):
+        raise ConfigError(f"dataset.name: expected a string, got {dataset['name']!r}")
     dataset = dict(dataset)
     if "seed" in dataset and not (_is_integer(dataset["seed"]) and dataset["seed"] >= 0):
         raise ConfigError(f"dataset.seed: expected an integer >= 0, got {dataset['seed']!r}")
@@ -96,8 +98,11 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     split = _section(cfg, "split", ("ratios",))
     ratios = split.get("ratios", [0.85, 0.05, 0.10])
     if (not isinstance(ratios, (list, tuple)) or len(ratios) != 3
-            or not all(isinstance(r, (int, float)) and r > 0 for r in ratios)):
-        raise ConfigError("split.ratios: expected three positive fractions")
+            or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
+                       and r > 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ConfigError(f"split.ratios: expected three positive fractions "
+                          f"summing to 1, got {ratios!r}")
 
     variant = cfg.get("variant", "PoS")
     try:
@@ -128,19 +133,19 @@ def parse_config(cfg: dict) -> ExperimentSpec:
     runs = _section(cfg, "runs", ("seeds",))
     seeds = runs.get("seeds", _DEFAULT_SEEDS)
     if not isinstance(seeds, list) or not seeds or not all(
-            type(x) is int for x in seeds):
-        raise ConfigError("runs.seeds: expected a nonempty list of integers")
+            type(x) is int and x >= 0 for x in seeds):
+        raise ConfigError("runs.seeds: expected a nonempty list of integers >= 0")
 
     mode = cfg.get("mode", "full")
     if mode not in ("full", "heuristics"):
         raise ConfigError(f"mode: {mode!r} is not 'full' or 'heuristics'")
 
     heuristics = cfg.get("heuristics", ["CN", "AA", "PPR"])
-    try:
-        heuristics = [Heuristic(hx).value for hx in heuristics]
-    except ValueError:
-        raise ConfigError(f"heuristics: entries must be in "
-                          f"{[hx.value for hx in Heuristic]}") from None
+    names = [hx.value for hx in Heuristic]
+    if not isinstance(heuristics, list) or not all(hx in names for hx in heuristics):
+        raise ConfigError(f"heuristics: expected a list of entries in {names}, "
+                          f"got {heuristics!r}")
+    heuristics = [Heuristic(hx).value for hx in heuristics]
 
     workers = cfg.get("workers", 1)
     if type(workers) is not int or workers < 1:

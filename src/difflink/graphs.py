@@ -324,6 +324,15 @@ def _draw_pairs(rng: np.random.Generator, n: int, count: int,
     return np.concatenate(taken)
 
 
+def _edge_keys(graph: Graph) -> np.ndarray:
+    """Keys u * n + v (u < v) of the graph's edges, one an edge, sorted
+    and distinct: ``edge_array()``'s rows in its order."""
+    n = graph.num_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    upper = rows < graph.indices
+    return rows[upper] * n + graph.indices[upper]
+
+
 def sample_negatives(graph: Graph, count: int, seed: int, exclude=None) -> np.ndarray:
     """Sample ``count`` distinct non-edges of ``graph`` uniformly at random.
 
@@ -335,9 +344,7 @@ def sample_negatives(graph: Graph, count: int, seed: int, exclude=None) -> np.nd
     n = graph.num_nodes
     if count < 0:
         raise ValueError(f"count: expected an integer >= 0, got {count}")
-    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    upper = rows < graph.indices   # one entry an edge; keys sorted, distinct
-    forbidden = rows[upper] * n + graph.indices[upper]
+    forbidden = _edge_keys(graph)
     if exclude is not None:
         ex = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
         bad = np.flatnonzero(((ex < 0) | (ex >= n)).any(axis=1))
@@ -415,19 +422,20 @@ def split_edges(graph: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeS
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three positive fractions summing to 1, got {ratios}")
-    edges = graph.edge_array()
-    m = edges.shape[0]
+    keys = _edge_keys(graph)
+    m = keys.shape[0]
     n_valid = int(ratios[1] * m)
     n_test = int(ratios[2] * m)
     n_train = m - n_valid - n_test
     if min(n_train, n_valid, n_test) == 0:
         raise ValueError(f"split of {m} edges with ratios {ratios} leaves an empty part")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    train_pos = edges[perm[:n_train]]
-    valid_pos = edges[perm[n_train:n_train + n_valid]]
-    test_pos = edges[perm[n_train + n_valid:]]
-    del edges, perm   # the negatives below set the peak: hold only the parts
+    # shuffling the keys in place draws as ``permutation(m)`` does and
+    # orders them as indexing by that permutation would
+    np.random.default_rng(seed).shuffle(keys)
+    train_pos, valid_pos, test_pos = (
+        np.stack(np.divmod(part, graph.num_nodes), axis=1)
+        for part in np.split(keys, [n_train, n_train + n_valid]))
+    del keys   # the negatives below set the peak: hold only the parts
     observed = build_graph(graph.num_nodes, train_pos, features=graph.features)
     s0, s1, s2 = (int(x) for x in np.random.SeedSequence(seed).generate_state(3))
     train_neg = sample_negatives(graph, n_train, s0)

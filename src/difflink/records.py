@@ -19,6 +19,7 @@ Record file layout (little-endian):
                 nnz is 0xFFFFFFFF, else the nnz nonzero ones (bits other
                 than +0.0's) as u32 positions, strictly increasing, then
                 float32 values; a chunk's records are all one or the other
+Every record of a file has the same r_plus_1 and w.
 """
 from __future__ import annotations
 
@@ -387,21 +388,6 @@ def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
     return pooled, starts, blocks
 
 
-def serialize_record(rec: LinkRecord) -> bytes:
-    """One record's bytes: ``_encode`` of a one-record chunk."""
-    return _encode(*_record_arrays([rec]))
-
-
-def deserialize_record(buf: bytes, offset: int = 0,
-                       name: str = "record") -> tuple[LinkRecord, int]:
-    """The record at ``offset`` of ``buf`` (named ``name``), and the offset
-    after it; decoded as a one-record file would be."""
-    end = offset + _record_bytes(*_HEADER_STRUCT.unpack_from(buf, offset)[3:])
-    one = _RecordBuffer(_FILE_HEADER.pack(_MAGIC, _VERSION) + bytes(buf[offset:end]),
-                        name)
-    return one[0], end
-
-
 def _scatter(out, bases, payloads, counts, limits, name) -> None:
     """Write sparse payload j (counts[j] positions, then values) into the
     zeroed flat array ``out`` from ``out[bases[j]]`` on, bases ascending;
@@ -419,17 +405,6 @@ def _scatter(out, bases, payloads, counts, limits, name) -> None:
         raise RecordFormatError(f"{name}: sparse positions not increasing "
                                 f"or out of range")
     out[pos] = values
-
-
-def _record_arrays(records: list):
-    """LinkRecords as the arrays ``_encode`` takes: (links, pooled ids, block
-    starts, blocks); ValueError if they disagree on operator count or width."""
-    if len({(rec.blocks.shape[0], rec.blocks.shape[2]) for rec in records}) > 1:
-        raise ValueError("records disagree on operator count or block width")
-    links = np.array([(rec.u, rec.v, rec.label) for rec in records], dtype=np.int64)
-    starts = _starts(np.array([rec.pooled_count for rec in records], dtype=np.int64))
-    return (links, np.concatenate([rec.pooled_ids for rec in records]), starts,
-            np.concatenate([rec.blocks for rec in records], axis=1))
 
 
 def _encode(links: np.ndarray, pooled: np.ndarray, starts: np.ndarray,
@@ -503,13 +478,21 @@ class _RecordWriter:
 
 
 def write_records(path, records) -> int:
-    """Write records to ``path`` in iteration order; returns count."""
-    count = 0
+    """Write records to ``path`` in iteration order; returns count.
+    ValueError, leaving ``path`` as it was, unless every record has the
+    same operator count and block width."""
+    records, shapes, count = iter(records), set(), 0
     with _RecordWriter(path) as out:
-        for _, run in itertools.groupby(records, lambda rec: rec.blocks.shape[::2]):
-            while chunk := list(itertools.islice(run, CHUNK_LINKS)):
-                out.write(_encode(*_record_arrays(chunk)))
-                count += len(chunk)
+        while chunk := list(itertools.islice(records, CHUNK_LINKS)):
+            shapes.update(rec.blocks.shape[::2] for rec in chunk)
+            if len(shapes) > 1:
+                raise ValueError("records disagree on operator count or block width")
+            links = np.array([(rec.u, rec.v, rec.label) for rec in chunk], dtype=np.int64)
+            starts = _starts(np.array([rec.pooled_count for rec in chunk], dtype=np.int64))
+            pooled = np.concatenate([rec.pooled_ids for rec in chunk])
+            blocks = np.concatenate([rec.blocks for rec in chunk], axis=1)
+            out.write(_encode(links, pooled, starts, blocks))
+            count += len(chunk)
     return count
 
 
@@ -568,10 +551,10 @@ def _starts(p: np.ndarray) -> np.ndarray:
 class _Records:
     """Records indexed by arrays, batched into model inputs.
 
-    ``p`` and ``labels`` give each record's pooled count and label, ``_r1``
-    and ``_w`` its operator count and block width. A subclass writes the
-    rows of the records asked for (``_fill``). ``manifest`` is the parsed
-    manifest the records were verified against, or None.
+    ``p`` and ``labels`` give each record's pooled count and label; every
+    record has ``_r1`` operators of block width ``_w``. A subclass writes
+    the rows of the records asked for (``_fill``). ``manifest`` is the
+    parsed manifest the records were verified against, or None.
     """
 
     manifest = None
@@ -581,8 +564,8 @@ class _Records:
 
     @property
     def row_width(self) -> int:
-        """(r+1) * w of the first record: the width of a batch row."""
-        return int(self._r1[0] * self._w[0]) if len(self) else 0
+        """(r+1) * w: the width of a batch row."""
+        return self._r1 * self._w
 
     def batch(self, index, dtype=np.float32):
         """Model inputs (rows, mask, labels) of the records at ``index``.
@@ -606,11 +589,8 @@ class _Records:
             raise ValueError(f"{self._name}: record index {bad} outside "
                              f"0..{len(self) - 1}")
         index = index.astype(np.int64, copy=False)
-        r1, w = self._r1[index], self._w[index]
-        if (r1 != r1[0]).any() or (w != w[0]).any():
-            raise ValueError("records disagree on operator count or block width")
         p = self.p[index]
-        rows = self._fill(index, p, int(r1[0] * w[0]), dtype)
+        rows = self._fill(index, p, self.row_width, dtype)
         mask = np.arange(p.max()) < p[:, None]
         return rows, mask, self.labels[index].astype(dtype)
 
@@ -622,13 +602,12 @@ class _RecordList(_Records):
 
     def __init__(self, records):
         self._records = list(records)
-        if len({(rec.blocks.shape[0], rec.blocks.shape[2])
-                for rec in self._records}) > 1:
+        shapes = {rec.blocks.shape[::2] for rec in self._records}
+        if len(shapes) > 1:
             raise ValueError("records disagree on operator count or block width")
+        self._r1, self._w = shapes.pop() if shapes else (0, 0)
         self.p = np.array([rec.pooled_count for rec in self._records], dtype=np.int64)
         self.labels = np.array([rec.label for rec in self._records], dtype=np.int64)
-        self._r1, self._w = (np.array([rec.blocks.shape[k] for rec in self._records],
-                                      dtype=np.int64) for k in (0, 2))
 
     def _fill(self, index, p, row, dtype):
         starts = _starts(p)
@@ -641,124 +620,26 @@ class _RecordList(_Records):
         return rows
 
 
-class _RecordBuffer(_Records):
-    """Records in the file layout, indexed by arrays and read through one
-    primitive, ``_read(offset, size)``: the bytes at an offset.
-
-    ``offsets`` gives each record's byte offset. This class holds the bytes
-    in memory; when every record is dense with the same (p, r+1, w), all
-    blocks are also one strided array view. Iteration decodes a piece of
-    records at a time with one ``batch`` call (``_pieces``).
-    """
-
-    def __init__(self, buf, name):
-        self._buf, self._name = buf, name
-        _check_file_header(buf, name)
-        heads, offsets, end = _scan(buf, 0, _FILE_HEADER.size)
-        self._set_index([heads], [offsets], end, len(buf))
-
-    def _set_index(self, heads, offsets, end: int, total: int) -> None:
-        """Index from the headers and offsets ``_scan`` found in each piece
-        of a file of ``total`` bytes whose last record ends at ``end``;
-        also the strided block view of held bytes, when there is one."""
-        if end < total:
-            raise RecordFormatError(f"{self._name}: truncated record header")
-        if end > total:
-            raise RecordFormatError(f"{self._name}: truncated record payload")
-        head = np.concatenate(heads)
-        self.offsets = np.concatenate(offsets)
-        self.p = head["p"].astype(np.int64)
-        self.labels = head["label"].copy()
-        self._r1, self._w, self._nnz = (head[name].astype(np.int64)
-                                        for name in ("r1", "w", "nnz"))
-        self._size = _record_bytes(self.p, self._r1, self._w, self._nnz)
-        self._payload = None
-        if self._buf is not None and len(self) and self._nnz[0] == _DENSE and all(
-                (a == a[0]).all() for a in (self.p, self._r1, self._w, self._nnz)):
-            p, row = int(self.p[0]), int(self._r1[0] * self._w[0])
-            self._payload = np.ndarray(
-                (len(self), p * row), "<f4", self._buf,
-                int(self.offsets[0]) + _HEADER.itemsize + 4 * p,
-                (int(self._size[0]), 4))
-
-    def _read(self, offset: int, size: int):
-        """The ``size`` bytes at file offset ``offset``."""
-        return memoryview(self._buf)[offset:offset + size]
-
-    def __getitem__(self, i: int) -> LinkRecord:
-        i = range(len(self))[i]
-        return next(self._decoded(i, i + 1))
-
-    def __iter__(self):
-        for lo, hi in self._pieces():
-            yield from self._decoded(lo, hi)
-
-    def _pieces(self):
-        """Runs [lo, hi) of consecutive records of one (r+1, w) that decode
-        to at most ``READ_PIECE`` bytes of float32 rows (or one record)."""
-        end = np.cumsum(4 * self.p * self._r1 * self._w)
-        cuts = np.flatnonzero(np.diff(self._r1) | np.diff(self._w)) + 1
-        lo = 0
-        for stop in [*cuts.tolist(), len(self)]:
-            while lo < stop:
-                done = int(end[lo - 1]) if lo else 0
-                hi = int(np.searchsorted(end, done + READ_PIECE, side="right"))
-                hi = min(stop, max(hi, lo + 1))
-                yield lo, hi
-                lo = hi
-
-    def _decoded(self, lo: int, hi: int):
-        """LinkRecords lo..hi-1, decoded by one ``batch`` call; each one's
-        blocks are a view of that batch's rows."""
-        rows = self.batch(np.arange(lo, hi))[0]
-        at = 0
-        for off, p in zip(self.offsets[lo:hi].tolist(), self.p[lo:hi].tolist()):
-            head = self._read(off, _HEADER.itemsize + 4 * p)
-            u, v, label, _, r1, w, _ = _HEADER_STRUCT.unpack_from(head)
-            ids = np.frombuffer(head, "<u4", p, _HEADER.itemsize).astype(np.int64)
-            blocks = rows[at:at + p].reshape(p, r1, w).transpose(1, 0, 2)
-            at += p
-            yield LinkRecord(u, v, label, ids, blocks)
-
-    def _fill(self, index, p, row, dtype):
-        """The batch rows of the records at ``index``, which pool ``p`` rows
-        each, ``row`` values a row."""
-        if self._payload is not None:
-            return self._payload[index].reshape(-1, row).astype(dtype, copy=False)
-        starts = _starts(p)
-        nnz = self._nnz[index]
-        sparse = nnz != _DENSE
-        rows = (np.zeros if sparse.any() else np.empty)((starts[-1], row), dtype)
-        flat = rows.reshape(-1)
-        size = row * np.diff(starts)
-        at = self.offsets[index] + _HEADER.itemsize + 4 * self.p[index]
-        for lo, off, n in zip((row * starts[:-1])[~sparse].tolist(),
-                              at[~sparse].tolist(), size[~sparse].tolist()):
-            flat[lo:lo + n] = np.frombuffer(self._read(off, 4 * n), "<f4")
-        if sparse.any():
-            _scatter(flat, row * starts[:-1][sparse],
-                     [self._read(off, 8 * n) for off, n in
-                      zip(at[sparse].tolist(), nnz[sparse].tolist())],
-                     nnz[sparse], size[sparse], self._name)
-        return rows
-
-
-class RecordFile(_RecordBuffer):
+class RecordFile(_Records):
     """Sequential, random-access and batch reader for a record file.
 
     Opening makes one pass over the file in pieces of at most
     ``READ_PIECE`` bytes. The pass checks magic and version, indexes the
-    records as arrays and, when a sibling manifest exists, checks its
+    records as arrays (``offsets``, ``p``, ``labels``), checks that they
+    share one (r+1, w) and, when a sibling manifest exists, checks its
     record count and hashes every byte against its checksum (on every
     open, unless ``verify=False``). A file that fits in one piece is kept
-    as that piece and its descriptor closed. A larger file keeps its
-    descriptor, and records are read from it by position, so memory stays
-    bounded by a piece and a batch, and reads come from the verified inode
-    even after its path is replaced. Only replacing the path is guarded
-    against: an in-place edit of the file after open is not detected, and
-    such reads return bytes that were never hashed. ``close()`` or a ``with``
-    block releases the descriptor; an unclosed one is closed when the
-    reader is collected. Safe for concurrent readers.
+    as that piece and its descriptor closed; when every record is dense
+    with one p, all blocks are also one strided array view. A larger file
+    keeps its descriptor, and records are read from it by position, so
+    memory stays bounded by a piece and a batch, and reads come from the
+    verified inode even after its path is replaced. Only replacing the
+    path is guarded against: an in-place edit of the file after open is
+    not detected, and such reads return bytes that were never hashed.
+    Iteration decodes a piece of records at a time with one ``batch`` call
+    (``_pieces``). ``close()`` or a ``with`` block releases the descriptor;
+    an unclosed one is closed when the reader is collected. Safe for
+    concurrent readers.
     """
 
     def __init__(self, path, verify: bool = True):
@@ -816,12 +697,41 @@ class RecordFile(_RecordBuffer):
         whole = pieces == 1
         if whole:
             self._buf = piece[:pos]
-        self._set_index(heads, offsets, off, pos)
+        self._set_index(np.concatenate(heads), np.concatenate(offsets), off, pos)
         return whole
 
+    def _set_index(self, head, offsets, end: int, total: int) -> None:
+        """Index from the headers ``head`` and their ``offsets`` in a file
+        of ``total`` bytes whose last record ends at ``end``; also the
+        strided block view of held bytes, when there is one."""
+        if end < total:
+            raise RecordFormatError(f"{self._name}: truncated record header")
+        if end > total:
+            raise RecordFormatError(f"{self._name}: truncated record payload")
+        r1, w = head["r1"].astype(np.int64), head["w"].astype(np.int64)
+        if len(head) and ((r1 != r1[0]).any() or (w != w[0]).any()):
+            raise RecordFormatError(f"{self._name}: records disagree on operator "
+                                    f"count or block width")
+        self._r1, self._w = (int(r1[0]), int(w[0])) if len(head) else (0, 0)
+        self.offsets = offsets
+        self.p = head["p"].astype(np.int64)
+        self.labels = head["label"].copy()
+        self._nnz = head["nnz"].astype(np.int64)
+        self._size = _record_bytes(self.p, self._r1, self._w, self._nnz)
+        self._payload = None
+        if self._buf is not None and len(self) and self._nnz[0] == _DENSE and all(
+                (a == a[0]).all() for a in (self.p, self._nnz)):
+            p = int(self.p[0])
+            self._payload = np.ndarray(
+                (len(self), p * self.row_width), "<f4", self._buf,
+                int(self.offsets[0]) + _HEADER.itemsize + 4 * p,
+                (int(self._size[0]), 4))
+
     def _read(self, offset: int, size: int):
+        """The ``size`` bytes at file offset ``offset``: a slice of the held
+        piece, or a positional read on the kept descriptor."""
         if self._buf is not None:
-            return super()._read(offset, size)
+            return memoryview(self._buf)[offset:offset + size]
         if self._fd is None:
             raise ValueError(f"{self.path}: record file is closed")
         out = np.empty(size, dtype=np.uint8)
@@ -829,6 +739,61 @@ class RecordFile(_RecordBuffer):
             raise RecordFormatError(f"{self.path}: file ends inside the record "
                                     f"at byte {offset}")
         return out
+
+    def __getitem__(self, i: int) -> LinkRecord:
+        i = range(len(self))[i]
+        return next(self._decoded(i, i + 1))
+
+    def __iter__(self):
+        for lo, hi in self._pieces():
+            yield from self._decoded(lo, hi)
+
+    def _pieces(self):
+        """Runs [lo, hi) of consecutive records that decode to at most
+        ``READ_PIECE`` bytes of float32 rows (or one record)."""
+        end = np.cumsum(4 * self.row_width * self.p)
+        lo = 0
+        while lo < len(self):
+            done = int(end[lo - 1]) if lo else 0
+            hi = int(np.searchsorted(end, done + READ_PIECE, side="right"))
+            hi = max(hi, lo + 1)
+            yield lo, hi
+            lo = hi
+
+    def _decoded(self, lo: int, hi: int):
+        """LinkRecords lo..hi-1, decoded by one ``batch`` call; each one's
+        blocks are a view of that batch's rows."""
+        rows = self.batch(np.arange(lo, hi))[0]
+        at = 0
+        for off, p in zip(self.offsets[lo:hi].tolist(), self.p[lo:hi].tolist()):
+            head = self._read(off, _HEADER.itemsize + 4 * p)
+            u, v, label = _HEADER_STRUCT.unpack_from(head)[:3]
+            ids = np.frombuffer(head, "<u4", p, _HEADER.itemsize).astype(np.int64)
+            blocks = rows[at:at + p].reshape(p, self._r1, self._w).transpose(1, 0, 2)
+            at += p
+            yield LinkRecord(u, v, label, ids, blocks)
+
+    def _fill(self, index, p, row, dtype):
+        """The batch rows of the records at ``index``, which pool ``p`` rows
+        each, ``row`` values a row."""
+        if self._payload is not None:
+            return self._payload[index].reshape(-1, row).astype(dtype, copy=False)
+        starts = _starts(p)
+        nnz = self._nnz[index]
+        sparse = nnz != _DENSE
+        rows = (np.zeros if sparse.any() else np.empty)((starts[-1], row), dtype)
+        flat = rows.reshape(-1)
+        size = row * np.diff(starts)
+        at = self.offsets[index] + _HEADER.itemsize + 4 * self.p[index]
+        for lo, off, n in zip((row * starts[:-1])[~sparse].tolist(),
+                              at[~sparse].tolist(), size[~sparse].tolist()):
+            flat[lo:lo + n] = np.frombuffer(self._read(off, 4 * n), "<f4")
+        if sparse.any():
+            _scatter(flat, row * starts[:-1][sparse],
+                     [self._read(off, 8 * n) for off, n in
+                      zip(at[sparse].tolist(), nnz[sparse].tolist())],
+                     nnz[sparse], size[sparse], self._name)
+        return rows
 
     def close(self) -> None:
         """Release the descriptor and any held bytes; the index stays, and

@@ -18,6 +18,15 @@ def gnp_graph(rng, n_lo=4, n_hi=12, p=0.35, features=None):
             return build_graph(n, np.asarray(edges, dtype=np.int64), feats)
 
 
+def same_record(a, b) -> bool:
+    """Whether two LinkRecords hold the same link, ids and float bits."""
+    return ((a.u, a.v, a.label) == (b.u, b.v, b.label)
+            and a.pooled_ids.dtype == b.pooled_ids.dtype
+            and np.array_equal(a.pooled_ids, b.pooled_ids)
+            and a.blocks.shape == b.blocks.shape
+            and a.blocks.tobytes() == b.blocks.tobytes())
+
+
 def hub_graph(rng, leaves=30, isolated=False):
     """A star on node 0 plus as many random edges among its leaves; with
     ``isolated``, one more node (the last) that has no edge."""

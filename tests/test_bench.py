@@ -116,6 +116,14 @@ def test_parse_config_fills_defaults():
     ({"dataset": {"name": "x", "seed": 1.7}}, r"^dataset\.seed: "),
     ({"dataset": {"name": "x", "seed": True}}, r"^dataset\.seed: "),
     ({"dataset": {"name": "x", "seed": "x"}}, r"^dataset\.seed: "),
+    ({"dataset": {"name": 5}}, r"^dataset\.name: "),
+    ({"dataset": {"name": "x"}, "heuristics": 5}, "^heuristics: "),
+    ({"dataset": {"name": "x"}, "heuristics": None}, "^heuristics: "),
+    ({"dataset": {"name": "x"}, "runs": {"seeds": [-1]}}, r"^runs\.seeds: "),
+    ({"dataset": {"name": "x"}, "split": {"ratios": [0.5, 0.5, 0.5]}},
+     r"^split\.ratios: "),
+    ({"dataset": {"name": "x"}, "split": {"ratios": [True, True, True]}},
+     r"^split\.ratios: "),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -155,6 +155,21 @@ def test_cli_reports_config_errors(workspace, capsys):
     assert main(["split", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"dataset": {"name": "x"}, "heuristics": 5}, "heuristics"),
+    ({"dataset": {"name": "x"}, "runs": {"seeds": [-1]}}, "runs.seeds"),
+    ({"dataset": {"name": "x"}, "split": {"ratios": [0.5, 0.5, 0.5]}}, "split.ratios"),
+    ({"dataset": {"name": 5}}, "dataset.name"),
+], ids=["heuristics", "seeds", "ratios", "name"])
+def test_cli_reports_a_bad_field_without_a_traceback(workspace, capsys, cfg, field):
+    tmp, _, _ = workspace
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["split", "--config", str(bad), "--out", str(tmp / "s")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err and "Traceback" not in err
+
+
 def test_cli_reports_null_training_field(workspace, capsys):
     tmp, _, _ = workspace
     bad = tmp / "bad.json"

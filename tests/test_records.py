@@ -8,15 +8,14 @@ import pytest
 from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
                       build_graph, graph_power, precompute_dataset,
-                      read_records, serialize_record, storage_comparison,
-                      walk_subgraphs, write_records)
+                      read_records, storage_comparison, walk_subgraphs,
+                      write_records)
 from difflink.model import TrainConfig, train
 from difflink import records as records_module
 from difflink.records import (CHUNK_LINKS, _encode, _link_records,
-                              _record_buffer, _walk_seed, deserialize_record,
-                              manifest_path)
+                              _record_buffer, _walk_seed, manifest_path)
 
-from conftest import gnp_graph, hub_graph, hub_links, random_pair
+from conftest import gnp_graph, hub_graph, hub_links, random_pair, same_record
 from oracles import (dense_record_blocks, link_record, pack_batch, pad_batch,
                      seal_bytes, serialize_reference, sparse_chunk,
                      stack_reference, to_nx)
@@ -24,6 +23,22 @@ from oracles import (dense_record_blocks, link_record, pack_batch, pad_batch,
 
 def _triangle():
     return build_graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def _written(tmp_path, recs) -> bytes:
+    """The record bytes ``write_records`` stores for ``recs``."""
+    path = tmp_path / "written.rec"
+    write_records(path, recs)
+    return path.read_bytes()[6:]
+
+
+def _read_back(tmp_path, blob: bytes) -> list:
+    """The records of a file that holds the record bytes ``blob``, read
+    without a manifest."""
+    path = tmp_path / "read_back.rec"
+    path.write_bytes(b"S3GR\x02\x00" + blob)
+    with RecordFile(path, verify=False) as rf:
+        return list(rf)
 
 
 def test_operator_set_validation():
@@ -252,7 +267,7 @@ def test_build_link_record_rejects_bad_label():
         link_record(g, (0, 1, 2), cfg)
 
 
-def test_record_byte_size_independent_of_h():
+def test_record_byte_size_independent_of_h(tmp_path):
     rng = np.random.default_rng(46)
     g = gnp_graph(rng, n_lo=10, n_hi=12, p=0.4, features=4)
     u, v = random_pair(rng, g.num_nodes)
@@ -261,7 +276,7 @@ def test_record_byte_size_independent_of_h():
     for h in (1, 2, 3):
         cfg = SamplingOperatorSet(variant="PoS", r=3, h=h)
         rec = link_record(g, (u, v, 1), cfg)
-        blob = serialize_record(rec)
+        blob = _written(tmp_path, [rec])
         assert blob == serialize_reference(rec)
         # the logical size is the dense form's; a sparse form is smaller
         assert len(serialize_reference(rec, sparse=False)) == rec.byte_size()
@@ -273,20 +288,19 @@ def test_record_byte_size_independent_of_h():
     assert rec.byte_size() == 21 + 4 * 2 + 4 * 4 * 2 * cfg.block_width(g)
 
 
-def test_serialize_round_trip_bit_identical():
+def test_serialize_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(47)
     g = gnp_graph(rng, n_lo=8, n_hi=12, features=3)
     cfg = SamplingOperatorSet(variant="PoSPlus", r=2, h=2, labeling="drnl")
     u, v = random_pair(rng, g.num_nodes)
     rec = link_record(g, (u, v, 1), cfg)
-    blob = serialize_record(rec)
+    blob = _written(tmp_path, [rec])
     assert blob == serialize_reference(rec)
-    back, offset = deserialize_record(blob)
-    assert offset == len(blob)
+    [back] = _read_back(tmp_path, blob)
     assert (back.u, back.v, back.label) == (rec.u, rec.v, rec.label)
     assert np.array_equal(back.pooled_ids, rec.pooled_ids)
     assert back.blocks.tobytes() == rec.blocks.tobytes()
-    assert serialize_record(back) == blob
+    assert _written(tmp_path, [back]) == blob
 
 
 def _nnz_field(blob: bytes) -> int:
@@ -300,12 +314,11 @@ def test_negative_zero_and_all_zero_records_round_trip(tmp_path):
     signed = LinkRecord(3, 4, 1, np.array([3, 4, 9]), blocks)
     empty = LinkRecord(5, 6, 0, np.array([5, 6, 7]), np.zeros_like(blocks))
     for rec, nnz in ((signed, 2), (empty, 0)):     # -0.0 is a nonzero
-        blob = serialize_record(rec)
+        blob = _written(tmp_path, [rec])
         assert blob == serialize_reference(rec)
         assert _nnz_field(blob) == nnz
         assert len(blob) == 21 + 4 * 3 + 8 * nnz
-        back, offset = deserialize_record(blob)
-        assert offset == len(blob)
+        [back] = _read_back(tmp_path, blob)
         assert back.blocks.tobytes() == rec.blocks.tobytes()
     path = tmp_path / "zeros.rec"
     write_records(path, [signed, empty])
@@ -314,18 +327,18 @@ def test_negative_zero_and_all_zero_records_round_trip(tmp_path):
     assert np.signbit(z[1, 1, 2]) and np.count_nonzero(z) == 1
 
 
-def test_chunk_stays_dense_above_an_eighth_nonzero():
+def test_chunk_stays_dense_above_an_eighth_nonzero(tmp_path):
     # 8 bytes a stored nonzero against 4 a dense value: a chunk goes sparse
     # while its sparse payload is at most a quarter of its dense one
     for nonzero, sparse in ((8, True), (9, False), (64, False)):
         blocks = np.zeros((2, 2, 16), dtype=np.float32)
         blocks.reshape(-1)[:nonzero] = np.arange(1, nonzero + 1)
         rec = LinkRecord(0, 1, 1, np.arange(2), blocks)
-        blob = serialize_record(rec)
+        blob = _written(tmp_path, [rec])
         assert blob == serialize_reference(rec, sparse)
         assert (_nnz_field(blob) == 0xFFFFFFFF) != sparse
         assert (len(blob) == rec.byte_size()) != sparse
-        assert deserialize_record(blob)[0].blocks.tobytes() == blocks.tobytes()
+        assert _read_back(tmp_path, blob)[0].blocks.tobytes() == blocks.tobytes()
 
 
 @pytest.mark.parametrize("piece", [None, 97])      # held whole, streamed
@@ -364,8 +377,8 @@ def _sparse_pair_file(tmp_path, edit):
     rows[1][0, 2, 9] = 3.0
     blob = bytearray(b"S3GR\x02\x00")
     for i, blocks in enumerate(rows):
-        blob += serialize_record(LinkRecord(i, i + 1, 1, np.arange(blocks.shape[1]),
-                                            blocks))
+        blob += serialize_reference(LinkRecord(i, i + 1, 1, np.arange(blocks.shape[1]),
+                                               blocks))
     pos = np.frombuffer(bytes(blob[35:43]), "<u4").copy()
     assert pos.tolist() == [1, 17]                  # (node, column) (0, 1), (1, 1)
     blob[35:43] = edit(pos).astype("<u4").tobytes()
@@ -393,8 +406,6 @@ def test_bad_sparse_positions_raise_without_verify(tmp_path, edit):
             with pytest.raises(RecordFormatError, match=named):
                 read()
         assert rf[1].blocks[0, 2, 9] == 3.0
-    with pytest.raises(RecordFormatError, match="sparse positions"):
-        deserialize_record(path.read_bytes(), 6)
     good = _sparse_pair_file(tmp_path, lambda pos: pos)
     z = pad_batch(RecordFile(good, verify=False).batch([0, 1]))[0]
     assert z[0, :, 1].tolist() == [1, 2, 0] and np.count_nonzero(z[0]) == 2
@@ -419,22 +430,44 @@ def test_write_and_read_records(tmp_path):
     rf = RecordFile(path)
     assert len(rf) == 3
     assert [r.u for r in rf] == [0, 2, 4]
-    assert serialize_record(rf[1]) == serialize_record(recs[1])
+    assert serialize_reference(rf[1]) == serialize_reference(recs[1])
 
 
-def test_write_records_matches_reference_for_mixed_shapes(tmp_path):
-    # more than a chunk of one shape, then shapes that change record by record
-    rng = np.random.default_rng(49)
-    shapes = [(2, 2, 3)] * (CHUNK_LINKS + 6) + [(3, 4, 3), (3, 2, 3), (2, 5, 3)] \
-        + [(2, 2, 5)] * 3
-    recs = [LinkRecord(i, i + 1, i % 2, rng.permutation(9)[:p],
+def _shaped_records(rng, shapes):
+    return [LinkRecord(i, i + 1, i % 2, rng.permutation(9)[:p],
                        rng.random((r1, p, w), dtype=np.float32))
             for i, (r1, p, w) in enumerate(shapes)]
-    path = tmp_path / "mixed.rec"
-    assert write_records(path, iter(recs)) == len(recs)
-    assert path.read_bytes()[6:] == b"".join(map(serialize_reference, recs))
-    assert [serialize_record(rec) for rec in RecordFile(path)] == \
-        [serialize_reference(rec) for rec in recs]
+
+
+@pytest.mark.parametrize("at", [5, CHUNK_LINKS + 6])   # in the first chunk, after it
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=["r1", "w"])
+def test_write_records_refuses_a_second_shape(tmp_path, at, shape):
+    rng = np.random.default_rng(50)
+    recs = _shaped_records(rng, [(2, 2, 3)] * at + [shape] + [(2, 2, 3)] * 3)
+    path = tmp_path / "two_shapes.rec"
+    with pytest.raises(ValueError, match="disagree on operator count or block width"):
+        write_records(path, iter(recs))
+    assert list(tmp_path.iterdir()) == []           # no file, no temporary left
+    with pytest.raises(ValueError, match="disagree"):
+        with _record_buffer(recs):                  # as predict takes a list
+            pass
+
+
+@pytest.mark.parametrize("piece", [None, 97])      # held whole, streamed
+def test_record_file_refuses_a_second_shape(tmp_path, monkeypatch, piece):
+    # two one-shape files' records behind one file header
+    rng = np.random.default_rng(51)
+    first, second = tmp_path / "first.rec", tmp_path / "second.rec"
+    write_records(first, _shaped_records(rng, [(2, 2, 3)] * (CHUNK_LINKS + 2)))
+    write_records(second, _shaped_records(rng, [(3, 2, 4)] * 3))
+    path = tmp_path / "crafted.rec"
+    path.write_bytes(first.read_bytes() + second.read_bytes()[6:])
+    if piece is not None:
+        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    for verify in (True, False):
+        with pytest.raises(RecordFormatError, match=str(path).replace("\\", "\\\\")
+                           + ": records disagree on operator count or block width"):
+            RecordFile(path, verify=verify)
 
 
 @pytest.mark.parametrize("field, rec", [
@@ -446,9 +479,8 @@ def test_write_records_matches_reference_for_mixed_shapes(tmp_path):
 ], ids=["u", "v", "label", "p", "r1"])
 def test_encoder_rejects_header_fields_out_of_range(tmp_path, field, rec):
     # the packed header would wrap these values and misalign later records
-    good = LinkRecord(0, 1, 0, np.arange(2), np.zeros((2, 2, 3), np.float32))
-    with pytest.raises(ValueError, match=f"record {field} outside"):
-        serialize_record(rec)
+    r1, _, w = rec.blocks.shape
+    good = LinkRecord(0, 1, 0, np.arange(2), np.zeros((r1, 2, w), np.float32))
     path = tmp_path / "bad.rec"
     with pytest.raises(ValueError, match=f"record {field} outside"):
         write_records(path, [good, rec])
@@ -740,7 +772,7 @@ def test_chunk_record_equals_record_built_alone(tmp_path, variant, labeling):
     absent_rows = 0
     for rec, link in zip(recs, links.tolist()):
         alone = link_record(g, link, cfg, seed=4)
-        assert serialize_record(rec) == serialize_record(alone)
+        assert same_record(rec, alone)
         if walk:
             [sub] = walk_subgraphs(g, [link[0]], [link[1]], 1, 1,
                                     [_walk_seed(4, *link)])
@@ -793,7 +825,7 @@ def test_records_do_not_depend_on_how_a_chunk_is_split(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
-def test_chunk_encoder_matches_serialize_record(variant, labeling):
+def test_chunk_encoder_matches_serialize_record(tmp_path, variant, labeling):
     rng = np.random.default_rng(59)
     g, links = _edge_case_chunk(rng)
     walk = {"k": 2, "l": 2} if "ScaLed" in variant else {}
@@ -810,12 +842,11 @@ def test_chunk_encoder_matches_serialize_record(variant, labeling):
         blob = _encode(links, pooled, starts, blocks)
         assert blob == b"".join(serialize_reference(rec, sparse) for rec in recs)
         # a record decoded from the chunk is bit for bit the record alone
-        off = 0
-        for rec in recs:
-            back, off = deserialize_record(blob, off)
-            assert back.blocks.tobytes() == rec.blocks.tobytes()
-            assert back.pooled_ids.tolist() == rec.pooled_ids.tolist()
-        assert off == len(blob)
+        back = _read_back(tmp_path, blob)
+        assert len(back) == len(recs)
+        for got, rec in zip(back, recs):
+            assert got.blocks.tobytes() == rec.blocks.tobytes()
+            assert got.pooled_ids.tolist() == rec.pooled_ids.tolist()
     # drnl's 101 one-hot label columns leave both chunks sparse
     assert forms == ({True} if labeling == "drnl" else {False, True})
     empty = np.zeros((0, 3), dtype=np.int64)
@@ -835,7 +866,7 @@ def test_record_file_batch_matches_stack_records(tmp_path, variant):
     rf = RecordFile(path)
     recs = list(rf)
     assert (len(set(rf.p.tolist())) > 1) == (variant == "PoSPlus")
-    sizes = [len(serialize_record(rec)) for rec in recs]
+    sizes = [len(serialize_reference(rec)) for rec in recs]
     assert rf.offsets.tolist() == (6 + np.cumsum([0] + sizes[:-1])).tolist()
     assert rf.p.tolist() == [rec.pooled_count for rec in recs]
     assert rf.labels.tolist() == links[:, 2].tolist()
