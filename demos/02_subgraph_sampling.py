@@ -23,9 +23,11 @@ print("1-hop around the bridge:", sub.global_ids.tolist())
 print("edges inside it:", sub.num_edges)
 
 # the candidate link itself is never part of the extracted subgraph
-# (local nodes 0 and 1 are u and v), so the subgraph looks the same
-# whether or not the link is known
-assert sub.adjacency().toarray()[0, 1] == 0
+# (``targets`` holds the local positions of u and v; nodes are listed by
+# global id), so the subgraph looks the same whether or not the link is known
+[(iu, iv)] = sub.targets
+print("u and v sit at local positions", iu, "and", iv)
+assert sub.adjacency().toarray()[iu, iv] == 0
 [sub2] = hop_subgraphs(graph, [u], [v], h=2)
 print("2-hop grows to:", sub2.global_ids.tolist())
 

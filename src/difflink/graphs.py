@@ -538,6 +538,20 @@ def normalized_adjacency(graph: Graph) -> CSRMatrix:
     return CSRMatrix(indptr, col, dinv[row] * dinv[col], (n, n))
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and for every
+    float, even an integral one such as 3.0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """ValueError "<name>: ..." unless ``value`` is an integer (as ``_is_integer``
+    counts them) in low..high, or >= low when ``high`` is None."""
+    if not (_is_integer(value) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name}: expected an integer {bound}, got {value!r}")
+
+
 def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Flat int64 pair arrays; ValueError for an id out of range or u == v."""
     u = np.asarray(u, dtype=np.int64).reshape(-1)

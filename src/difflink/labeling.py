@@ -25,7 +25,7 @@ class LabelScheme(str, Enum):
 def zero_one_labels(subgraph: Subgraph) -> np.ndarray:
     """Label 1 for the two target nodes of every block, 0 for everyone else."""
     labels = np.zeros(subgraph.num_nodes, dtype=np.int64)
-    labels[subgraph.starts[:-1]] = labels[subgraph.starts[:-1] + 1] = 1
+    labels[subgraph.targets] = 1
     return labels
 
 
@@ -41,8 +41,7 @@ def drnl_labels(subgraph: Subgraph) -> np.ndarray:
     Targets get label 1; nodes unreachable from either target get 0.
     """
     n = subgraph.num_nodes
-    us = subgraph.starts[:-1]
-    vs = us + 1
+    us, vs = subgraph.targets.T
     du = hop_distances(subgraph.indptr, subgraph.indices, us, blocked=vs)
     dv = hop_distances(subgraph.indptr, subgraph.indices, vs, blocked=us)
     labels = np.zeros(n, dtype=np.int64)

@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (CSRMatrix, Graph, _common_neighbors, _entries,
-                     _row_offsets, normalized_adjacency)
+from .graphs import (CSRMatrix, Graph, _check_integer, _common_neighbors,
+                     _entries, _is_integer, _row_offsets, normalized_adjacency)
 from .labeling import LabelScheme, label_dim_for, node_labels
 from .sampling import (Subgraph, _hop_sizes, graph_power, hop_subgraphs,
                        walk_subgraphs)
@@ -104,20 +104,6 @@ READ_PIECE = 2 << 20
 # dearer scatter, so PoS h=3 blocks on cora_like (25% nonzero) stay dense and
 # read as fast as h=1. Per chunk, not per record: a dense file keeps one stride.
 SPARSE_SHARE = 0.25
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool and for every
-    float, even an integral one such as 3.0."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    """ValueError "<name>: ..." unless ``value`` is an integer (as ``_is_integer``
-    counts them) in low..high, or >= low when ``high`` is None."""
-    if not (_is_integer(value) and low <= value and (high is None or value <= high)):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name}: expected an integer {bound}, got {value!r}")
 
 
 def _as_member(kind, name: str, value):
@@ -271,13 +257,10 @@ def _block_product(y: CSRMatrix, a: CSRMatrix, lo: np.ndarray,
     """``y @ a`` for rows that stay in their link's block: row i of y and of
     the product lies in the columns ``lo[i]:lo[i] + size[i]``.
 
-    The entries come out as the classic row-by-row sparse product loop
-    gives them: each sum is added up in y's stored order, exact-zero sums
-    are dropped and each row lists its columns in reverse order of first
-    touch. That order is the next power's summation order, so keeping it
-    keeps normalized records bit for bit equal to that loop's. The sums sit
-    in one dense accumulator over the rows' blocks, row i's at
-    ``start[i] + column - lo[i]``.
+    Each sum is added up in y's stored order, exact-zero sums are dropped
+    and each row lists its columns in ascending order, as a sorted CSR
+    product gives them. The sums sit in one dense accumulator over the
+    rows' blocks, row i's at ``start[i] + column - lo[i]``.
     """
     counts, at = _entries(a.indptr, y.indices)
     start = np.zeros(y.shape[0] + 1, dtype=np.int64)
@@ -285,18 +268,10 @@ def _block_product(y: CSRMatrix, a: CSRMatrix, lo: np.ndarray,
     key = np.repeat((start[:-1] - lo)[y._rows()], counts) + a.indices[at]
     sums = np.bincount(key, weights=np.repeat(y.data, counts) * a.data[at],
                        minlength=start[-1])
-    first = np.full(start[-1], key.shape[0])
-    np.minimum.at(first, key, np.arange(key.shape[0]))
-    # The first touches of the nonzero sums, row by row, each row's in
-    # reverse: row r's products are entries e[r]:e[r + 1].
-    touch = np.zeros(key.shape[0], dtype=bool)
-    touch[first[sums != 0]] = True
-    touch = np.flatnonzero(touch)
-    e = np.concatenate(([0], np.cumsum(counts)))[y.indptr]
-    row = np.searchsorted(e, touch, side="right") - 1
-    indptr = _row_offsets(row, y.shape[0])
-    key = key[touch[indptr[row] + indptr[row + 1] - 1 - np.arange(touch.shape[0])]]
-    return CSRMatrix(indptr, key - start[row] + lo[row], sums[key], y.shape)
+    key = np.flatnonzero(sums)
+    row = np.searchsorted(start, key, side="right") - 1
+    return CSRMatrix(_row_offsets(row, y.shape[0]), key - start[row] + lo[row],
+                     sums[key], y.shape)
 
 
 def _diffuse(sub: Subgraph, features: CSRMatrix, pooled_link: np.ndarray,
@@ -331,14 +306,11 @@ def _diffuse(sub: Subgraph, features: CSRMatrix, pooled_link: np.ndarray,
         out[i, :, :label_dim] = np.bincount(
             row * label_dim + labels[y.indices], weights=y.data,
             minlength=p * label_dim).reshape(p, label_dim)
-        # y X, each (row, feature) sum taken over the row's entries by
-        # global id
-        ids = sub.global_ids[y.indices]
-        order = np.argsort(row * features.shape[0] + ids)
-        counts, at = _entries(features.indptr, ids[order])
+        # y X, each (row, feature) sum taken over the row's entries by global id
+        counts, at = _entries(features.indptr, sub.global_ids[y.indices])
         out[i, :, label_dim:] = np.bincount(
-            np.repeat(row[order] * width, counts) + features.indices[at],
-            weights=np.repeat(y.data[order], counts) * features.data[at],
+            np.repeat(row * width, counts) + features.indices[at],
+            weights=np.repeat(y.data, counts) * features.data[at],
             minlength=p * width).reshape(p, width)
     return out
 

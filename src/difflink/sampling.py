@@ -6,11 +6,11 @@ keys, grown a hop at a time, or each link's seeded random walks), and the
 induced subgraphs are laid out as one disjoint-union (block-diagonal) CSR
 graph, a ``Subgraph`` with one block per link. Every block has its target
 edge (u, v) removed, so positive and negative links are structurally
-indistinguishable to downstream stages. Inside a block, node 0 is u,
-node 1 is v and the rest follow in ascending global id order; a one-link
-call is a chunk of one. ``hop_distances`` is the neighborhood primitive
-for labeling: a multi-source frontier expansion over a CSR neighbor
-gather.
+indistinguishable to downstream stages. A block lists its nodes by global
+id, as the keys do, and ``Subgraph.targets`` holds where u and v sit; a
+one-link call is a chunk of one. ``hop_distances`` is the neighborhood
+primitive for labeling: a multi-source frontier expansion over a CSR
+neighbor gather.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, _entries, _link_arrays, _neighbor_keys, _row_offsets,
-                     _unique, build_graph)
+from .graphs import (Graph, _check_integer, _entries, _link_arrays, _neighbor_keys,
+                     _row_offsets, _unique, build_graph)
 
 UNREACHABLE = -1
 
@@ -28,17 +28,19 @@ UNREACHABLE = -1
 class Subgraph:
     """Link subgraphs as one disjoint-union graph in local CSR form.
 
-    Block b holds the union nodes ``starts[b]:starts[b + 1]``; its first
-    two nodes are the link endpoints u and v. ``global_ids[i]`` maps union
-    node i back to the parent graph. Rows of ``indices`` are sorted, no
-    edge leaves its block and no block holds its (u, v) edge. A one-link
-    subgraph has ``starts == [0, num_nodes]``.
+    Block b holds the union nodes ``starts[b]:starts[b + 1]``, by ascending
+    global id, and ``targets[b]`` are the union positions of its link
+    endpoints u and v. ``global_ids[i]`` maps union node i back to the
+    parent graph. Rows of ``indices`` are sorted, no edge leaves its block
+    and no block holds its (u, v) edge. A one-link subgraph has
+    ``starts == [0, num_nodes]``.
     """
 
     global_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     starts: np.ndarray
+    targets: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -56,12 +58,11 @@ class Subgraph:
             return np.full(nodes.shape[0], -1, dtype=np.int64)
         span = int(max(self.global_ids.max(), nodes.max(initial=0))) + 1
         block = np.repeat(np.arange(self.starts.shape[0] - 1), np.diff(self.starts))
+        # ascending: blocks in turn, each by global id
         keys = block * span + self.global_ids
         want = np.asarray(blocks, dtype=np.int64) * span + nodes
-        order = np.argsort(keys)
-        pos = order[np.minimum(np.searchsorted(keys, want, sorter=order),
-                               self.num_nodes - 1)]
-        return np.where(keys[pos] == want, pos, -1)
+        pos = np.minimum(np.searchsorted(keys, want), self.num_nodes - 1)
+        return np.where((keys[pos] == want) & (nodes >= 0), pos, -1)
 
     # the union's block-diagonal adjacency matrix, as for a Graph
     adjacency = Graph.adjacency
@@ -127,28 +128,25 @@ def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
 
     ``keys`` are the sorted distinct ``b * num_nodes + node`` codes of the
     nodes of every link b, each set holding u[b] and v[b]. ``table`` is
-    the all -1 position table of ``_block_positions``.
+    the all -1 position table of ``_block_positions``. A block lists its
+    nodes and each row its neighbors by global id, so rows come out sorted.
     """
     n = graph.num_nodes
     blk, ids = np.divmod(keys, n)
-    # Tier 0 is each block's u, tier 1 its v and tier 2 the rest.
-    tier = np.where(ids == u[blk], 0, np.where(ids == v[blk], 1, 2))
-    order = np.argsort(blk * 3 + tier, kind="stable")
-    blk, ids, tier = blk[order], ids[order], tier[order]
     starts = np.searchsorted(blk, np.arange(u.shape[0] + 1))
+    row = np.arange(u.shape[0]) * n
+    targets = np.searchsorted(keys, np.stack([row + u, row + v], axis=1))
     counts, dst = _block_positions(graph, ids, starts, table)
     inside = dst >= 0
     src = np.repeat(np.arange(ids.shape[0]), counts)[inside]
     dst = dst[inside]
-    # An edge never leaves its block, so tiers sum to 1 exactly on a
-    # block's (u, v) edge.
-    dst_tier = tier[dst]
-    keep = tier[src] + dst_tier != 1
-    src, dst, dst_tier = src[keep], dst[keep], dst_tier[keep]
-    # Each row lists its neighbors by global id; u and v move to the
-    # front, which sorts the row by union position.
-    dst = dst[np.argsort(3 * src + dst_tier, kind="stable")]
-    return Subgraph(ids, _row_offsets(src, ids.shape[0]), dst, starts)
+    # Role 1 is each block's u and role 2 its v. No edge leaves its block,
+    # so roles sum to 3 exactly on a block's (u, v) edge.
+    role = np.zeros(ids.shape[0], dtype=np.int8)
+    role[targets[:, 0]], role[targets[:, 1]] = 1, 2
+    keep = role[src] + role[dst] != 3
+    return Subgraph(ids, _row_offsets(src[keep], ids.shape[0]), dst[keep],
+                    starts, targets)
 
 
 # Neighbor-list entries one union may gather. A chunk of links on a sparse
@@ -216,8 +214,7 @@ def hop_subgraphs(graph: Graph, u, v, h: int):
     checked before this returns.
     """
     u, v = _link_arrays(graph, u, v)
-    if h < 1:
-        raise ValueError("h must be >= 1")
+    _check_integer("h", h, 1)
     return _unions(graph, u, v, _hop_keys(graph, u, v, h))
 
 
@@ -278,10 +275,12 @@ def walk_subgraphs(graph: Graph, u, v, k: int, l: int, seeds):
     nodes.
     """
     u, v = _link_arrays(graph, u, v)
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+    _check_integer("k", k, 1)
+    _check_integer("l", l, 1)
     if len(seeds) != u.shape[0]:
         raise ValueError("walk_subgraphs needs one seed per link")
+    for seed in seeds:
+        _check_integer("seeds", seed, 0)
     keys = [b * graph.num_nodes + np.asarray(
                 [u[b], v[b], *_walk_nodes(graph, int(u[b]), int(v[b]), k, l, int(seed))],
                 dtype=np.int64)
@@ -296,8 +295,7 @@ def graph_power(graph: Graph, i: int) -> Graph:
     Node x's row of the power is its i-hop reach. Power 1 returns an
     identical copy. The power shares ``graph``'s feature matrix.
     """
-    if i < 1:
-        raise ValueError("power must be >= 1")
+    _check_integer("i", i, 1)
     if i == 1:
         return Graph(graph.num_nodes, graph.indptr.copy(),
                      graph.indices.copy(), graph.features)

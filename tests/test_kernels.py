@@ -124,6 +124,7 @@ def _scipy_diffuse(sp):
         series = [y]
         for _ in range(r):
             series.append(series[-1] @ a)
+            series[-1].sort_indices()
         x = features.toarray()
         out = np.empty((r + 1, p, label_dim + x.shape[1]), dtype=np.float32)
         for i, y in enumerate(series):
@@ -147,7 +148,7 @@ def test_records_match_scipy_products_bit_for_bit(tmp_path, monkeypatch, sp,
     # order: a 1 added to a nonzero partial sum is lost. Hubs make many rows
     # share columns.
     # The float32 records hide last-bit changes of the normalized powers,
-    # which test_block_product_matches_scipy_entry_order checks itself.
+    # which test_block_product_matches_sorted_scipy checks itself.
     rng = np.random.default_rng(75)
     cfg = SamplingOperatorSet(variant=variant, r=4, h=2, labeling="drnl",
                               normalized=normalized)
@@ -165,18 +166,38 @@ def test_records_match_scipy_products_bit_for_bit(tmp_path, monkeypatch, sp,
         assert ours.read_bytes() == theirs.read_bytes(), trial
 
 
-def test_block_product_matches_scipy_entry_order(sp):
+def test_block_product_matches_sorted_scipy(sp):
+    # scipy's product with sorted rows, then sorted: the same entries in the
+    # same order, each sum added up in the same order, bit for bit.
     rng = np.random.default_rng(76)
     g = hub_graph(rng, leaves=40)
     u, v = hub_links(rng, g.num_nodes)
     [sub] = hop_subgraphs(g, u, v, 2)
     a = normalized_adjacency(sub)
     lo, size = sub.starts[:-1], np.diff(sub.starts)
-    y = CSRMatrix(np.arange(u.shape[0] + 1), lo, np.ones(u.shape[0]),
+    y = CSRMatrix(np.arange(u.shape[0] + 1), sub.targets[:, 0], np.ones(u.shape[0]),
                   (u.shape[0], sub.num_nodes))
     ref = _scipy(y, sp)
     for _ in range(3):
         y = records._block_product(y, a, lo, size)
         ref = ref @ _scipy(a, sp)
+        ref.sort_indices()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(y, name), getattr(ref, name)), name
+
+
+def test_block_product_rows_list_columns_ascending():
+    rng = np.random.default_rng(77)
+    for trial in range(6):
+        g = hub_graph(rng) if trial % 2 else gnp_graph(rng, 20, 40, 0.15)
+        u, v = hub_links(rng, g.num_nodes)
+        [sub] = hop_subgraphs(g, u, v, 2)
+        a = normalized_adjacency(sub) if trial % 3 else sub.adjacency()
+        lo, size = sub.starts[:-1], np.diff(sub.starts)
+        y = CSRMatrix(np.arange(u.shape[0] + 1), sub.targets[:, 1],
+                      np.ones(u.shape[0]), (u.shape[0], sub.num_nodes))
+        for _ in range(3):
+            y = records._block_product(y, a, lo, size)
+            row = y._rows()
+            assert np.all(np.diff(row * sub.num_nodes + y.indices) > 0)
+            assert np.all((y.indices >= lo[row]) & (y.indices < lo[row] + size[row]))

@@ -20,21 +20,23 @@ def _labeled_rows(graph, sub, scheme, label_cap=100):
 def test_zero_one_labels():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     [sub] = hop_subgraphs(g, [0], [2], 2)
-    assert zero_one_labels(sub).tolist() == [1, 1, 0, 0]
+    assert sub.global_ids.tolist() == [0, 1, 2, 3]
+    assert sub.targets.tolist() == [[0, 2]]
+    assert zero_one_labels(sub).tolist() == [1, 0, 1, 0]
 
 
 def test_drnl_hand_cases():
     # u - x - v: the midpoint gets label 2
     g = build_graph(3, [(0, 1), (1, 2)])
     [sub] = hop_subgraphs(g, [0], [2], 2)
-    assert drnl_labels(sub).tolist() == [1, 1, 2]
-    # u - a - b - v: both interior nodes get label 3
+    assert sub.targets.tolist() == [[0, 2]]
+    assert drnl_labels(sub).tolist() == [1, 2, 1]
+    # u - a - b - v: both interior nodes get label 3; v sorts before u
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    [sub] = hop_subgraphs(g, [0], [3], 3)
-    labels = drnl_labels(sub)
-    ids = sub.global_ids.tolist()
-    assert labels[ids.index(1)] == 3 and labels[ids.index(2)] == 3
-    assert labels[0] == 1 and labels[1] == 1
+    [sub] = hop_subgraphs(g, [3], [0], 3)
+    assert sub.global_ids.tolist() == [0, 1, 2, 3]
+    assert sub.targets.tolist() == [[3, 0]]
+    assert drnl_labels(sub).tolist() == [1, 3, 3, 1]
 
 
 def test_drnl_unreachable_gets_zero():
@@ -52,7 +54,9 @@ def test_drnl_matches_dense_oracle():
         g = gnp_graph(rng)
         u, v = random_pair(rng, g.num_nodes)
         [sub] = hop_subgraphs(g, [u], [v], int(rng.integers(1, 4)))
-        expected = drnl_from_dense(sub.adjacency().toarray(), 0, 1)
+        iu, iv = sub.targets[0]
+        assert sub.global_ids[[iu, iv]].tolist() == [u, v]
+        expected = drnl_from_dense(sub.adjacency().toarray(), iu, iv)
         assert drnl_labels(sub).tolist() == expected.tolist()
 
 
@@ -104,7 +108,7 @@ def test_augment_features_fixed_width():
     [sub] = hop_subgraphs(g, [0], [2], 2)
     rows = _labeled_rows(g, sub, LabelScheme.DRNL, label_cap=100)
     assert rows.shape == (3, 102)
-    assert np.argmax(rows[:, :101], axis=1).tolist() == [1, 1, 2]
+    assert np.argmax(rows[:, :101], axis=1).tolist() == [1, 2, 1]
 
 
 def test_label_dim_for():

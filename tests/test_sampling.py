@@ -17,9 +17,10 @@ def _local_dist(sub, src):
 def test_extract_h_hop_path_graph():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     [sub] = hop_subgraphs(g, [1], [3], 1)
-    assert sub.global_ids.tolist() == [1, 3, 0, 2, 4]
-    assert _local_dist(sub, 0) == [0, 2, 1, 1, 3]
-    assert _local_dist(sub, 1) == [2, 0, 3, 1, 1]
+    assert sub.global_ids.tolist() == [0, 1, 2, 3, 4]
+    assert sub.targets.tolist() == [[1, 3]]
+    assert _local_dist(sub, 1) == [1, 0, 1, 2, 3]
+    assert _local_dist(sub, 3) == [3, 2, 1, 0, 1]
 
 
 def test_extract_removes_target_edge():
@@ -43,7 +44,8 @@ def test_extract_hop_limit_excludes_far_nodes():
     # 0-1-2-3 chain: h=1 around (0, 3) must not include nodes at distance 2
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     [sub] = hop_subgraphs(g, [0], [3], 1)
-    assert sub.global_ids.tolist() == [0, 3, 1, 2]
+    assert sub.global_ids.tolist() == [0, 1, 2, 3]
+    assert sub.targets.tolist() == [[0, 3]]
     [sub_far] = hop_subgraphs(g, [0], [3], 2)
     assert sub_far.num_nodes == 4
 
@@ -57,14 +59,13 @@ def test_extract_matches_oracle_node_sets_and_structure():
         [sub] = hop_subgraphs(g, [u], [v], h)
         nxg = to_nx(g)
         expected_nodes = hop_nodes(nxg, u, v, h)
-        assert sorted(sub.global_ids.tolist()) == expected_nodes
-        assert sub.global_ids[0] == u and sub.global_ids[1] == v
-        assert np.all(np.diff(sub.global_ids[2:]) > 0)
+        assert sub.global_ids.tolist() == expected_nodes
+        assert sub.global_ids[sub.targets[0]].tolist() == [u, v]
         dense = induced_dense(nxg, sub.global_ids.tolist(), u, v)
         assert np.array_equal(sub.adjacency().toarray(), dense)
         # local distances agree with networkx on the link-removed subgraph
         sg = nx.from_numpy_array(dense)
-        for src in (0, 1):
+        for src in sub.targets[0].tolist():
             dist = nx.single_source_shortest_path_length(sg, src)
             assert _local_dist(sub, src) == [dist.get(i, UNREACHABLE)
                                              for i in range(sub.num_nodes)]
@@ -121,6 +122,19 @@ def test_extract_validates_arguments():
         hop_subgraphs(g, [0], [5], 1)
     with pytest.raises(ValueError):
         hop_subgraphs(g, [0], [1], 0)
+    # a non-integer, bool or negative argument is named, never cast
+    for h in (0, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="^h: "):
+            hop_subgraphs(g, [0], [1], h)
+    for k, l, name in ((2.5, 1, "k"), (1, 2.0, "l"), (False, 1, "k"), (1, 0, "l")):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            walk_subgraphs(g, [0], [1], k, l, [0])
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="^seeds: "):
+            walk_subgraphs(g, [0], [1], 1, 1, [seed])
+    for i in (0, 2.0, True):
+        with pytest.raises(ValueError, match="^i: "):
+            graph_power(g, i)
 
 
 def test_random_walk_subgraph_deterministic():
@@ -142,9 +156,11 @@ def test_random_walk_subgraph_properties():
         l = int(rng.integers(1, 4))
         [sub] = walk_subgraphs(g, [u], [v], k, l, [trial])
         assert sub.num_nodes <= 2 * k * l + 2
-        assert sub.global_ids[0] == u and sub.global_ids[1] == v
+        assert np.all(np.diff(sub.global_ids) > 0)
+        iu, iv = sub.targets[0]
+        assert sub.global_ids[[iu, iv]].tolist() == [u, v]
         a = sub.adjacency().toarray()
-        assert a[0, 1] == 0
+        assert a[iu, iv] == 0 and a[iv, iu] == 0
         # every sampled node lies within walk range of a target in the
         # link-removed graph
         nxg = to_nx(g)
@@ -152,7 +168,7 @@ def test_random_walk_subgraph_properties():
             nxg.remove_edge(u, v)
         du = nx.single_source_shortest_path_length(nxg, u, cutoff=l)
         dv = nx.single_source_shortest_path_length(nxg, v, cutoff=l)
-        for node in sub.global_ids.tolist()[2:]:
+        for node in sub.global_ids.tolist():
             assert node in du or node in dv
 
 
@@ -199,13 +215,14 @@ def test_graph_power_carries_features():
 
 
 def _blocks(sub):
-    """(global ids, dense adjacency) of every block of a union subgraph."""
+    """(global ids, dense adjacency, positions of u and v) of every block
+    of a union subgraph, positions counted from the block's start."""
     a = sub.adjacency().toarray()
     out = []
-    for lo, hi in zip(sub.starts[:-1], sub.starts[1:]):
+    for lo, hi, targets in zip(sub.starts[:-1], sub.starts[1:], sub.targets):
         # no edge leaves a block
         assert a[lo:hi].sum() == a[lo:hi, lo:hi].sum()
-        out.append((sub.global_ids[lo:hi], a[lo:hi, lo:hi]))
+        out.append((sub.global_ids[lo:hi], a[lo:hi, lo:hi], targets - lo))
     return out
 
 
@@ -225,16 +242,17 @@ def test_hop_subgraphs_blocks_match_oracle():
         nxg = to_nx(g)
         blocks = _blocks(sub)
         assert len(blocks) == len(pairs)
-        for (ids, dense), (a, b) in zip(blocks, pairs):
-            assert ids[0] == a and ids[1] == b
-            assert np.all(np.diff(ids[2:]) > 0)
-            assert sorted(ids.tolist()) == hop_nodes(nxg, a, b, h)
+        for (ids, dense, targets), (a, b) in zip(blocks, pairs):
+            assert ids[targets].tolist() == [a, b]
+            assert ids.tolist() == hop_nodes(nxg, a, b, h)
             assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
             [one] = hop_subgraphs(g, [a], [b], h)
             assert np.array_equal(one.global_ids, ids)
+            assert np.array_equal(one.targets[0], targets)
             assert np.array_equal(one.adjacency().toarray(), dense)
     [empty] = hop_subgraphs(g, [], [], 2)
     assert empty.num_nodes == 0 and empty.starts.tolist() == [0]
+    assert empty.targets.shape == (0, 2)
 
 
 def test_walk_subgraphs_blocks_match_one_link_walks():
@@ -246,9 +264,10 @@ def test_walk_subgraphs_blocks_match_one_link_walks():
         seeds = [11, 12, 13, 11 if trial % 2 else 14]
         u, v = np.asarray(pairs).T
         [sub] = walk_subgraphs(g, u, v, 2, 3, seeds)
-        for (ids, dense), (a, b), seed in zip(_blocks(sub), pairs, seeds):
+        for (ids, dense, targets), (a, b), seed in zip(_blocks(sub), pairs, seeds):
             [one] = walk_subgraphs(g, [a], [b], 2, 3, [seed])
             assert np.array_equal(one.global_ids, ids)
+            assert np.array_equal(one.targets[0], targets)
             assert np.array_equal(one.adjacency().toarray(), dense)
     with pytest.raises(ValueError, match="differ"):
         walk_subgraphs(g, [0, 1], [1, 1], 2, 3, [0, 0])
@@ -276,10 +295,9 @@ def test_hop_subgraphs_hub_blocks_match_oracle(monkeypatch, union_entries):
         blocks = [block for sub in subs for block in _blocks(sub)]
         assert len(blocks) == len(u)
         nxg = to_nx(g)
-        for (ids, dense), a, b in zip(blocks, u, v):
-            assert ids[0] == a and ids[1] == b
-            assert np.all(np.diff(ids[2:]) > 0)
-            assert sorted(ids.tolist()) == hop_nodes(nxg, a, b, h)
+        for (ids, dense, targets), a, b in zip(blocks, u, v):
+            assert ids[targets].tolist() == [a, b]
+            assert ids.tolist() == hop_nodes(nxg, a, b, h)
             assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
 
 
@@ -291,12 +309,56 @@ def test_walk_subgraphs_hub_blocks_are_induced():
         seeds = list(range(trial, trial + len(u)))
         [sub] = walk_subgraphs(g, u, v, 3, 2, seeds)
         nxg = to_nx(g)
-        for (ids, dense), a, b, seed in zip(_blocks(sub), u, v, seeds):
-            assert ids[0] == a and ids[1] == b
-            assert np.all(np.diff(ids[2:]) > 0)
+        for (ids, dense, targets), a, b, seed in zip(_blocks(sub), u, v, seeds):
+            assert ids[targets].tolist() == [a, b]
+            assert np.all(np.diff(ids) > 0)
             assert np.array_equal(dense, induced_dense(nxg, ids.tolist(), a, b))
             [one] = walk_subgraphs(g, [a], [b], 3, 2, [seed])
             assert np.array_equal(one.global_ids, ids)
+
+
+@pytest.mark.parametrize("union_entries", [None, 16])
+@pytest.mark.parametrize("how", ["hop", "walk"])
+def test_blocks_list_nodes_by_global_id(monkeypatch, how, union_entries):
+    # One node order: every block lists its nodes by ascending global id,
+    # ``targets`` finds u and v there, and no block holds its (u, v) edge.
+    import difflink.sampling as sampling
+
+    if union_entries is not None:
+        monkeypatch.setattr(sampling, "UNION_ENTRIES", union_entries)
+    rng = np.random.default_rng(33)
+    for trial in range(8):
+        g = hub_graph(rng)
+        u, v = hub_links(rng, g.num_nodes)
+        unions = (hop_subgraphs(g, u, v, 1 + trial % 2) if how == "hop"
+                  else walk_subgraphs(g, u, v, 3, 2, list(range(len(u)))))
+        blocks = [block for sub in unions for block in _blocks(sub)]
+        assert len(blocks) == len(u)
+        for (ids, dense, targets), a, b in zip(blocks, u, v):
+            assert np.all(np.diff(ids) > 0)
+            assert ids[targets].tolist() == [a, b]
+            iu, iv = targets
+            assert dense[iu, iv] == dense[iv, iu] == 0
+
+
+def test_locate_finds_members_and_nothing_else():
+    rng = np.random.default_rng(34)
+    g = hub_graph(rng)
+    n = g.num_nodes
+    u, v = hub_links(rng, n)
+    [sub] = hop_subgraphs(g, u, v, 1)
+    blocks = len(u)
+    member = np.repeat(np.arange(blocks), np.diff(sub.starts))
+    assert sub.locate(member, sub.global_ids).tolist() == list(range(sub.num_nodes))
+    # every (block, node) pair of the graph: absent nodes give -1
+    block, node = np.divmod(np.arange(blocks * n), n)
+    at = {(b, x): i for i, (b, x) in enumerate(zip(member.tolist(),
+                                                   sub.global_ids.tolist()))}
+    assert sub.locate(block, node).tolist() == [
+        at.get((b, x), -1) for b, x in zip(block.tolist(), node.tolist())]
+    # ids outside the graph, each asked of every block
+    for bad in (-1, -n, n, 10 * n):
+        assert sub.locate(np.arange(blocks), np.full(blocks, bad)).tolist() == [-1] * blocks
 
 
 @pytest.mark.parametrize("how", ["hop", "walk"])
@@ -316,8 +378,7 @@ def test_link_sets_built_in_turn_match_sets_built_alone(monkeypatch, how):
 
     def same(xs, ys):
         return len(xs) == len(ys) and all(
-            np.array_equal(a, c) and np.array_equal(b, d)
-            for (a, b), (c, d) in zip(xs, ys))
+            all(map(np.array_equal, x, y)) for x, y in zip(xs, ys))
 
     rng = np.random.default_rng(32)
     for trial in range(6):
