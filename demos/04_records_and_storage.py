@@ -14,7 +14,7 @@ import numpy as np
 
 from difflink import (RecordFile, SamplingOperatorSet, build_graph,
                       precompute_dataset, storage_comparison)
-from difflink.records import manifest_path
+from difflink.store import manifest_path
 
 rng = np.random.default_rng(3)
 n = 200

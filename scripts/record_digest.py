@@ -110,7 +110,7 @@ def digest(out_dir: Path, decoded: bool = False, samples=SAMPLES,
                                       worker_count=workers, seed=7)
                 records[f"{case}/w{workers}"] = decoded_digest(path) if decoded else {
                     "rec": sha256(path),
-                    "manifest": sha256(dl.records.manifest_path(path))}
+                    "manifest": sha256(dl.store.manifest_path(path))}
             if not config.normalized and not decoded:
                 storage[case] = asdict(dl.storage_comparison(graph, subset, config))
         result[f"{name}/h{h}"] = ({"records": records} if decoded

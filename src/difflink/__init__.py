@@ -26,10 +26,10 @@ _EXPORTS = {
                  "walk_subgraphs"),
     "labeling": ("LabelScheme", "drnl_labels", "label_dim_for", "node_labels",
                  "zero_one_labels"),
-    "records": ("CCN_CAP", "DatasetStats", "LinkRecord", "Pooling", "RecordFile",
-                "RecordFormatError", "SamplingOperatorSet", "StorageReport",
-                "Variant", "precompute_dataset", "read_records",
-                "storage_comparison", "write_records"),
+    "records": ("CCN_CAP", "DatasetStats", "SamplingOperatorSet", "StorageReport",
+                "Variant", "precompute_dataset", "storage_comparison"),
+    "store": ("LinkRecord", "Pooling", "RecordFile", "RecordFormatError",
+              "read_records", "write_records"),
     "model": ("Adam", "ModelParams", "TrainConfig", "init_params", "load_params",
               "loss_and_gradients", "predict", "save_params", "train"),
     "metrics": ("Heuristic", "ScoredPairs", "auc", "hits_at_k", "mrr",

@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import resolve_dataset
-from .graphs import EdgeSplit, Graph, labeled_links, split_edges
+from .graphs import EdgeSplit, Graph, _is_integer, labeled_links, split_edges
 from .metrics import Heuristic, ScoredPairs, auc, hits_at_k, mrr, score_pairs
 from .model import ModelParams, TrainConfig, predict, train
-from .records import (RecordFile, SamplingOperatorSet, Variant, _is_integer,
-                      precompute_dataset, storage_comparison)
+from .records import (SamplingOperatorSet, Variant, precompute_dataset,
+                      storage_comparison)
+from .store import RecordFile
 
 
 class ConfigError(ValueError):
@@ -141,11 +142,13 @@ def parse_config(cfg: dict) -> ExperimentSpec:
         raise ConfigError(f"mode: {mode!r} is not 'full' or 'heuristics'")
 
     heuristics = cfg.get("heuristics", ["CN", "AA", "PPR"])
-    names = [hx.value for hx in Heuristic]
-    if not isinstance(heuristics, list) or not all(hx in names for hx in heuristics):
-        raise ConfigError(f"heuristics: expected a list of entries in {names}, "
-                          f"got {heuristics!r}")
-    heuristics = [Heuristic(hx).value for hx in heuristics]
+    try:
+        if not isinstance(heuristics, list):
+            raise ValueError
+        heuristics = [Heuristic(hx).value for hx in heuristics]
+    except ValueError:
+        raise ConfigError(f"heuristics: expected a list of entries in "
+                          f"{[hx.value for hx in Heuristic]}, got {heuristics!r}") from None
 
     workers = cfg.get("workers", 1)
     if type(workers) is not int or workers < 1:

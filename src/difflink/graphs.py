@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -501,21 +502,25 @@ def load_split(in_dir, features=None) -> EdgeSplit:
     """Read back a split written by save_split; optionally reattach node
     features, a CSRMatrix or a dense array as Graph takes them."""
     in_dir = Path(in_dir)
-    with open(in_dir / "split.json") as fh:
-        manifest = json.load(fh)
-    observed = load_edge_list(in_dir / "observed.txt",
-                              num_nodes=int(manifest["num_nodes"]))
+    path = in_dir / "split.json"
+    try:
+        manifest = json.loads(path.read_text())
+        num_nodes, seed = int(manifest["num_nodes"]), int(manifest["seed"])
+        ratios = tuple(manifest["ratios"])
+        counts = [manifest["counts"][name] for name in _SPLIT_PARTS]
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise GraphFormatError(f"{path}: bad split manifest ({exc!r})") from None
+    observed = load_edge_list(in_dir / "observed.txt", num_nodes=num_nodes)
     if features is not None:
         observed = Graph(observed.num_nodes, observed.indptr, observed.indices,
                          features)
     parts = {}
-    for name in _SPLIT_PARTS:
+    for name, count in zip(_SPLIT_PARTS, counts):
         arr = _read_pairs(in_dir / f"{name}.txt")
-        if arr.shape[0] != manifest["counts"][name]:
+        if arr.shape[0] != count:
             raise GraphFormatError(f"{in_dir}: {name} count mismatch with split.json")
         parts[name] = arr
-    return EdgeSplit(observed, seed=int(manifest["seed"]),
-                     ratios=tuple(manifest["ratios"]), **parts)
+    return EdgeSplit(observed, seed=seed, ratios=ratios, **parts)
 
 
 def normalized_adjacency(graph: Graph) -> CSRMatrix:
@@ -550,6 +555,22 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
     if not (_is_integer(value) and low <= value and (high is None or value <= high)):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name}: expected an integer {bound}, got {value!r}")
+
+
+class _CaseInsensitiveEnum(str, Enum):
+    @classmethod
+    def _missing_(cls, value):
+        folded = value.lower() if isinstance(value, str) else None
+        return next((member for member in cls if member.value.lower() == folded), None)
+
+
+def _as_member(kind, name: str, value):
+    """``kind(value)`` for an enum ``kind``; the ValueError names ``name``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{name}: {value!r} is not one of "
+                         f"{[m.value for m in kind]}") from None
 
 
 def _link_arrays(graph: Graph, u, v) -> tuple[np.ndarray, np.ndarray]:

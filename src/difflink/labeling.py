@@ -10,14 +10,13 @@ fixes the one-hot width.
 """
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
+from .graphs import _CaseInsensitiveEnum
 from .sampling import UNREACHABLE, Subgraph, hop_distances
 
 
-class LabelScheme(str, Enum):
+class LabelScheme(_CaseInsensitiveEnum):
     ZERO_ONE = "zero_one"
     DRNL = "drnl"
 

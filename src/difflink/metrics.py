@@ -9,11 +9,10 @@ same information as a trained model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, _common_neighbors, _link_arrays
+from .graphs import Graph, _CaseInsensitiveEnum, _common_neighbors, _link_arrays
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def mrr(per_pos_neg_scores) -> float:
     return total / len(entries)
 
 
-class Heuristic(str, Enum):
+class Heuristic(_CaseInsensitiveEnum):
     CN = "CN"
     AA = "AA"
     PPR = "PPR"

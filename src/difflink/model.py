@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _as_member, _check_integer
 from .metrics import ScoredPairs, auc
-from .records import (Pooling, RecordFormatError, _as_member, _check_integer,
-                      _record_buffer, manifest_path)
+from .store import Pooling, RecordFormatError, _record_buffer, manifest_path
 
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 

@@ -38,7 +38,8 @@ def dense_binary_features(n: int, dim: int, ones_per_row: int,
 def link_record(graph, link, config, seed: int = 0):
     """The LinkRecord of one (u, v, label) link: the package's chunk engine
     (``records._link_records``) run on a chunk of one."""
-    from difflink.records import LinkRecord, _link_records
+    from difflink.records import _link_records
+    from difflink.store import LinkRecord
 
     links = np.asarray([link], dtype=np.int64).reshape(1, 3)
     pooled, _, blocks = _link_records(graph, links, config, seed, None)

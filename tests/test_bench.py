@@ -51,6 +51,13 @@ def test_parse_config_fills_defaults():
     assert spec.workers == 1 and spec.storage is True
 
 
+def test_parse_config_takes_enum_values_in_any_case():
+    spec = parse_config({"dataset": {"name": "x"}, "heuristics": ["cn", "Ppr"],
+                         "sampling": {"labeling": "DRNL"}})
+    assert spec.heuristics == ("CN", "PPR")
+    assert spec.sampling["labeling"].value == "drnl"
+
+
 @pytest.mark.parametrize("cfg,needle", [
     ({"dataset": {"name": "x"}, "nonsense": 1}, "unknown config keys"),
     ({}, "dataset.name"),

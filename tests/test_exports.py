@@ -1,6 +1,7 @@
 """The package's public names: listed once each, all importable, each
 submodule loaded only when one of its names is first used, and every name
-the benchmark and the scripts read present."""
+the benchmark and the scripts read present. The record store stays apart
+from the chunk engine, so scoring stored records loads no sampler."""
 import ast
 import functools
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import difflink
@@ -59,7 +61,72 @@ def test_building_a_split_loads_only_graphs_and_datasets():
     assert out[1] == "False"
 
 
+# Opens stored records and scores them with a saved head, as a scoring
+# process does.
+_SCORE_ONLY = """
+import sys
+import difflink as dl
+with dl.RecordFile(sys.argv[1]) as records:
+    params, _ = dl.load_params(sys.argv[2])
+    assert dl.predict(records, params).shape == (len(records),)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "difflink")))
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_scoring_stored_records_loads_no_engine(tmp_path):
+    graph = difflink.datasets.ns_like(seed=0)
+    links = difflink.labeled_links(difflink.split_edges(graph, seed=0), "test")
+    config = difflink.SamplingOperatorSet(variant="PoS", r=2, h=1)
+    difflink.precompute_dataset(graph, links[:20], config, tmp_path / "t.rec")
+    with difflink.RecordFile(tmp_path / "t.rec") as records:
+        width = records.row_width
+    params = difflink.init_params(np.random.default_rng(0), width, 4,
+                                  difflink.Pooling.CENTER)
+    difflink.save_params(tmp_path / "head.bin", params)
+    src = str(Path(difflink.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _SCORE_ONLY, str(tmp_path / "t.rec"),
+                          str(tmp_path / "head.bin")], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split("\n")
+    assert out[0].split() == ["difflink", "difflink.graphs", "difflink.metrics",
+                              "difflink.model", "difflink.store"]
+    assert out[1] == "False"
+
+
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "difflink"
+
+
+def _top_level(module: str) -> tuple[set, set]:
+    """The difflink modules ``module`` imports, and the names its top level
+    defines (imports aside)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    imported, defined = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.add(node.module)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return imported, defined
+
+
+def test_the_store_imports_no_engine_and_shares_no_definition():
+    store_imports, store_defines = _top_level("store")
+    assert store_imports.isdisjoint({"records", "sampling", "labeling"})
+    records_imports, records_defines = _top_level("records")
+    assert "store" in records_imports
+    assert store_defines & records_defines == set()
+    assert {"_HEADER", "_encode", "_scatter", "_RecordWriter", "_Records",
+            "RecordFile", "_read_manifest"} <= store_defines
+
+
+def test_engine_spans_keep_the_records_name():
+    # perfbench names a span after the module that defines the function
+    assert difflink.precompute_dataset.__module__ == "difflink.records"
+    assert difflink.storage_comparison.__module__ == "difflink.records"
 
 
 def _package_chains(tree) -> set:

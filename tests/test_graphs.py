@@ -393,6 +393,23 @@ def test_load_split_names_a_malformed_part_line(tmp_path, line, message):
         load_split(tmp_path / "sp")
 
 
+@pytest.mark.parametrize("manifest, needle", [
+    ('{"seed": 7, "ratios": [0.85, 0.05, 0.1], "num_nodes": 20}', "'counts'"),
+    ('{"seed": 7, "ratios": [0.85, 0.05, 0.1], "num_nodes": 20, "counts": {}}',
+     "'train_pos'"),
+    ('{"seed": 7', "JSONDecodeError"),
+], ids=["no-counts", "no-part-count", "bad-json"])
+def test_load_split_names_a_bad_manifest(tmp_path, manifest, needle):
+    rng = np.random.default_rng(12)
+    save_split(split_edges(gnp_graph(rng, n_lo=20, n_hi=20, p=0.4), seed=7),
+               tmp_path / "sp")
+    path = tmp_path / "sp" / "split.json"
+    path.write_text(manifest)
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{path}: bad split manifest (") + ".*" + needle):
+        load_split(tmp_path / "sp")
+
+
 def test_normalized_adjacency_single_node_and_star():
     g = Graph(1, np.array([0, 0], dtype=np.int64),
               np.zeros(0, dtype=np.int32))

@@ -12,8 +12,8 @@ from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       write_records)
 from difflink.metrics import ScoredPairs
 from difflink.model import ADAM_BLOCK, _flat, _flat_params, _forward_batch
-from difflink import records as records_module
-from difflink.records import RecordFile, _record_buffer
+from difflink import store
+from difflink.store import RecordFile, _record_buffer
 
 from oracles import (adam_reference, init_params_reference, link_record,
                      pack_batch, predict_reference, scalar_forward,
@@ -494,7 +494,7 @@ def test_record_list_is_batched_from_its_own_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a record list was encoded")
 
-    monkeypatch.setattr(records_module, "_encode", refuse)
+    monkeypatch.setattr(store, "_encode", refuse)
     rng = np.random.default_rng(22)
     recs = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
             for i, p in enumerate((2, 5, 3, 2))]

@@ -1,6 +1,7 @@
 """scripts/record_digest.py on one case and a few links, in both modes, so
-the script keeps running; and the record bytes of two fixed samples against
-the digests committed in record_digest_golden.json.
+the script keeps running; and the record bytes of two fixed samples, and
+what a reader decodes from them, against the digests committed in
+record_digest_golden.json (the decoded ones under its "decoded" key).
 
 A change that alters record bytes on purpose regenerates that file, and
 names the entries that change, by running this module:
@@ -44,10 +45,20 @@ def test_record_bytes_match_golden_digest(tmp_path):
     # Every variant, both labelings, normalized PoS and worker counts 1 and
     # 2, on 24 links of ns_like at h=2 and of cora_like at h=1.
     got = _script().digest(tmp_path, samples=SAMPLES, count=24)
-    assert got == json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())
+    del golden["decoded"]
+    assert got == golden
+
+
+def test_decoded_records_match_golden_digest(tmp_path):
+    # The batches and records a reader gets from the same files.
+    got = _script().digest(tmp_path, decoded=True, samples=SAMPLES, count=24)
+    assert got == json.loads(GOLDEN.read_text())["decoded"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         result = _script().digest(Path(tmp), samples=SAMPLES, count=24)
+        result["decoded"] = _script().digest(Path(tmp), decoded=True,
+                                             samples=SAMPLES, count=24)
     GOLDEN.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""RecordFile: one verify-and-index pass in pieces of ``records.READ_PIECE``
+"""RecordFile: one verify-and-index pass in pieces of ``store.READ_PIECE``
 bytes, then positional reads of the records asked for."""
 import hashlib
 import json
@@ -13,9 +13,9 @@ import pytest
 from difflink import (LinkRecord, Pooling, RecordFile, RecordFormatError,
                       SamplingOperatorSet, build_graph, precompute_dataset,
                       read_records, write_records)
-from difflink import records as records_module
+from difflink import store
 from difflink.model import TrainConfig, init_params, predict, train
-from difflink.records import manifest_path
+from difflink.store import manifest_path
 
 from conftest import gnp_graph, random_pair, same_record
 from oracles import pack_batch, stack_reference
@@ -82,7 +82,7 @@ def _check_streamed_index(path, sparse, monkeypatch, piece):
     assert (0xFFFFFFFF not in nnzs) == sparse       # every chunk one form
     assert len(data) > 4 * piece                    # several pieces
     want = read_records(path)                       # read as one piece
-    monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path) as rf:
         assert rf.offsets.tolist() == offsets
         assert rf.p.tolist() == ps
@@ -113,7 +113,7 @@ def test_short_runs_of_one_shape_index_like_a_header_walk(tmp_path, monkeypatch,
     assert walked_ps == ps
     held = RecordFile(path)                         # the default piece holds it
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path) as rf, held:
         for index in (rf, held):
             assert index.offsets.tolist() == offsets
@@ -127,7 +127,7 @@ def test_streamed_open_rejects_corruption_naming_the_file(tmp_path, monkeypatch,
                                                           piece):
     data = _ccn_file(tmp_path).read_bytes()
     last = _header_walk(data)[0][-1]
-    monkeypatch.setattr(records_module, "READ_PIECE", piece)
+    monkeypatch.setattr(store, "READ_PIECE", piece)
     cases = {"cut_header.rec": (data[:last + 9], "truncated record header"),
              "cut_payload.rec": (data[:-2], "truncated record payload"),
              "bad_magic.rec": (b"S3GX" + data[4:], "bad magic")}
@@ -142,7 +142,7 @@ def test_streamed_open_rejects_corruption_naming_the_file(tmp_path, monkeypatch,
 @pytest.mark.parametrize("piece", [64, None])      # streamed, kept whole
 def test_reads_come_from_the_verified_file(tmp_path, monkeypatch, piece):
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     rng = np.random.default_rng(71)
     g = gnp_graph(rng, n_lo=12, n_hi=12, p=0.4, features=3)
     cfg = SamplingOperatorSet(variant="PoS", r=2, h=1)
@@ -180,7 +180,7 @@ def test_descriptors_are_released(tmp_path, monkeypatch):
     kept.close()
     with pytest.raises(ValueError, match="closed"):
         kept[0]
-    monkeypatch.setattr(records_module, "READ_PIECE", 64)
+    monkeypatch.setattr(store, "READ_PIECE", 64)
     rf = RecordFile(path)
     assert _fd_count() == before + 1
     rf.close()
@@ -201,7 +201,7 @@ def test_descriptors_are_released(tmp_path, monkeypatch):
 
 
 def test_open_and_batch_memory_is_bounded_by_a_piece_and_a_batch(tmp_path):
-    piece = records_module.READ_PIECE
+    piece = store.READ_PIECE
     rng = np.random.default_rng(73)
     r1, p, w, batch = 4, 2, 1024, 32
     size = 21 + 4 * p + 4 * r1 * p * w
@@ -281,8 +281,8 @@ def test_train_takes_pooling_from_the_manifest_it_verified(tmp_path, monkeypatch
     path = tmp_path / "capped.rec"
     precompute_dataset(g, _links(rng, g, 30), cfg, path)
     reads = []
-    real = records_module._read_manifest
-    monkeypatch.setattr(records_module, "_read_manifest",
+    real = store._read_manifest
+    monkeypatch.setattr(store, "_read_manifest",
                         lambda *args: reads.append(args) or real(*args))
     tc = TrainConfig(d_prime=4, epochs=1)
     with RecordFile(path) as rf:
@@ -315,7 +315,7 @@ def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
                           for i in range(30)))
     paths = [dense, mixed, _ccn_file(tmp_path), _ccn_file(tmp_path, sparse=True)]
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     for path in paths:
         with RecordFile(path) as rf:
             got = list(rf)
@@ -342,7 +342,7 @@ def test_iteration_over_a_malformed_sparse_payload_names_the_file(tmp_path,
     data[first:first + 4] = struct.pack("<I", 2**32 - 1)
     path.write_bytes(bytes(data))
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path, verify=False) as rf:
         with pytest.raises(RecordFormatError,
                            match=re.escape(str(path)) + ".*sparse positions"):
@@ -353,7 +353,7 @@ def test_iteration_over_a_malformed_sparse_payload_names_the_file(tmp_path,
 def test_iteration_memory_is_bounded_by_a_piece(tmp_path):
     # each record dropped once yielded: one piece of decoded rows at a
     # time, plus the record being read
-    piece = records_module.READ_PIECE
+    piece = store.READ_PIECE
     rng = np.random.default_rng(76)
     r1, p, w = 4, 2, 1024
     size = 21 + 4 * p + 4 * r1 * p * w

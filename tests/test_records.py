@@ -11,9 +11,9 @@ from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       read_records, storage_comparison, walk_subgraphs,
                       write_records)
 from difflink.model import TrainConfig, train
-from difflink import records as records_module
-from difflink.records import (CHUNK_LINKS, _encode, _link_records,
-                              _record_buffer, _walk_seed, manifest_path)
+from difflink import store
+from difflink.records import _link_records, _walk_seed
+from difflink.store import CHUNK_LINKS, _encode, _record_buffer, manifest_path
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair, same_record
 from oracles import (dense_record_blocks, link_record, pack_batch, pad_batch,
@@ -87,6 +87,9 @@ def test_operator_set_echo_round_trips():
     assert echo["variant"] == "PoSPlus" and echo["pooling"] == "CCN"
     assert "ccn_rule" in echo
     assert json.loads(json.dumps(echo)) == echo
+    # variant and labeling take any case; the echo stays canonical
+    assert SamplingOperatorSet(variant="posplus", r=2, h=2, labeling="DRNL",
+                               label_cap=10).echo() == echo
 
 
 def test_record_identity_block():
@@ -358,7 +361,7 @@ def test_file_of_dense_and_sparse_chunks_batches_across_both(tmp_path,
         [serialize_reference(rec, False) for rec in dense]
         + [serialize_reference(rec, True) for rec in sparse])
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path) as rf:
         for index in (rng.permutation(len(recs)), np.array([70, 3, 70, 63, 64])):
             for dtype in (np.float32, np.float64):
@@ -463,7 +466,7 @@ def test_record_file_refuses_a_second_shape(tmp_path, monkeypatch, piece):
     path = tmp_path / "crafted.rec"
     path.write_bytes(first.read_bytes() + second.read_bytes()[6:])
     if piece is not None:
-        monkeypatch.setattr(records_module, "READ_PIECE", piece)
+        monkeypatch.setattr(store, "READ_PIECE", piece)
     for verify in (True, False):
         with pytest.raises(RecordFormatError, match=str(path).replace("\\", "\\\\")
                            + ": records disagree on operator count or block width"):
@@ -675,6 +678,45 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
         write_records(tmp_path / "w.rec", some_records())
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "kept.rec", "kept.rec.manifest.json"]
+
+
+def test_interrupted_manifest_write_keeps_the_previous_pair(tmp_path, monkeypatch):
+    rng = np.random.default_rng(54)
+    g = gnp_graph(rng, n_lo=20, n_hi=20, p=0.3)
+    cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
+    path = tmp_path / "x.rec"
+    precompute_dataset(g, np.array([[i % 20, (i + 1) % 20, i % 2] for i in range(40)]),
+                       cfg, path)
+    before = [p.read_bytes() for p in (path, manifest_path(path))]
+
+    def interrupted(obj, fh, **kwargs):
+        fh.write('{"format": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        precompute_dataset(g, np.array([[0, 1, 1], [2, 3, 0]]), cfg, path)
+    monkeypatch.undo()
+    assert [p.read_bytes() for p in (path, manifest_path(path))] == before
+    assert len(RecordFile(path)) == 40
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.rec", "x.rec.manifest.json"]
+
+
+@pytest.mark.parametrize("links, shape", [
+    ([[0, 2], [1, 0], [23, 0]], r"\(3, 2\) of int"),    # read as 2 links before
+    ([[0.0, 2.7, 1.0]], r"\(1, 3\) of float"),          # ids were truncated
+    ([0, 1, 1], r"\(3,\) of int"),
+    ([[[0, 1, 1]]], r"\(1, 1, 3\) of int"),
+], ids=["two-columns", "float", "flat", "3-d"])
+def test_links_must_be_an_n_by_3_integer_array(tmp_path, links, shape):
+    g = hub_graph(np.random.default_rng(55))
+    cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
+    match = r"^links: expected an \(n, 3\) integer array .*got shape " + shape
+    with pytest.raises(ValueError, match=match):
+        precompute_dataset(g, links, cfg, tmp_path / "x.rec")
+    with pytest.raises(ValueError, match=match):
+        storage_comparison(g, links, cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_storage_comparison_matches_actual_file(tmp_path):
