@@ -3,12 +3,13 @@ Sampling the neighborhood of a candidate link
 =============================================
 
 Three ways to pick the nodes a link's record is computed from: the full
-h-hop neighborhood, the h-hop neighborhood of a graph power, and the
-union of short random walks.
+h-hop neighborhood, an endpoint's ball in the graph without the link (as
+SoP sums it), and the union of short random walks.
 """
 import numpy as np
 
-from difflink import build_graph, graph_power, hop_subgraphs, walk_subgraphs
+from difflink import build_graph, hop_subgraphs, walk_subgraphs
+from difflink.sampling import hop_distances
 
 # two hubs joined by a bridge, plus a path hanging off one side
 edges = [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6), (5, 6),
@@ -31,10 +32,12 @@ assert sub.adjacency().toarray()[iu, iv] == 0
 [sub2] = hop_subgraphs(graph, [u], [v], h=2)
 print("2-hop grows to:", sub2.global_ids.tolist())
 
-# the square of the graph connects anything within two steps
-g2 = graph_power(graph, 2)
-print("edges in G^2:", g2.edge_array().shape[0], "vs G:",
-      graph.edge_array().shape[0])
+# SoP's operator 2 at u sums the nodes within two hops of u in G - (u, v),
+# v left out: the link is gone before anything is reached
+without_link = build_graph(10, [e for e in edges if set(e) != {u, v}])
+dist = hop_distances(without_link.indptr, without_link.indices, [u], max_depth=2)
+print("SoP's 2-hop ball of u in G - (u, v):",
+      [w for w in np.flatnonzero(dist > 0).tolist() if w != v])
 
 # walk sampling: k walks of length l from each endpoint, at most
 # 2*k*l + 2 distinct nodes, reproducible from the seed

@@ -47,6 +47,7 @@ CONFIGS = {
     "PoS h=2": {"variant": "PoS", "h": 2},
     "PoSPlus h=1": {"variant": "PoSPlus", "h": 1},
     "PoSScaLed k=20 l=3": {"variant": "PoSScaLed", "k": 20, "l": 3},
+    "SoP h=1": {"variant": "SoP", "h": 1},
 }
 
 

@@ -22,8 +22,7 @@ _EXPORTS = {
                "labeled_links", "load_edge_list", "load_features", "load_split",
                "normalized_adjacency", "sample_negatives", "save_edge_list",
                "save_split", "split_edges"),
-    "sampling": ("Subgraph", "UNREACHABLE", "graph_power", "hop_subgraphs",
-                 "walk_subgraphs"),
+    "sampling": ("Subgraph", "UNREACHABLE", "hop_subgraphs", "walk_subgraphs"),
     "labeling": ("LabelScheme", "drnl_labels", "label_dim_for", "node_labels",
                  "zero_one_labels"),
     "records": ("CCN_CAP", "DatasetStats", "SamplingOperatorSet", "StorageReport",

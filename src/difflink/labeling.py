@@ -39,19 +39,19 @@ def drnl_labels(subgraph: Subgraph) -> np.ndarray:
 
     Targets get label 1; nodes unreachable from either target get 0.
     """
-    n = subgraph.num_nodes
     us, vs = subgraph.targets.T
-    du = hop_distances(subgraph.indptr, subgraph.indices, us, blocked=vs)
-    dv = hop_distances(subgraph.indptr, subgraph.indices, vs, blocked=us)
-    labels = np.zeros(n, dtype=np.int64)
-    ok = (du != UNREACHABLE) & (dv != UNREACHABLE)
-    d_min = np.minimum(du, dv).astype(np.int64)
-    s = (du + dv).astype(np.int64)
-    half = s // 2
-    z = 1 + d_min + half * (half + s % 2 - 1)
-    labels[ok] = z[ok]
+    labels = _drnl(
+        hop_distances(subgraph.indptr, subgraph.indices, us, blocked=vs),
+        hop_distances(subgraph.indptr, subgraph.indices, vs, blocked=us))
     labels[us] = labels[vs] = 1
     return labels
+
+
+def _drnl(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """DRNL label at distances du, dv from the targets; 0 if either is UNREACHABLE."""
+    s = (du + dv).astype(np.int64)
+    z = 1 + np.minimum(du, dv) + (s // 2) * (s // 2 + s % 2 - 1)
+    return np.where((du != UNREACHABLE) & (dv != UNREACHABLE), z, 0)
 
 
 def node_labels(subgraph: Subgraph, scheme: LabelScheme = LabelScheme.ZERO_ONE,

@@ -20,9 +20,9 @@ import numpy as np
 
 from .graphs import (CSRMatrix, Graph, _as_member, _CaseInsensitiveEnum,
                      _check_integer, _common_neighbors, _entries, _is_integer,
-                     _row_offsets, normalized_adjacency)
-from .labeling import LabelScheme, label_dim_for, node_labels
-from .sampling import (Subgraph, _hop_sizes, graph_power, hop_subgraphs,
+                     _link_arrays, _row_offsets, _unique, normalized_adjacency)
+from .labeling import LabelScheme, _drnl, label_dim_for, node_labels
+from .sampling import (UNREACHABLE, Subgraph, _hop_sizes, _reach, hop_subgraphs,
                        walk_subgraphs)
 from .store import (_FILE_HEADER, CHUNK_LINKS, MAX_CCN_CAP, MAX_R, Pooling,
                     _encode, _record_bytes, _RecordWriter, _starts)
@@ -53,7 +53,7 @@ class SamplingOperatorSet:
     ``r`` is the operator count (powers 1..r; the identity operator is
     always prepended, so records hold r+1 blocks). ``pooling`` follows from
     the variant. ``normalized`` switches the adjacency
-    powers to the degree-normalized form, for ablation only.
+    powers to the degree-normalized form, for ablation only; SoP refuses it.
     """
 
     variant: Variant
@@ -87,6 +87,8 @@ class SamplingOperatorSet:
         if not isinstance(self.normalized, (bool, np.bool_)):
             raise ValueError(f"normalized: expected a bool, got {self.normalized!r}")
         object.__setattr__(self, "normalized", bool(self.normalized))
+        if self.normalized and self.variant is Variant.SOP:
+            raise ValueError("normalized: variant SoP sums plain adjacency rows only")
 
     @property
     def pooling(self) -> Pooling:
@@ -194,27 +196,88 @@ def _diffuse(sub: Subgraph, features: CSRMatrix, pooled_link: np.ndarray,
     a = normalized_adjacency(sub) if config.normalized else sub.adjacency()
     lo = sub.starts[pooled_link]
     size = sub.starts[pooled_link + 1] - lo
-    width = features.shape[1]
-    out = np.empty((r + 1, p, label_dim + width), dtype=np.float32)
+    out = np.empty((r + 1, p, label_dim + features.shape[1]), dtype=np.float32)
     for i in range(r + 1):
         if i:
             # A is symmetric, so y A gives the pooled rows of the next power.
             y = _block_product(y, a, lo, size)
-        row = y._rows()
-        out[i, :, :label_dim] = np.bincount(
-            row * label_dim + labels[y.indices], weights=y.data,
-            minlength=p * label_dim).reshape(p, label_dim)
-        # y X, each (row, feature) sum taken over the row's entries by global id
-        counts, at = _entries(features.indptr, sub.global_ids[y.indices])
-        out[i, :, label_dim:] = np.bincount(
-            np.repeat(row * width, counts) + features.indices[at],
-            weights=np.repeat(y.data, counts) * features.data[at],
-            minlength=p * width).reshape(p, width)
+        _pooled_sums(out[i], y._rows(), sub.global_ids[y.indices], y.data,
+                     labels[y.indices], features)
+    return out
+
+
+def _pooled_sums(out: np.ndarray, row: np.ndarray, ids: np.ndarray,
+                 weights: np.ndarray, labels: np.ndarray, features: CSRMatrix):
+    """Fill ``out`` (p, label_dim + width): row j sums weights[k] * [one-hot
+    labels[k] | feature row of node ids[k]] over the k with row[k] == j."""
+    p, width = out.shape[0], features.shape[1]
+    label_dim = out.shape[1] - width
+    out[:, :label_dim] = np.bincount(row * label_dim + labels, weights=weights,
+                                     minlength=p * label_dim).reshape(p, label_dim)
+    # each (row, feature) sum taken over the row's entries in the given order
+    counts, at = _entries(features.indptr, ids)
+    out[:, label_dim:] = np.bincount(
+        np.repeat(row * width, counts) + features.indices[at],
+        weights=np.repeat(weights, counts) * features.data[at],
+        minlength=p * width).reshape(p, width)
+
+
+def _sop_distances(graph: Graph, x: np.ndarray, o: np.ndarray, block: np.ndarray,
+                   targets: np.ndarray, i: int) -> np.ndarray:
+    """d_o(w) in row j's block of G'^i, x[j] removed, for each key
+    ``j * num_nodes + w`` of ``targets``; ``block`` holds the keys of every
+    row's block. A BFS from o[j]: each round an i-hop reach in G' from the
+    frontier, landing on unvisited block nodes only. A row stops once its
+    targets are all found or its frontier is empty."""
+    n = graph.num_nodes
+    rows = np.arange(x.shape[0]) * n
+    visited, frontier = _unique(np.concatenate([rows + x, rows + o])), rows + o
+    dist = np.full(targets.shape[0], UNREACHABLE, dtype=np.int64)
+    depth = 0
+    while frontier.shape[0]:
+        depth += 1
+        reached = _reach(graph, frontier, i, x, o)
+        reached = reached[np.isin(reached, block) & ~np.isin(reached, visited)]
+        dist[np.isin(targets, reached)] = depth
+        visited = _unique(np.concatenate([visited, reached]))
+        open_rows = np.bincount(targets[dist == UNREACHABLE] // n,
+                                minlength=x.shape[0]) > 0
+        frontier = reached[open_rows[reached // n]]
+    return dist
+
+
+def _sop_rows(graph: Graph, u: np.ndarray, v: np.ndarray,
+              config: SamplingOperatorSet) -> np.ndarray:
+    """SoP's (r+1, 2B, w) rows at the pooled u[0], v[0], u[1], ...: operator
+    i applies one adjacency of the h-hop block of G'^i, G' = G - (u[b], v[b]).
+    So its row at pooled node x sums [one-hot label | X] over the nodes
+    w != x, o within i hops of x in G', o the other target, labelled 0 or by
+    DRNL from d_x(w) = 1 and d_o(w). Operator 0 is x itself, labelled 1."""
+    n = graph.num_nodes
+    x, o = np.stack([u, v], axis=1).ravel(), np.stack([v, u], axis=1).ravel()
+    ball = np.arange(x.shape[0]) * n + x
+    block = _unique(np.concatenate([ball, ball - x + o]))
+    features = graph._feature_rows
+    out = np.empty((config.num_operators, x.shape[0],
+                    config.label_dim() + features.shape[1]), dtype=np.float32)
+    _pooled_sums(out[0], ball // n, x, np.ones(x.shape[0]), np.ones_like(x), features)
+    for i in range(1, config.num_operators):
+        ball = _reach(graph, ball, 1, x, o)
+        row, w = np.divmod(ball, n)
+        keep = (w != x[row]) & (w != o[row])
+        labels = np.zeros(np.count_nonzero(keep), dtype=np.int64)
+        if config.labeling is LabelScheme.DRNL:
+            # a reach from both ends never steps along (x, o): no filter
+            block = _reach(graph, block, config.h)
+            d_o = _sop_distances(graph, x, o, block, ball[keep], i)
+            labels = np.minimum(_drnl(np.ones_like(d_o), d_o), config.label_cap)
+        _pooled_sums(out[i], row[keep], w[keep], np.ones(labels.shape[0]), labels,
+                     features)
     return out
 
 
 def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
-                  seed: int, power_cache: dict | None):
+                  seed: int):
     """Records of every (u, v, label) row of ``links``, built together, as
     arrays: (pooled ids, block starts, blocks).
 
@@ -224,38 +287,25 @@ def _link_records(graph: Graph, links: np.ndarray, config: SamplingOperatorSet,
     """
     if not np.isin(links[:, 2], (0, 1)).all():
         raise ValueError("link label must be 0 or 1")
-    u, v = links[:, 0], links[:, 1]
+    u, v = _link_arrays(graph, links[:, 0], links[:, 1])
+    pooled, starts = _pooled_ids(graph, u, v, config)
+    if config.variant is Variant.SOP:
+        return pooled, starts, _sop_rows(graph, u, v, config)
     features = graph._feature_rows
     if config.variant in _SCALED_VARIANTS:
         seeds = [_walk_seed(seed, *map(int, link)) for link in links]
         unions = walk_subgraphs(graph, u, v, config.k, config.l, seeds)
     else:
         unions = hop_subgraphs(graph, u, v, config.h)
-    pooled, starts = _pooled_ids(graph, u, v, config)
-
-    def rows(unions, r):
-        """Pooled rows of every link, one union of consecutive links at a time."""
-        out, lo = [], 0
-        for sub in unions:
-            hi = lo + sub.starts.shape[0] - 1
-            at = slice(starts[lo], starts[hi])
-            link = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
-            out.append(_diffuse(sub, features, link, pooled[at], config, r))
-            lo = hi
-        return np.concatenate(out, axis=1)
-
-    if config.variant is Variant.SOP:
-        # One subgraph per operator on the graph powers; diffusion is the
-        # identity function, so operator i >= 1 is one adjacency application
-        # on its own power's subgraph.
-        blocks = [rows(unions, 1)]
-        for i in range(2, config.num_operators):
-            power = (power_cache or {}).get(i) or graph_power(graph, i)
-            blocks.append(rows(hop_subgraphs(power, u, v, config.h), 1)[1:])
-        blocks = np.concatenate(blocks)
-    else:
-        blocks = rows(unions, config.r)
-    return pooled, starts, blocks
+    # pooled rows of every link, one union of consecutive links at a time
+    out, lo = [], 0
+    for sub in unions:
+        hi = lo + sub.starts.shape[0] - 1
+        at = slice(starts[lo], starts[hi])
+        link = np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+        out.append(_diffuse(sub, features, link, pooled[at], config, config.r))
+        lo = hi
+    return pooled, starts, np.concatenate(out, axis=1)
 
 
 @dataclass(frozen=True)
@@ -273,26 +323,29 @@ _WORKER = {}
 
 def _build_chunk(links) -> tuple[bytes, np.ndarray]:
     """Record bytes of ``links`` and their pooled counts."""
-    graph, config, seed, power_cache = _WORKER["args"]
-    pooled, starts, blocks = _link_records(graph, links, config, seed, power_cache)
+    graph, config, seed = _WORKER["args"]
+    pooled, starts, blocks = _link_records(graph, links, config, seed)
     return _encode(links, pooled, starts, blocks), np.diff(starts)
 
 
 def _built_chunks(graph, config, seed, chunks, worker_count):
     """_build_chunk over ``chunks`` in input order, on a pool if asked."""
-    # set before the pool forks, so its workers inherit it
-    _WORKER["args"] = (graph, config, seed, _power_cache_for(graph, config))
-    if worker_count > 1 and chunks:
-        # An unattributed graph's column of ones is built before the fork,
-        # so the workers share one copy instead of each building its own.
-        graph._feature_rows
-        # imported here, so a process that runs no pool never loads it
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ctx.Pool(worker_count) as pool:
-            yield from pool.imap(_build_chunk, chunks)
-    else:
-        yield from map(_build_chunk, chunks)
+    # set before the pool forks, so its workers inherit it; cleared after
+    _WORKER["args"] = (graph, config, seed)
+    try:
+        if worker_count > 1 and chunks:
+            # An unattributed graph's column of ones is built before the fork,
+            # so the workers share one copy instead of each building its own.
+            graph._feature_rows
+            # imported here, so a process that runs no pool never loads it
+            import multiprocessing as mp
+            ctx = mp.get_context("fork")
+            with ctx.Pool(worker_count) as pool:
+                yield from pool.imap(_build_chunk, chunks)
+        else:
+            yield from map(_build_chunk, chunks)
+    finally:
+        _WORKER.clear()
 
 
 def _link_rows(links) -> np.ndarray:
@@ -309,12 +362,6 @@ def _link_rows(links) -> np.ndarray:
 def _chunks(links: np.ndarray) -> list:
     return [links[i:i + CHUNK_LINKS]
             for i in range(0, links.shape[0], CHUNK_LINKS)]
-
-
-def _power_cache_for(graph: Graph, config: SamplingOperatorSet) -> dict:
-    if config.variant is not Variant.SOP:
-        return {}
-    return {i: graph_power(graph, i) for i in range(2, config.num_operators)}
 
 
 def precompute_dataset(graph: Graph, links, config: SamplingOperatorSet,

@@ -1,4 +1,4 @@
-"""Link subgraph extraction: hop neighborhoods, graph powers, random walks.
+"""Link subgraph extraction: hop neighborhoods and random walks.
 
 Extraction works a chunk of links at a time. The node sets of all links
 are found at once (h-hop reach as sorted ``link * num_nodes + node``
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (Graph, _check_integer, _entries, _link_arrays, _neighbor_keys,
-                     _row_offsets, _unique, build_graph)
+                     _row_offsets, _unique)
 
 UNREACHABLE = -1
 
@@ -150,8 +150,8 @@ def _link_blocks(graph: Graph, u: np.ndarray, v: np.ndarray,
 
 
 # Neighbor-list entries one union may gather. A chunk of links on a sparse
-# graph fits in one union; on a dense one (SoP's graph powers) it is split
-# into runs of consecutive links, which bounds the memory of a union.
+# graph fits in one union; where blocks are large (h=2 around hubs) it is
+# split into runs of consecutive links, which bounds a union's memory.
 UNION_ENTRIES = 1 << 18
 
 
@@ -186,11 +186,24 @@ def _unions(graph: Graph, u: np.ndarray, v: np.ndarray, keys: np.ndarray):
                            table)
 
 
-def _reach(graph: Graph, keys: np.ndarray, hops: int) -> np.ndarray:
+def _reach(graph: Graph, keys: np.ndarray, hops: int, x=None, o=None) -> np.ndarray:
     """Sorted distinct keys ``b * num_nodes + node`` of the nodes within
-    ``hops`` hops of row b's nodes in ``keys``, for every row b."""
+    ``hops`` hops of row b's nodes in ``keys``, for every row b.
+
+    Given per-row endpoints ``x`` and ``o``, row b takes no step along the
+    edge (x[b], o[b]), in either direction: its reach is in G - (x[b], o[b]).
+    """
+    n = graph.num_nodes
     for _ in range(hops):
-        keys = _unique(np.concatenate([keys, _neighbor_keys(graph, keys)]))
+        step = _neighbor_keys(graph, keys)
+        if x is not None:
+            # the key each key may not step to: o from x, x from o, else -1
+            row, node = np.divmod(keys, n)
+            end = (node == x[row]) | (node == o[row])
+            banned = np.where(end, keys - node + x[row] + o[row] - node, -1)
+            step = step[step != np.repeat(banned, graph.indptr[node + 1]
+                                          - graph.indptr[node])]
+        keys = _unique(np.concatenate([keys, step]))
     return keys
 
 
@@ -288,19 +301,3 @@ def walk_subgraphs(graph: Graph, u, v, k: int, l: int, seeds):
     keys = _unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
     return _unions(graph, u, v, keys)
 
-
-def graph_power(graph: Graph, i: int) -> Graph:
-    """Graph with an edge wherever the geodesic distance in ``graph`` is in [1, i].
-
-    Node x's row of the power is its i-hop reach. Power 1 returns an
-    identical copy. The power shares ``graph``'s feature matrix.
-    """
-    _check_integer("i", i, 1)
-    if i == 1:
-        return Graph(graph.num_nodes, graph.indptr.copy(),
-                     graph.indices.copy(), graph.features)
-    n = graph.num_nodes
-    row, col = np.divmod(_reach(graph, np.arange(n) * (n + 1), i), n)
-    keep = row < col
-    edges = np.stack([row[keep], col[keep]], axis=1)
-    return build_graph(graph.num_nodes, edges, features=graph.features)

@@ -42,7 +42,7 @@ def link_record(graph, link, config, seed: int = 0):
     from difflink.store import LinkRecord
 
     links = np.asarray([link], dtype=np.int64).reshape(1, 3)
-    pooled, _, blocks = _link_records(graph, links, config, seed, None)
+    pooled, _, blocks = _link_records(graph, links, config, seed)
     u, v, label = links[0].tolist()
     return LinkRecord(u, v, label, pooled, blocks)
 
@@ -177,13 +177,18 @@ def dense_record_blocks(graph, link, config, node_sets=None) -> np.ndarray:
 
     blocks = []
     if variant == "SoP":
+        # powers of G minus the target edge, as the link is removed before
+        # sampling
+        g_minus = g.copy()
+        if g_minus.has_edge(u, v):
+            g_minus.remove_edge(u, v)
         for i in range(r1):
             if i <= 1:
                 gi = g
             else:
                 gi = nx.Graph()
                 gi.add_nodes_from(range(graph.num_nodes))
-                gi.add_edges_from(power_edges(g, i))
+                gi.add_edges_from(power_edges(g_minus, i))
             nodes = hop_nodes(gi, u, v, config.h)
             a_sub = induced_dense(gi, nodes, u, v)
             blocks.append(block_rows(nodes, a_sub, min(i, 1)))

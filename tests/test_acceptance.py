@@ -68,9 +68,10 @@ def oracle_sweep():
         for variant in Variant:
             extra = ({"k": int(rng.integers(1, 4)), "l": int(rng.integers(1, 4))}
                      if "ScaLed" in variant.value else {})
-            config = SamplingOperatorSet(variant=variant, r=r, h=h,
-                                         labeling=labeling, label_cap=10,
-                                         normalized=normalized, **extra)
+            # SoP refuses normalized adjacency rows
+            config = SamplingOperatorSet(
+                variant=variant, r=r, h=h, labeling=labeling, label_cap=10,
+                normalized=normalized and variant is not Variant.SOP, **extra)
             rec = link_record(g, (u, v, label), config, seed=trial)
             node_sets = None
             if "ScaLed" in variant.value:

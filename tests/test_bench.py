@@ -131,6 +131,9 @@ def test_parse_config_takes_enum_values_in_any_case():
      r"^split\.ratios: "),
     ({"dataset": {"name": "x"}, "split": {"ratios": [True, True, True]}},
      r"^split\.ratios: "),
+    # SoP refuses degree-normalized rows
+    ({"dataset": {"name": "x"}, "variant": "SoP", "sampling": {"normalized": True}},
+     r"^sampling\.normalized: "),
 ])
 def test_parse_config_names_offending_field(cfg, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from difflink import graph_power, save_edge_list, split_edges
+from difflink import save_edge_list, split_edges
 from difflink.datasets import (DATASET_STATS, SYNTHETIC, binary_features,
                                cora_like, find_dataset, preferential_graph,
                                random_graph, resolve_dataset)
@@ -62,7 +62,6 @@ def test_cora_like_holds_its_features_once_and_small():
     x = g.features
     assert x.indptr.nbytes + x.indices.nbytes + x.data.nbytes < 1 << 20
     assert split_edges(g, seed=0).observed_graph.features is x
-    assert graph_power(g, 2).features is x
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))

@@ -7,7 +7,7 @@ import pytest
 
 from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
-                      build_graph, graph_power, precompute_dataset,
+                      build_graph, precompute_dataset,
                       read_records, storage_comparison, walk_subgraphs,
                       write_records)
 from difflink.model import TrainConfig, train
@@ -78,6 +78,9 @@ def test_operator_set_validation():
         with pytest.raises(ValueError, match="^normalized: "):
             SamplingOperatorSet(variant="PoS", h=1, normalized=bad)
     assert SamplingOperatorSet(variant="PoS", h=1, normalized=np.True_).normalized is True
+    # SoP sums plain adjacency rows, so it refuses degree-normalized ones
+    with pytest.raises(ValueError, match="^normalized: "):
+        SamplingOperatorSet(variant="SoP", normalized=True)
 
 
 def test_operator_set_echo_round_trips():
@@ -149,13 +152,6 @@ def test_sop_operators_use_power_subgraphs():
     assert rec.blocks[1, 0, :label_dim].nonzero()[0].tolist() == [0]
     assert rec.blocks[2, 0, :label_dim].nonzero()[0].tolist() == [2, 3]
     assert rec.blocks[2, 0, -1] == 2.0  # u's neighbors in G^2 minus v
-    link = np.array([[0, 4, 0]])
-    cached = _link_records(g, link, cfg, 0, {2: graph_power(g, 2)})[2]
-    assert np.array_equal(cached, rec.blocks)
-    # a supplied power graph is used verbatim: G itself as "G^2" repeats
-    # operator 1 in operator 2
-    fake = _link_records(g, link, cfg, 0, {2: g})[2]
-    assert np.array_equal(fake[2], rec.blocks[1])
     with pytest.raises(ValueError, match="^r: "):
         SamplingOperatorSet(variant="SoP", r=0, h=1)
 
@@ -248,12 +244,7 @@ def _records_with_and_without_target(variant, labeling, trials=80):
 
 
 @pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
-@pytest.mark.parametrize("variant", [
-    "PoS", "PoSPlus", "PoSScaLed", "PoSPlusScaLed",
-    pytest.param("SoP", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: SoP graph powers are taken "
-                            "on G, so the target edge leaks through G^i")),
-])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_record_ignores_target_edge(variant, labeling):
     # README: the candidate link is removed before sampling, so a train
     # positive's record must not depend on whether its edge is in G.
@@ -261,6 +252,49 @@ def test_record_ignores_target_edge(variant, labeling):
                                                              labeling):
         assert np.array_equal(on_g.pooled_ids, on_g_minus.pooled_ids)
         assert np.array_equal(on_g.blocks, on_g_minus.blocks)
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+def test_sop_matches_oracle_on_hub_graphs(labeling):
+    # Hub links, leaf pairs, duplicates and reversed copies, and negatives
+    # whose other end is an isolated node. With the hub as x, o's BFS runs
+    # over the sparse leaf edges, which gives DRNL distances deeper than
+    # 2h. A chunk's records are the records built alone.
+    rng = np.random.default_rng(61)
+    deepest = 0
+    for trial in range(12):
+        g = hub_graph(rng, leaves=int(rng.integers(10, 31)), isolated=True)
+        n = g.num_nodes
+        u, v = hub_links(rng, n - 1)
+        far = rng.choice(np.arange(n - 1), 3, replace=False)
+        u, v = np.concatenate([u, far]), np.concatenate([v, np.full(3, n - 1)])
+        pairs = {tuple(e) for e in g.edge_array().tolist()}
+        links = np.column_stack([u, v, [int((min(a, b), max(a, b)) in pairs)
+                                        for a, b in zip(u, v)]])
+        h = int(rng.integers(1, 3))
+        cfg = SamplingOperatorSet(variant="SoP", r=int(rng.integers(2, 5)), h=h,
+                                  labeling=labeling)
+        pooled, starts, blocks = _link_records(g, links, cfg, 0)
+        for b, link in enumerate(links.tolist()):
+            got = blocks[:, starts[b]:starts[b + 1]]
+            assert np.array_equal(got, dense_record_blocks(g, link, cfg))
+            assert got.tobytes() == link_record(g, link, cfg).blocks.tobytes()
+            if link[1] == n - 1:
+                # o is isolated: its balls are empty, and every node of x's
+                # balls is labelled 0, as o is unreachable
+                assert not got[1:, 1].any()
+                assert not got[1:, 0, 1:cfg.label_dim()].any()
+            labels = got[1:, :, :cfg.label_dim()].nonzero()[2]
+            if labeling == "drnl" and labels.shape[0]:
+                # column of d_x = 1, d_o: drnl(1, d) grows with d
+                deepest = max(deepest, int(labels.max()) - _drnl_label(1, 2 * h))
+    if labeling == "drnl":
+        assert deepest > 0
+
+
+def _drnl_label(du, dv):
+    s = du + dv
+    return 1 + min(du, dv) + (s // 2) * ((s // 2) + (s % 2) - 1)
 
 
 def test_build_link_record_rejects_bad_label():
@@ -613,8 +647,8 @@ def test_operands_are_built_once_per_graph(tmp_path, monkeypatch, workers,
                                            variant, graphs):
     # 150 links are three chunks. The column of ones every chunk's powers
     # are multiplied by on an unattributed graph is built once for G,
-    # before the pool forks, never once per chunk. SoP samples on G^2 and
-    # G^3 too, but diffuses G's features.
+    # before the pool forks, never once per chunk. SoP sums the same
+    # column over its balls in G - (u, v).
     rng = np.random.default_rng(57)
     g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12)
     links = _mixed_links(rng, g, 150)
@@ -638,6 +672,51 @@ def test_operands_are_built_once_per_graph(tmp_path, monkeypatch, workers,
     # storage sizes come from the reach alone
     storage_comparison(Graph(g.num_nodes, g.indptr, g.indices), links, cfg)
     assert builds == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_precompute_keeps_no_reference_to_its_inputs(tmp_path, workers):
+    # once the call returns and the caller drops them, the graph and the
+    # config are freed
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(62)
+    g = gnp_graph(rng, n_lo=40, n_hi=40, p=0.12)
+    cfg = SamplingOperatorSet(variant="SoP", r=3, h=1)
+    precompute_dataset(g, _mixed_links(rng, g, 150), cfg, tmp_path / "a.rec",
+                       worker_count=workers)
+    refs = [weakref.ref(g), weakref.ref(cfg)]
+    del g, cfg
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+def test_sop_chunk_memory_is_bounded(labeling):
+    # One chunk of yeast_like train links at h=2, r=3: 3.04 GB of RSS when
+    # SoP sampled on whole-graph powers. Its balls in G - (u, v) peak near
+    # 15 MB (zero_one) and 97 MB (drnl) under tracemalloc, and the peaks
+    # vary a little between runs, so the bound keeps a wide margin.
+    import tracemalloc
+
+    from difflink import labeled_links, split_edges
+    from difflink.datasets import yeast_like
+
+    split = split_edges(yeast_like(seed=0), seed=0)
+    links = labeled_links(split, "train")
+    links = links[np.random.default_rng(0).choice(links.shape[0], CHUNK_LINKS,
+                                                  replace=False)]
+    graph = split.observed_graph
+    cfg = SamplingOperatorSet(variant="SoP", r=3, h=2, labeling=labeling)
+    graph._feature_rows  # built once per graph, not part of a chunk
+    tracemalloc.start()
+    try:
+        _link_records(graph, links, cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 20, peak
 
 
 def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
@@ -875,7 +954,7 @@ def test_chunk_encoder_matches_serialize_record(tmp_path, variant, labeling):
                               **walk)
     forms = set()
     for graph in (g, _one_hot_features(g, rng)):
-        pooled, starts, blocks = _link_records(graph, links, cfg, 4, None)
+        pooled, starts, blocks = _link_records(graph, links, cfg, 4)
         recs = [LinkRecord(u, v, label, pooled[lo:hi], blocks[:, lo:hi])
                 for (u, v, label), lo, hi in zip(links.tolist(), starts, starts[1:])]
         # the chunk picks one form for all its records

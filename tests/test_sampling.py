@@ -2,12 +2,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from difflink import (UNREACHABLE, Graph, build_graph, graph_power,
-                      hop_subgraphs, walk_subgraphs)
+from difflink import (UNREACHABLE, Graph, build_graph, hop_subgraphs,
+                      walk_subgraphs)
 from difflink.sampling import hop_distances
 
 from conftest import gnp_graph, hub_graph, hub_links, random_pair
-from oracles import hop_nodes, induced_dense, power_edges, to_nx
+from oracles import hop_nodes, induced_dense, to_nx
 
 
 def _local_dist(sub, src):
@@ -132,9 +132,6 @@ def test_extract_validates_arguments():
     for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match="^seeds: "):
             walk_subgraphs(g, [0], [1], 1, 1, [seed])
-    for i in (0, 2.0, True):
-        with pytest.raises(ValueError, match="^i: "):
-            graph_power(g, i)
 
 
 def test_random_walk_subgraph_deterministic():
@@ -180,38 +177,6 @@ def test_random_walk_dead_end_targets():
         walk_subgraphs(g, [0], [1], 0, 2, [0])
     with pytest.raises(ValueError):
         walk_subgraphs(g, [0], [1], 1, 0, [0])
-
-
-def test_graph_power_one_is_identical_copy():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    p1 = graph_power(g, 1)
-    assert p1 is not g
-    assert p1.same_structure(g)
-
-
-def test_graph_power_path():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    p2 = graph_power(g, 2)
-    assert p2.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
-    p3 = graph_power(g, 3)
-    assert p3.num_edges == 6
-
-
-def test_graph_power_matches_oracle():
-    rng = np.random.default_rng(24)
-    for trial in range(100):
-        g = gnp_graph(rng)
-        i = int(rng.integers(1, 4))
-        got = {tuple(e) for e in graph_power(g, i).edge_array().tolist()}
-        assert got == power_edges(to_nx(g), i)
-
-
-def test_graph_power_carries_features():
-    rng = np.random.default_rng(25)
-    g = gnp_graph(rng, features=2)
-    assert graph_power(g, 2).features is g.features
-    with pytest.raises(ValueError):
-        graph_power(g, 0)
 
 
 def _blocks(sub):
