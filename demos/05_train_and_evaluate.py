@@ -9,10 +9,8 @@ is a few dense matrix products.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from difflink import (SamplingOperatorSet, ScoredPairs, TrainConfig, auc,
-                      hits_at_k, predict, read_records, split_edges, train)
+from difflink import (RecordFile, SamplingOperatorSet, ScoredPairs, TrainConfig,
+                      auc, hits_at_k, predict, split_edges, train)
 from difflink.bench import precompute_split
 from difflink.datasets import preferential_graph
 
@@ -36,8 +34,8 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"epoch {hrec['epoch']}: loss {hrec['train_loss']:.4f} "
               f"valid AUC {hrec['valid_auc']:.3f}")
 
-    test = read_records(Path(tmp) / "test.rec")
-    scores = predict(test, params, agg=tc.agg)
-    labels = np.array([rec.label for rec in test])
+    with RecordFile(Path(tmp) / "test.rec") as test:
+        scores = predict(test, params, agg=tc.agg)
+        labels = test.labels
     sc = ScoredPairs(scores[labels == 1], scores[labels == 0])
     print(f"\ntest AUC {auc(sc):.3f}, hits@10 {hits_at_k(sc, 10):.3f}")

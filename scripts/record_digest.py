@@ -18,7 +18,8 @@ closer look; otherwise they go to a temporary directory.
 
 ``--decoded`` digests what a reader gets instead of the file bytes: every
 case's ``RecordFile.batch`` arrays over the whole file, in batches of 8
-records in a seeded order, and the ids and blocks of its ``read_records``.
+records in a seeded order, and the ids and blocks of the records its
+iteration yields.
 A batch is digested as the padded arrays (z, mask, labels), z of shape
 (B, p_max, (r+1)*w) rebuilt from the packed rows and the mask, so the JSON
 does not depend on the batch layout either. Two builds that store the same
@@ -84,10 +85,10 @@ def decoded_digest(path: Path) -> dict:
             z[mask] = rows
             for key, array in zip(batch, (z, mask, labels)):
                 batch[key].update(array.tobytes())
-    for rec in dl.read_records(path):
-        for array in (np.array([rec.u, rec.v, rec.label]), rec.pooled_ids,
-                      rec.blocks):
-            records.update(array.tobytes())
+        for rec in rf:
+            for array in (np.array([rec.u, rec.v, rec.label]), rec.pooled_ids,
+                          rec.blocks):
+                records.update(array.tobytes())
     return {**{key: h.hexdigest() for key, h in batch.items()},
             "records": records.hexdigest()}
 

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # module; every submodule here is also reachable as ``difflink.<module>``.
 _EXPORTS = {
     "graphs": ("EdgeSplit", "Graph", "GraphFormatError", "build_graph",
-               "labeled_links", "load_edge_list", "load_features", "load_split",
+               "labeled_links", "load_edge_list", "load_features",
                "normalized_adjacency", "sample_negatives", "save_edge_list",
                "save_split", "split_edges"),
     "sampling": ("Subgraph", "UNREACHABLE", "hop_subgraphs", "walk_subgraphs"),
@@ -27,12 +27,11 @@ _EXPORTS = {
                  "zero_one_labels"),
     "records": ("CCN_CAP", "DatasetStats", "SamplingOperatorSet", "StorageReport",
                 "Variant", "precompute_dataset", "storage_comparison"),
-    "store": ("LinkRecord", "Pooling", "RecordFile", "RecordFormatError",
-              "read_records", "write_records"),
+    "store": ("LinkRecord", "Pooling", "RecordFile", "RecordFormatError"),
     "model": ("Adam", "ModelParams", "TrainConfig", "init_params", "load_params",
               "loss_and_gradients", "predict", "save_params", "train"),
     "metrics": ("Heuristic", "ScoredPairs", "auc", "hits_at_k", "mrr",
-                "ppr_vector", "score_pairs"),
+                "score_pairs"),
     "bench": ("ConfigError", "ExperimentReport", "ExperimentSpec", "load_config",
               "operator_config", "parse_config", "precompute_split",
               "run_experiment", "run_seed", "storage_summary", "timing_probe"),

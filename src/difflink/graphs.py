@@ -133,14 +133,6 @@ class Graph:
         return CSRMatrix(np.arange(n + 1), np.zeros(n, dtype=np.int32),
                          np.ones(n, dtype=np.float32), (n, 1))
 
-    def same_structure(self, other: "Graph") -> bool:
-        """True if both graphs have identical node count and adjacency."""
-        return (
-            self.num_nodes == other.num_nodes
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
-
 
 def _sparse_features(features, num_nodes: int) -> CSRMatrix | None:
     """``features`` as a Graph holds them: None, or float32 CSR rows.
@@ -496,31 +488,6 @@ def _read_pairs(path, comment_prefix: str = "#") -> np.ndarray:
                 raise GraphFormatError(f"{path}:{lineno}: negative node id")
             pairs.append((u, v))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def load_split(in_dir, features=None) -> EdgeSplit:
-    """Read back a split written by save_split; optionally reattach node
-    features, a CSRMatrix or a dense array as Graph takes them."""
-    in_dir = Path(in_dir)
-    path = in_dir / "split.json"
-    try:
-        manifest = json.loads(path.read_text())
-        num_nodes, seed = int(manifest["num_nodes"]), int(manifest["seed"])
-        ratios = tuple(manifest["ratios"])
-        counts = [manifest["counts"][name] for name in _SPLIT_PARTS]
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise GraphFormatError(f"{path}: bad split manifest ({exc!r})") from None
-    observed = load_edge_list(in_dir / "observed.txt", num_nodes=num_nodes)
-    if features is not None:
-        observed = Graph(observed.num_nodes, observed.indptr, observed.indices,
-                         features)
-    parts = {}
-    for name, count in zip(_SPLIT_PARTS, counts):
-        arr = _read_pairs(in_dir / f"{name}.txt")
-        if arr.shape[0] != count:
-            raise GraphFormatError(f"{in_dir}: {name} count mismatch with split.json")
-        parts[name] = arr
-    return EdgeSplit(observed, seed=seed, ratios=ratios, **parts)
 
 
 def normalized_adjacency(graph: Graph) -> CSRMatrix:

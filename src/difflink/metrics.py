@@ -80,21 +80,14 @@ class Heuristic(_CaseInsensitiveEnum):
     PPR = "PPR"
 
 
-def ppr_vector(graph: Graph, src: int, alpha: float = 0.15,
-               tol: float = 1e-6, max_iter: int = 1000) -> np.ndarray:
-    """Personalized PageRank from ``src`` by power iteration.
+def _ppr_vectors(graph: Graph, sources, alpha=0.15, tol=1e-6, max_iter=1000):
+    """Personalized PageRank from each source in turn, by power iteration
+    over one walk operator.
 
     pi = alpha * e_src + (1 - alpha) * P^T pi, with P the uniform random
     walk; mass at dangling nodes returns to the source. Iterates until the
-    L1 change is below ``tol``. The result is nonnegative and sums to 1.
+    L1 change is below ``tol``. Each vector is nonnegative and sums to 1.
     """
-    if not 0 <= src < graph.num_nodes:
-        raise ValueError(f"node id out of range: {src}")
-    return next(_ppr_vectors(graph, [src], alpha, tol, max_iter))
-
-
-def _ppr_vectors(graph: Graph, sources, alpha=0.15, tol=1e-6, max_iter=1000):
-    """``ppr_vector`` of each source in turn, over one walk operator."""
     n = graph.num_nodes
     # A^T w adds w[x] into each neighbor of x, x ascending, by one bincount
     # over the neighbor lists in row order

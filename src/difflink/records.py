@@ -51,9 +51,13 @@ class SamplingOperatorSet:
     """Which subgraphs to sample and which diffusion operators to apply.
 
     ``r`` is the operator count (powers 1..r; the identity operator is
-    always prepended, so records hold r+1 blocks). ``pooling`` follows from
-    the variant. ``normalized`` switches the adjacency
-    powers to the degree-normalized form, for ablation only; SoP refuses it.
+    always prepended, so records hold r+1 blocks). ``h`` is the hop count
+    of PoS and PoSPlus subgraphs; the ScaLed variants sample ``k`` walks of
+    length ``l`` instead. SoP samples no subgraph: operator i sums each
+    target's i-hop ball in G - (u, v), so ``h`` sets only the blocks its
+    DRNL labels are measured in. ``pooling`` follows from the variant.
+    ``normalized`` switches the adjacency powers to the degree-normalized
+    form, for ablation only; SoP refuses it.
     """
 
     variant: Variant
@@ -222,6 +226,14 @@ def _pooled_sums(out: np.ndarray, row: np.ndarray, ids: np.ndarray,
         minlength=p * width).reshape(p, width)
 
 
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, table)`` for a sorted, distinct ``table``, looked up
+    by binary search instead of sorting ``table`` again."""
+    if table.shape[0] == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), table.shape[0] - 1)] == keys
+
+
 def _sop_distances(graph: Graph, x: np.ndarray, o: np.ndarray, block: np.ndarray,
                    targets: np.ndarray, i: int) -> np.ndarray:
     """d_o(w) in row j's block of G'^i, x[j] removed, for each key
@@ -237,8 +249,8 @@ def _sop_distances(graph: Graph, x: np.ndarray, o: np.ndarray, block: np.ndarray
     while frontier.shape[0]:
         depth += 1
         reached = _reach(graph, frontier, i, x, o)
-        reached = reached[np.isin(reached, block) & ~np.isin(reached, visited)]
-        dist[np.isin(targets, reached)] = depth
+        reached = reached[_in_sorted(reached, block) & ~_in_sorted(reached, visited)]
+        dist[_in_sorted(targets, reached)] = depth
         visited = _unique(np.concatenate([visited, reached]))
         open_rows = np.bincount(targets[dist == UNREACHABLE] // n,
                                 minlength=x.shape[0]) > 0

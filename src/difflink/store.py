@@ -18,7 +18,6 @@ it (``manifest_path``) logs its config, counts and checksum.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import struct
@@ -54,8 +53,8 @@ def _record_bytes(p, r1, w, nnz=_DENSE):
 MAX_R = 0xFFFF - 1
 MAX_CCN_CAP = 0xFFFF - 2
 
-# Links encoded together: ``write_records`` and the chunk engine that builds
-# records (``records``) both work a chunk at a time; bounds their memory.
+# Links the chunk engine (``records``) builds and encodes together, so a
+# chunk's records are all dense or all sparse; bounds the engine's memory.
 CHUNK_LINKS = 64
 # Bytes a RecordFile reads at a time while it verifies and indexes a file;
 # a file that fits in one piece is kept whole. Iteration decodes at most
@@ -211,25 +210,6 @@ class _RecordWriter:
         finally:
             self._tmp.unlink(missing_ok=True)
             tmp_manifest.unlink(missing_ok=True)
-
-
-def write_records(path, records) -> int:
-    """Write records to ``path`` in iteration order; returns count.
-    ValueError, leaving ``path`` as it was, unless every record has the
-    same operator count and block width."""
-    records, shapes, count = iter(records), set(), 0
-    with _RecordWriter(path) as out:
-        while chunk := list(itertools.islice(records, CHUNK_LINKS)):
-            shapes.update(rec.blocks.shape[::2] for rec in chunk)
-            if len(shapes) > 1:
-                raise ValueError("records disagree on operator count or block width")
-            links = np.array([(rec.u, rec.v, rec.label) for rec in chunk], dtype=np.int64)
-            starts = _starts(np.array([rec.pooled_count for rec in chunk], dtype=np.int64))
-            pooled = np.concatenate([rec.pooled_ids for rec in chunk])
-            blocks = np.concatenate([rec.blocks for rec in chunk], axis=1)
-            out.write(_encode(links, pooled, starts, blocks))
-            count += len(chunk)
-    return count
 
 
 class RecordFormatError(ValueError):
@@ -558,12 +538,6 @@ def _record_buffer(records):
             yield opened
     else:
         yield _RecordList(records)
-
-
-def read_records(path, verify: bool = True) -> list:
-    """All records of a file as a list, in file order."""
-    with RecordFile(path, verify=verify) as records:
-        return list(records)
 
 
 def manifest_path(record_path) -> Path:

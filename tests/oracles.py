@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive: networkx for graph traversal, dense
 numpy matrix powers for diffusion, O(N^2) loops for metrics, linear solves
-for PageRank, straight-line scalar math for the model forward pass, and
-struct packing for record bytes, dense or sparse, and the pair samplers
-and ``build_graph`` as first written (Python sets, per-candidate loops,
-``np.unique`` and ``np.lexsort``), which the sorted-key versions must match
-bit for bit. The model head's padded layout is kept too: batches padded to
+for PageRank, straight-line scalar math for the model forward pass,
+struct packing for record bytes, dense or sparse, and for whole record
+files, and the pair samplers and ``build_graph`` as first written (Python
+sets, per-candidate loops, ``np.unique`` and ``np.lexsort``), which the
+sorted-key versions must match bit for bit. The model head's padded layout is kept too: batches padded to
 their largest pooled count, and the forward and backward passes over every
 padded row, as the head first ran them. None of it shares code with the
 package under test, except ``link_record``, which is not a reference: it
@@ -249,17 +249,22 @@ def _batch_order_words(rec) -> list:
     """A record's float32 values as little-endian 4-byte words, in a batch
     row's order: pooled node, then operator, then column."""
     r1, p, w = rec.blocks.shape
-    return [struct.pack("<f", rec.blocks[op, node, col])
-            for node in range(p) for op in range(r1) for col in range(w)]
+    row = struct.Struct(f"<{w}f")
+    data = b"".join(row.pack(*rec.blocks[op, node].tolist())
+                    for node in range(p) for op in range(r1))
+    return [data[at:at + 4] for at in range(0, len(data), 4)]
 
 
 def sparse_chunk(records) -> bool:
     """Whether a chunk of ``records`` is stored sparse: its nonzero words
     (any bits but +0.0's), at 8 bytes each, take at most a quarter of its
     4 bytes a value."""
-    words = [word for rec in records for word in _batch_order_words(rec)]
-    nonzero = sum(word != bytes(4) for word in words)
-    return 8 * nonzero <= len(words)
+    zero, nonzero, count = bytes(4), 0, 0
+    for rec in records:
+        words = _batch_order_words(rec)
+        nonzero += sum(word != zero for word in words)
+        count += len(words)
+    return 8 * nonzero <= count
 
 
 def serialize_reference(rec, sparse: bool | None = None) -> bytes:
@@ -272,14 +277,29 @@ def serialize_reference(rec, sparse: bool | None = None) -> bytes:
     if sparse is None:
         sparse = sparse_chunk([rec])
     words = _batch_order_words(rec)
-    kept = [(i, word) for i, word in enumerate(words) if word != bytes(4)]
-    nnz = len(kept) if sparse else 0xFFFFFFFF
-    head = struct.pack("<IIBHHII", rec.u, rec.v, rec.label, p, r1, w, nnz)
     ids = b"".join(struct.pack("<I", int(i)) for i in rec.pooled_ids)
     if not sparse:
+        head = struct.pack("<IIBHHII", rec.u, rec.v, rec.label, p, r1, w, 0xFFFFFFFF)
         return head + ids + b"".join(words)
+    kept = [(i, word) for i, word in enumerate(words) if word != bytes(4)]
+    head = struct.pack("<IIBHHII", rec.u, rec.v, rec.label, p, r1, w, len(kept))
     return (head + ids + b"".join(struct.pack("<I", i) for i, _ in kept)
             + b"".join(word for _, word in kept))
+
+
+def write_reference(path, records) -> None:
+    """Write ``records`` to a record file as the package lays one out:
+    magic "S3GR" and version 2, then each record's ``serialize_reference``
+    bytes in order, every run of 64 records (a chunk) dense or sparse as a
+    whole (``sparse_chunk``). No manifest."""
+    records = list(records)
+    with open(path, "wb") as fh:
+        fh.write(b"S3GR" + struct.pack("<H", 2))
+        for at in range(0, len(records), 64):
+            chunk = records[at:at + 64]
+            sparse = sparse_chunk(chunk)
+            for rec in chunk:
+                fh.write(serialize_reference(rec, sparse))
 
 
 def scalar_forward(record, params, agg: str = "mean") -> float:

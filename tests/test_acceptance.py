@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from difflink import (LinkRecord, Pooling, SamplingOperatorSet, TrainConfig,
-                      Variant, auc, init_params, loss_and_gradients,
-                      precompute_dataset, predict, read_records,
+from difflink import (LinkRecord, Pooling, RecordFile, SamplingOperatorSet,
+                      TrainConfig, Variant, auc, init_params,
+                      loss_and_gradients, precompute_dataset, predict,
                       run_experiment, score_pairs, split_edges,
                       storage_comparison, walk_subgraphs)
 from difflink.bench import labeled_links
@@ -274,7 +274,7 @@ def test_criterion_6_inference_time_independent_of_h():
             config = SamplingOperatorSet(variant="PoS", r=3, h=h)
             path = Path(tmp) / f"h{h}.rec"
             precompute_dataset(split.observed_graph, links, config, path)
-            records = read_records(path)
+            records = list(RecordFile(path))
             params = init_params(np.random.default_rng(0),
                                  records[0].num_operators
                                  * records[0].block_width,

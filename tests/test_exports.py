@@ -1,7 +1,8 @@
 """The package's public names: listed once each, all importable, each
-submodule loaded only when one of its names is first used, and every name
-the benchmark and the scripts read present. The record store stays apart
-from the chunk engine, so scoring stored records loads no sampler."""
+submodule loaded only when one of its names is first used, every name the
+benchmark and the scripts read present, and every name used by code
+outside the tests. The record store stays apart from the chunk engine, so
+scoring stored records loads no sampler."""
 import ast
 import functools
 import os
@@ -177,3 +178,47 @@ def test_names_the_benchmark_and_scripts_use_resolve():
         assert known in used
     assert sorted(entry for entry in used
                   if not _resolves(entry.split(": ")[1])) == []
+
+
+# Public names that no code outside the tests uses, each with the reason it
+# stays public. Every other name in ``__all__`` needs a caller.
+UNCALLED = {}
+
+
+def _src_references() -> set:
+    """Names the package's modules read, each outside the top-level
+    statement that defines it, so a definition is not its own caller.
+    Imports, attributes, strings and comments do not count."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                defined = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            else:
+                defined = set()
+            used |= {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)} - defined
+    return used
+
+
+def _caller_references() -> set:
+    """Public names the scripts, demos and benchmark read from difflink:
+    ``difflink.<name>`` or ``difflink.<module>.<name>``, by attribute or
+    by a ``from`` import."""
+    used = set()
+    for folder in ("scripts", "demos", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            for chain in _package_chains(ast.parse(path.read_text(), str(path))):
+                parts = chain.split(".")[1:]
+                used.update(parts[:1])
+                if parts[0] in difflink._EXPORTS:
+                    used.update(parts[1:2])
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _src_references() | _caller_references()
+    assert sorted(set(difflink.__all__) - used - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - set(difflink.__all__)) == []

@@ -58,7 +58,7 @@ def test_pipeline_never_loads_scipy(tmp_path):
                                       out / f"{{variant}}-{{part}}.rec")
         params, _ = dl.train(out / "PoS-train.rec", out / "PoS-valid.rec",
                              dl.TrainConfig(d_prime=8, epochs=1))
-        dl.predict(dl.read_records(out / "PoS-test.rec"), params)
+        dl.predict(list(dl.RecordFile(out / "PoS-test.rec")), params)
         pairs = np.concatenate([split.test_pos, split.test_neg])
         for method in ("CN", "AA", "PPR"):
             dl.score_pairs(split.observed_graph, pairs, method)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from difflink import (Heuristic, ScoredPairs, auc, build_graph, hits_at_k,
-                      mrr, ppr_vector, score_pairs)
+                      mrr, score_pairs)
+from difflink.metrics import _ppr_vectors
 
 from conftest import gnp_graph
 from oracles import auc_pairwise, hits_count, mrr_direct, ppr_solve, to_nx
@@ -132,7 +133,7 @@ def test_cn_aa_match_brute_force():
 def test_ppr_distribution_properties():
     rng = np.random.default_rng(25)
     g = gnp_graph(rng, n_lo=20, n_hi=20, p=0.2)
-    pi = ppr_vector(g, 3)
+    [pi] = _ppr_vectors(g, [3])
     assert pi.sum() == pytest.approx(1.0, abs=1e-5)
     assert (pi >= 0).all()
     assert pi[3] >= 0.15  # teleport keeps at least alpha at the source
@@ -141,15 +142,15 @@ def test_ppr_distribution_properties():
 def test_ppr_matches_linear_solve():
     rng = np.random.default_rng(26)
     g = gnp_graph(rng, n_lo=25, n_hi=25, p=0.15)
-    for src in (0, 7, 19):
-        got = ppr_vector(g, src, tol=1e-10)
+    sources = [0, 7, 19]
+    for src, got in zip(sources, _ppr_vectors(g, sources, tol=1e-10)):
         want = ppr_solve(g, src)
         assert np.allclose(got, want, atol=1e-4)
 
 
 def test_ppr_isolated_source_is_delta():
     g = build_graph(4, [(1, 2)])
-    pi = ppr_vector(g, 0)
+    [pi] = _ppr_vectors(g, [0])
     expected = np.zeros(4)
     expected[0] = 1.0
     assert np.allclose(pi, expected, atol=1e-9)
@@ -157,7 +158,7 @@ def test_ppr_isolated_source_is_delta():
 
 def test_ppr_disconnected_components_get_zero():
     g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    pi = ppr_vector(g, 0)
+    [pi] = _ppr_vectors(g, [0])
     assert np.allclose(pi[3:], 0.0)
     assert score_pairs(g, [[0, 4]], Heuristic.PPR)[0] == pytest.approx(0.0)
 
@@ -181,7 +182,7 @@ def test_heuristic_invalid_inputs():
     with pytest.raises(ValueError):
         score_pairs(g, [[1, 1]], Heuristic.CN)
     with pytest.raises(ValueError):
-        ppr_vector(g, 5)
+        score_pairs(g, [[0, 5]], Heuristic.PPR)
     with pytest.raises(ValueError):
         score_pairs(g, [[0, 1]], "Katz")
 

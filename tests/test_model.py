@@ -8,8 +8,7 @@ from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       SamplingOperatorSet, TrainConfig, auc, build_graph,
                       datasets, init_params, labeled_links, load_params,
                       loss_and_gradients, precompute_dataset, predict,
-                      read_records, save_params, split_edges, train,
-                      write_records)
+                      save_params, split_edges, train)
 from difflink.metrics import ScoredPairs
 from difflink.model import ADAM_BLOCK, _flat, _flat_params, _forward_batch
 from difflink import store
@@ -17,7 +16,7 @@ from difflink.store import RecordFile, _record_buffer
 
 from oracles import (adam_reference, init_params_reference, link_record,
                      pack_batch, predict_reference, scalar_forward,
-                     stack_reference, train_reference)
+                     stack_reference, train_reference, write_reference)
 
 
 def _random_record(rng, r1=3, p=4, w=5, label=1):
@@ -474,7 +473,7 @@ def test_predict_from_file_matches_records(tmp_path):
     links = [(0, 1, 1), (2, 5, 0), (3, 4, 1)]
     recs = [link_record(g, ln, cfg) for ln in links]
     path = tmp_path / "d.rec"
-    write_records(path, recs)
+    write_reference(path, recs)
     rng = np.random.default_rng(14)
     params = _random_params(rng, recs[0].num_operators * recs[0].block_width,
                             5, Pooling.CENTER)
@@ -600,7 +599,7 @@ def test_packed_training_matches_the_padded_reference_bit_for_bit(
     cfg, paths = _standin_files(tmp_path, dataset, operators)
     tc = TrainConfig(d_prime=256, epochs=epochs, seed=3, pooling=cfg.pooling)
     params, history = train(*paths, tc)
-    train_recs, valid_recs = (read_records(path) for path in paths)
+    train_recs, valid_recs = (list(RecordFile(path)) for path in paths)
     ref, ref_history = train_reference(train_recs, valid_recs, tc)
     assert history == ref_history
     for k, t in params.tensors().items():
@@ -615,7 +614,7 @@ def test_packed_training_matches_the_padded_reference_at_a_wide_p_max(tmp_path):
     # dW's float32 partial sums, and bits may differ in the last places
     cfg, paths = _standin_files(tmp_path, "pb_like",
                                 {"variant": "PoSPlus", "r": 3, "h": 1})
-    train_recs, valid_recs = (read_records(path) for path in paths)
+    train_recs, valid_recs = (list(RecordFile(path)) for path in paths)
     assert max(rec.pooled_count for rec in train_recs) == 30
     tc = TrainConfig(d_prime=256, epochs=1, seed=3, pooling=cfg.pooling)
     params, _ = train(*paths, tc)

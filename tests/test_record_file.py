@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from difflink import (LinkRecord, Pooling, RecordFile, RecordFormatError,
-                      SamplingOperatorSet, build_graph, precompute_dataset,
-                      read_records, write_records)
+                      SamplingOperatorSet, build_graph, precompute_dataset)
 from difflink import store
 from difflink.model import TrainConfig, init_params, predict, train
 from difflink.store import manifest_path
 
 from conftest import gnp_graph, random_pair, same_record
-from oracles import pack_batch, stack_reference
+from oracles import pack_batch, stack_reference, write_reference
 
 # pieces that cut record headers (21 bytes) and payloads at many places
 SMALL_PIECES = [17, 40, 97, 1000]
@@ -81,7 +80,7 @@ def _check_streamed_index(path, sparse, monkeypatch, piece):
     assert len(set(ps)) > 1                         # mixed pooled counts
     assert (0xFFFFFFFF not in nnzs) == sparse       # every chunk one form
     assert len(data) > 4 * piece                    # several pieces
-    want = read_records(path)                       # read as one piece
+    want = list(RecordFile(path))                   # read as one piece
     monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path) as rf:
         assert rf.offsets.tolist() == offsets
@@ -106,9 +105,9 @@ def test_short_runs_of_one_shape_index_like_a_header_walk(tmp_path, monkeypatch,
     ps = [p for i, run in enumerate(rng.integers(1, 4, 40))
           for p in [2 + i % 2] * int(run)]
     path = tmp_path / "runs.rec"
-    write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
-                                    rng.random((3, p, 2), dtype=np.float32))
-                         for i, p in enumerate(ps)))
+    write_reference(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
+                                      rng.random((3, p, 2), dtype=np.float32))
+                           for i, p in enumerate(ps)))
     offsets, walked_ps, labels, _ = _header_walk(path.read_bytes())
     assert walked_ps == ps
     held = RecordFile(path)                         # the default piece holds it
@@ -149,7 +148,7 @@ def test_reads_come_from_the_verified_file(tmp_path, monkeypatch, piece):
     old_links, new_links = _links(rng, g, 20), _links(rng, g, 30)
     path = tmp_path / "d.rec"
     precompute_dataset(g, old_links, cfg, path)
-    want = read_records(path)
+    want = list(RecordFile(path))
     with RecordFile(path) as rf:
         # written beside the path and renamed over it: a new file there
         precompute_dataset(g, new_links, cfg, path)
@@ -160,7 +159,7 @@ def test_reads_come_from_the_verified_file(tmp_path, monkeypatch, piece):
         for a, b in zip(rf.batch(index),
                         pack_batch(stack_reference([want[i] for i in index]))):
             assert np.array_equal(a, b)
-    assert [[r.u, r.v, r.label] for r in read_records(path)] == new_links.tolist()
+    assert [[r.u, r.v, r.label] for r in RecordFile(path)] == new_links.tolist()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -195,7 +194,7 @@ def test_descriptors_are_released(tmp_path, monkeypatch):
     assert _fd_count() == before
     for _ in range(1000):
         assert RecordFile(path)[0].pooled_count == 2
-    read_records(path)
+    list(RecordFile(path))
     predict(path, params)
     assert _fd_count() == before
 
@@ -210,9 +209,9 @@ def test_open_and_batch_memory_is_bounded_by_a_piece_and_a_batch(tmp_path):
     for pieces in (4, 8):
         path = tmp_path / f"{pieces}.rec"
         n = pieces * piece // size + 1
-        write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
-                                        rng.random((r1, p, w), dtype=np.float32))
-                             for i in range(n)))
+        write_reference(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
+                                          rng.random((r1, p, w), dtype=np.float32))
+                               for i in range(n)))
         # a manifest, so the open hashes every byte
         manifest = {"counts": {"records": n}, "checksum": "sha256:"
                     + hashlib.sha256(path.read_bytes()).hexdigest()}
@@ -306,13 +305,13 @@ def _owner(a: np.ndarray) -> np.ndarray:
 def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
     rng = np.random.default_rng(75)
     dense = tmp_path / "dense.rec"                  # one stride: a strided view
-    write_records(dense, (LinkRecord(i, i + 1, i % 2, np.arange(2),
-                                     rng.random((3, 2, 5), dtype=np.float32))
-                          for i in range(40)))
+    write_reference(dense, (LinkRecord(i, i + 1, i % 2, np.arange(2),
+                                       rng.random((3, 2, 5), dtype=np.float32))
+                            for i in range(40)))
     mixed = tmp_path / "mixed.rec"                  # mixed pooled counts
-    write_records(mixed, (LinkRecord(i, i + 1, i % 2, np.arange(2 + i % 3),
-                                     rng.random((3, 2 + i % 3, 5), dtype=np.float32))
-                          for i in range(30)))
+    write_reference(mixed, (LinkRecord(i, i + 1, i % 2, np.arange(2 + i % 3),
+                                       rng.random((3, 2 + i % 3, 5), dtype=np.float32))
+                            for i in range(30)))
     paths = [dense, mixed, _ccn_file(tmp_path), _ccn_file(tmp_path, sparse=True)]
     if piece is not None:
         monkeypatch.setattr(store, "READ_PIECE", piece)
@@ -321,7 +320,7 @@ def test_iteration_equals_indexing(tmp_path, monkeypatch, piece):
             got = list(rf)
             assert len(got) == len(rf)
             assert all(same_record(a, rf[i]) for i, a in enumerate(got))
-            want = read_records(path)
+            want = list(RecordFile(path))
             assert len(got) == len(want) and all(map(same_record, got, want))
             # the records decoded by one batch call share its rows
             owners = {id(_owner(r.blocks)) for r in got}
@@ -361,9 +360,9 @@ def test_iteration_memory_is_bounded_by_a_piece(tmp_path):
     for pieces in (4, 8):
         path = tmp_path / f"{pieces}.rec"
         n = pieces * piece // size + 1
-        write_records(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
-                                        rng.random((r1, p, w), dtype=np.float32))
-                             for i in range(n)))
+        write_reference(path, (LinkRecord(i, i + 1, i % 2, np.arange(p),
+                                          rng.random((r1, p, w), dtype=np.float32))
+                               for i in range(n)))
         with RecordFile(path) as rf:
             tracemalloc.start()
             try:

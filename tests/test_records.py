@@ -7,9 +7,8 @@ import pytest
 
 from difflink import (Graph, LinkRecord, Pooling, RecordFile,
                       RecordFormatError, SamplingOperatorSet, Variant,
-                      build_graph, precompute_dataset,
-                      read_records, storage_comparison, walk_subgraphs,
-                      write_records)
+                      build_graph, precompute_dataset, storage_comparison,
+                      walk_subgraphs)
 from difflink.model import TrainConfig, train
 from difflink import store
 from difflink.records import _link_records, _walk_seed
@@ -18,18 +17,19 @@ from difflink.store import CHUNK_LINKS, _encode, _record_buffer, manifest_path
 from conftest import gnp_graph, hub_graph, hub_links, random_pair, same_record
 from oracles import (dense_record_blocks, link_record, pack_batch, pad_batch,
                      seal_bytes, serialize_reference, sparse_chunk,
-                     stack_reference, to_nx)
+                     stack_reference, to_nx, write_reference)
 
 
 def _triangle():
     return build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
-def _written(tmp_path, recs) -> bytes:
-    """The record bytes ``write_records`` stores for ``recs``."""
-    path = tmp_path / "written.rec"
-    write_records(path, recs)
-    return path.read_bytes()[6:]
+def _encoded(recs) -> bytes:
+    """The bytes the chunk encoder gives ``recs``, encoded as one chunk."""
+    links = np.array([(rec.u, rec.v, rec.label) for rec in recs], dtype=np.int64)
+    starts = np.cumsum([0] + [rec.pooled_count for rec in recs])
+    return _encode(links, np.concatenate([rec.pooled_ids for rec in recs]), starts,
+                   np.concatenate([rec.blocks for rec in recs], axis=1))
 
 
 def _read_back(tmp_path, blob: bytes) -> list:
@@ -292,6 +292,22 @@ def test_sop_matches_oracle_on_hub_graphs(labeling):
         assert deepest > 0
 
 
+def test_sop_h_sets_only_the_drnl_labels():
+    # operator i sums each target's i-hop ball in G - (u, v), which no h
+    # bounds; h sets only the blocks DRNL distances are measured in
+    from difflink import labeled_links, split_edges
+    from difflink.datasets import ns_like
+
+    split = split_edges(ns_like(seed=0), seed=0)
+    graph, links = split.observed_graph, labeled_links(split, "train")[:128]
+    def built(labeling, h):
+        config = SamplingOperatorSet(variant="SoP", r=3, h=h, labeling=labeling)
+        return [a.tobytes() for a in _link_records(graph, links, config, 0)]
+
+    assert built("zero_one", 1) == built("zero_one", 2) == built("zero_one", 3)
+    assert built("drnl", 1) != built("drnl", 2)
+
+
 def _drnl_label(du, dv):
     s = du + dv
     return 1 + min(du, dv) + (s // 2) * ((s // 2) + (s % 2) - 1)
@@ -313,7 +329,7 @@ def test_record_byte_size_independent_of_h(tmp_path):
     for h in (1, 2, 3):
         cfg = SamplingOperatorSet(variant="PoS", r=3, h=h)
         rec = link_record(g, (u, v, 1), cfg)
-        blob = _written(tmp_path, [rec])
+        blob = _encoded([rec])
         assert blob == serialize_reference(rec)
         # the logical size is the dense form's; a sparse form is smaller
         assert len(serialize_reference(rec, sparse=False)) == rec.byte_size()
@@ -331,13 +347,13 @@ def test_serialize_round_trip_bit_identical(tmp_path):
     cfg = SamplingOperatorSet(variant="PoSPlus", r=2, h=2, labeling="drnl")
     u, v = random_pair(rng, g.num_nodes)
     rec = link_record(g, (u, v, 1), cfg)
-    blob = _written(tmp_path, [rec])
+    blob = _encoded([rec])
     assert blob == serialize_reference(rec)
     [back] = _read_back(tmp_path, blob)
     assert (back.u, back.v, back.label) == (rec.u, rec.v, rec.label)
     assert np.array_equal(back.pooled_ids, rec.pooled_ids)
     assert back.blocks.tobytes() == rec.blocks.tobytes()
-    assert _written(tmp_path, [back]) == blob
+    assert _encoded([back]) == blob
 
 
 def _nnz_field(blob: bytes) -> int:
@@ -351,14 +367,14 @@ def test_negative_zero_and_all_zero_records_round_trip(tmp_path):
     signed = LinkRecord(3, 4, 1, np.array([3, 4, 9]), blocks)
     empty = LinkRecord(5, 6, 0, np.array([5, 6, 7]), np.zeros_like(blocks))
     for rec, nnz in ((signed, 2), (empty, 0)):     # -0.0 is a nonzero
-        blob = _written(tmp_path, [rec])
+        blob = _encoded([rec])
         assert blob == serialize_reference(rec)
         assert _nnz_field(blob) == nnz
         assert len(blob) == 21 + 4 * 3 + 8 * nnz
         [back] = _read_back(tmp_path, blob)
         assert back.blocks.tobytes() == rec.blocks.tobytes()
     path = tmp_path / "zeros.rec"
-    write_records(path, [signed, empty])
+    write_reference(path, [signed, empty])
     z, mask, _ = pad_batch(RecordFile(path).batch([1, 0, 1]))
     assert z.tobytes() == stack_reference([empty, signed, empty])[0].tobytes()
     assert np.signbit(z[1, 1, 2]) and np.count_nonzero(z) == 1
@@ -371,7 +387,7 @@ def test_chunk_stays_dense_above_an_eighth_nonzero(tmp_path):
         blocks = np.zeros((2, 2, 16), dtype=np.float32)
         blocks.reshape(-1)[:nonzero] = np.arange(1, nonzero + 1)
         rec = LinkRecord(0, 1, 1, np.arange(2), blocks)
-        blob = _written(tmp_path, [rec])
+        blob = _encoded([rec])
         assert blob == serialize_reference(rec, sparse)
         assert (_nnz_field(blob) == 0xFFFFFFFF) != sparse
         assert (len(blob) == rec.byte_size()) != sparse
@@ -390,10 +406,11 @@ def test_file_of_dense_and_sparse_chunks_batches_across_both(tmp_path,
         rec.blocks[rng.integers(2), rng.integers(3), rng.integers(6)] = rng.random()
     recs = dense + sparse
     path = tmp_path / "mixed.rec"
-    write_records(path, recs)
+    write_reference(path, recs)
     assert path.read_bytes()[6:] == b"".join(
         [serialize_reference(rec, False) for rec in dense]
         + [serialize_reference(rec, True) for rec in sparse])
+    assert path.read_bytes()[6:] == _encoded(dense) + _encoded(sparse)
     if piece is not None:
         monkeypatch.setattr(store, "READ_PIECE", piece)
     with RecordFile(path) as rf:
@@ -463,7 +480,7 @@ def test_write_and_read_records(tmp_path):
     links = [(0, 1, 1), (2, 3, 0), (4, 5, 1)]
     recs = [link_record(g, ln, cfg) for ln in links]
     path = tmp_path / "x.rec"
-    assert write_records(path, recs) == 3
+    write_reference(path, recs)
     rf = RecordFile(path)
     assert len(rf) == 3
     assert [r.u for r in rf] == [0, 2, 4]
@@ -476,16 +493,11 @@ def _shaped_records(rng, shapes):
             for i, (r1, p, w) in enumerate(shapes)]
 
 
-@pytest.mark.parametrize("at", [5, CHUNK_LINKS + 6])   # in the first chunk, after it
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=["r1", "w"])
-def test_write_records_refuses_a_second_shape(tmp_path, at, shape):
+def test_record_list_refuses_a_second_shape(shape):
     rng = np.random.default_rng(50)
-    recs = _shaped_records(rng, [(2, 2, 3)] * at + [shape] + [(2, 2, 3)] * 3)
-    path = tmp_path / "two_shapes.rec"
+    recs = _shaped_records(rng, [(2, 2, 3)] * 5 + [shape] + [(2, 2, 3)] * 3)
     with pytest.raises(ValueError, match="disagree on operator count or block width"):
-        write_records(path, iter(recs))
-    assert list(tmp_path.iterdir()) == []           # no file, no temporary left
-    with pytest.raises(ValueError, match="disagree"):
         with _record_buffer(recs):                  # as predict takes a list
             pass
 
@@ -495,8 +507,8 @@ def test_record_file_refuses_a_second_shape(tmp_path, monkeypatch, piece):
     # two one-shape files' records behind one file header
     rng = np.random.default_rng(51)
     first, second = tmp_path / "first.rec", tmp_path / "second.rec"
-    write_records(first, _shaped_records(rng, [(2, 2, 3)] * (CHUNK_LINKS + 2)))
-    write_records(second, _shaped_records(rng, [(3, 2, 4)] * 3))
+    write_reference(first, _shaped_records(rng, [(2, 2, 3)] * (CHUNK_LINKS + 2)))
+    write_reference(second, _shaped_records(rng, [(3, 2, 4)] * 3))
     path = tmp_path / "crafted.rec"
     path.write_bytes(first.read_bytes() + second.read_bytes()[6:])
     if piece is not None:
@@ -514,14 +526,12 @@ def test_record_file_refuses_a_second_shape(tmp_path, monkeypatch, piece):
     ("p", LinkRecord(0, 1, 1, np.arange(2**16), np.zeros((1, 2**16, 1), np.float32))),
     ("r1", LinkRecord(0, 1, 1, np.arange(1), np.zeros((2**16, 1, 1), np.float32))),
 ], ids=["u", "v", "label", "p", "r1"])
-def test_encoder_rejects_header_fields_out_of_range(tmp_path, field, rec):
+def test_encoder_rejects_header_fields_out_of_range(field, rec):
     # the packed header would wrap these values and misalign later records
     r1, _, w = rec.blocks.shape
     good = LinkRecord(0, 1, 0, np.arange(2), np.zeros((r1, 2, w), np.float32))
-    path = tmp_path / "bad.rec"
     with pytest.raises(ValueError, match=f"record {field} outside"):
-        write_records(path, [good, rec])
-    assert not path.exists()
+        _encoded([good, rec])
 
 
 def test_record_file_rejects_corruption(tmp_path):
@@ -536,7 +546,7 @@ def test_record_file_rejects_corruption(tmp_path):
     cfg = SamplingOperatorSet(variant="PoS", r=1, h=1)
     rec = link_record(g, (0, 1, 1), cfg)
     good = tmp_path / "good.rec"
-    write_records(good, [rec])
+    write_reference(good, [rec])
     data = good.read_bytes()
     good.write_bytes(data[:-2])
     with pytest.raises(RecordFormatError, match="truncated record"):
@@ -692,12 +702,9 @@ def test_precompute_keeps_no_reference_to_its_inputs(tmp_path, workers):
     assert [ref() for ref in refs] == [None, None]
 
 
-@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
-def test_sop_chunk_memory_is_bounded(labeling):
-    # One chunk of yeast_like train links at h=2, r=3: 3.04 GB of RSS when
-    # SoP sampled on whole-graph powers. Its balls in G - (u, v) peak near
-    # 15 MB (zero_one) and 97 MB (drnl) under tracemalloc, and the peaks
-    # vary a little between runs, so the bound keeps a wide margin.
+def _chunk_peak(variant: str, labeling: str) -> int:
+    """The tracemalloc peak of building one ``CHUNK_LINKS`` chunk of
+    yeast_like train links at r=3, h=2 (ScaLed: k=20, l=3)."""
     import tracemalloc
 
     from difflink import labeled_links, split_edges
@@ -708,15 +715,34 @@ def test_sop_chunk_memory_is_bounded(labeling):
     links = links[np.random.default_rng(0).choice(links.shape[0], CHUNK_LINKS,
                                                   replace=False)]
     graph = split.observed_graph
-    cfg = SamplingOperatorSet(variant="SoP", r=3, h=2, labeling=labeling)
+    walk = {"k": 20, "l": 3} if "ScaLed" in variant else {}
+    cfg = SamplingOperatorSet(variant=variant, r=3, h=2, labeling=labeling, **walk)
     graph._feature_rows  # built once per graph, not part of a chunk
     tracemalloc.start()
     try:
         _link_records(graph, links, cfg, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+def test_sop_chunk_memory_is_bounded(labeling):
+    # 3.04 GB of RSS when SoP sampled on whole-graph powers. Its balls in
+    # G - (u, v) peak near 15 MB (zero_one) and 97 MB (drnl), and the peaks
+    # vary a little between runs, so the bound keeps a wide margin.
+    peak = _chunk_peak("SoP", labeling)
     assert peak < 256 << 20, peak
+
+
+@pytest.mark.parametrize("labeling", ["zero_one", "drnl"])
+@pytest.mark.parametrize("variant", [v.value for v in Variant if v is not Variant.SOP])
+def test_chunk_memory_is_bounded(variant, labeling):
+    # Peaks near 6 MB (PoS), 8 MB (PoSPlus) and 2 MB (ScaLed). The bound
+    # is 4x the largest, and below the 45 MB of one dense float64 n x n
+    # array of yeast_like's 2,375 nodes, so no whole-graph matrix fits.
+    peak = _chunk_peak(variant, labeling)
+    assert peak < 32 << 20, peak
 
 
 def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
@@ -730,7 +756,6 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
     precompute_dataset(g, links, cfg, kept)
     before = kept.read_bytes()
 
-    first = link_record(g, (0, 1, 1), cfg)
     real = records._link_records
     calls = []
 
@@ -748,13 +773,6 @@ def test_failed_precompute_leaves_target_untouched(tmp_path, monkeypatch):
     assert kept.read_bytes() == before
     assert len(RecordFile(kept)) == 130  # the old manifest still matches
     assert not (tmp_path / "fresh.rec").exists()
-
-    def some_records():
-        yield first
-        raise RuntimeError("source failed")
-
-    with pytest.raises(RuntimeError, match="source failed"):
-        write_records(tmp_path / "w.rec", some_records())
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "kept.rec", "kept.rec.manifest.json"]
 
@@ -888,7 +906,7 @@ def test_chunk_record_equals_record_built_alone(tmp_path, variant, labeling):
                               **walk)
     path = tmp_path / "chunk.rec"
     precompute_dataset(g, links, cfg, path, seed=4)
-    recs = read_records(path)
+    recs = list(RecordFile(path))
     assert len(recs) == links.shape[0] <= CHUNK_LINKS
     absent_rows = 0
     for rec, link in zip(recs, links.tolist()):
