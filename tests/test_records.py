@@ -493,12 +493,19 @@ def _shaped_records(rng, shapes):
             for i, (r1, p, w) in enumerate(shapes)]
 
 
+@pytest.mark.parametrize("at", [5, CHUNK_LINKS + 6])   # in the first chunk, after it
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 5)], ids=["r1", "w"])
-def test_record_list_refuses_a_second_shape(shape):
+def test_write_records_refuses_a_second_shape(tmp_path, at, shape):
+    # records of a second shape, as a list or as a file, are refused
     rng = np.random.default_rng(50)
-    recs = _shaped_records(rng, [(2, 2, 3)] * 5 + [shape] + [(2, 2, 3)] * 3)
+    recs = _shaped_records(rng, [(2, 2, 3)] * at + [shape] + [(2, 2, 3)] * 3)
     with pytest.raises(ValueError, match="disagree on operator count or block width"):
         with _record_buffer(recs):                  # as predict takes a list
+            pass
+    path = tmp_path / "two_shapes.rec"
+    write_reference(path, recs)
+    with pytest.raises(RecordFormatError, match="disagree on operator count or block width"):
+        with _record_buffer(path):                  # as predict takes a path
             pass
 
 
