@@ -97,17 +97,9 @@ class Graph:
         """Sorted neighbor ids of ``u`` (a view, do not mutate)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def degrees(self) -> np.ndarray:
         """All node degrees as an int64 array."""
         return np.diff(self.indptr)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        k = np.searchsorted(nbrs, v)
-        return bool(k < nbrs.shape[0] and nbrs[k] == v)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) int64 array with u < v, lexicographically sorted."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,14 +24,15 @@ from .store import Pooling, RecordFormatError, _record_buffer, manifest_path
 _ORDER = ("W", "hidden_w", "hidden_b", "out_w", "out_b")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Learnable tensors. pool_dim = d' (Center) or 2 d' (CCN).
 
-    The model's own parameters and gradients are consecutive views of one
-    flat buffer, in ``W, hidden_w, hidden_b, out_w, out_b`` order, so the
-    optimizer makes one pass over them. Tensors set by hand may be
-    separate arrays.
+    Construction copies the given tensors into one new flat buffer,
+    ``flat``, in ``W, hidden_w, hidden_b, out_w, out_b`` order and in their
+    common dtype; the fields are views of it, so the optimizer makes one
+    pass over parameters and gradients. Values are written in place; a
+    field cannot be replaced.
     """
 
     W: np.ndarray          # ((r+1)*w, d') reduction matrix
@@ -39,6 +40,18 @@ class ModelParams:
     hidden_b: np.ndarray   # (d',)
     out_w: np.ndarray      # (d',)
     out_b: np.ndarray      # scalar, shape ()
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tensors = [np.asarray(getattr(self, k)) for k in _ORDER]
+        flat = np.empty(sum(t.size for t in tensors), dtype=np.result_type(*tensors))
+        lo = 0
+        for k, t in zip(_ORDER, tensors):
+            view = flat[lo:lo + t.size].reshape(t.shape)
+            view[...] = t
+            object.__setattr__(self, k, view)
+            lo += t.size
+        object.__setattr__(self, "flat", flat)
 
     @property
     def d_prime(self) -> int:
@@ -53,44 +66,22 @@ class ModelParams:
         return Pooling.CCN if self.pool_dim == 2 * self.d_prime else Pooling.CENTER
 
     def tensors(self) -> dict:
-        return {"W": self.W, "hidden_w": self.hidden_w, "hidden_b": self.hidden_b,
-                "out_w": self.out_w, "out_b": self.out_b}
+        return {k: getattr(self, k) for k in _ORDER}
 
     def copy(self) -> "ModelParams":
-        return _flat_params(self.tensors())
-
-    def astype(self, dtype) -> "ModelParams":
-        return _flat_params(self.tensors(), dtype)
+        return ModelParams(**self.tensors())
 
 
-def _flat_params(tensors: dict, dtype=None, copy: bool = True) -> ModelParams:
-    """ModelParams over one new flat buffer, shaped like ``tensors`` and
-    holding a copy of them (uninitialised when ``copy`` is False). The
-    buffer's dtype is ``dtype``, else the tensors' common one."""
-    if dtype is None:
-        dtype = np.result_type(*tensors.values())
-    flat = np.empty(sum(tensors[k].size for k in _ORDER), dtype=dtype)
-    views, lo = [], 0
-    for k in _ORDER:
-        t = tensors[k]
-        views.append(flat[lo:lo + t.size].reshape(t.shape))
-        if copy:
-            views[-1][...] = t
-        lo += t.size
-    params = ModelParams(*views)
-    params._buffer = (flat, views)
-    return params
+def _zeros(shapes: dict, dtype) -> ModelParams:
+    """ModelParams of zeros; ``shapes`` maps each tensor name to its shape."""
+    zero = np.zeros((), dtype)
+    return ModelParams(**{k: np.broadcast_to(zero, s) for k, s in shapes.items()})
 
 
-def _flat(params: ModelParams) -> np.ndarray | None:
-    """The flat buffer ``params`` were made over, while every tensor is
-    still a view of it as made; else None (tensors set by hand, or a copy
-    that no longer shares the buffer)."""
-    flat, views = getattr(params, "_buffer", (None, ()))
-    if flat is None or any(getattr(params, k) is not t or t.base is not flat
-                           for k, t in zip(_ORDER, views)):
-        return None
-    return flat
+def _zeros_like(params: ModelParams, dtype=None) -> ModelParams:
+    """Zeros shaped like ``params``, in ``dtype``, else in theirs."""
+    return _zeros({k: t.shape for k, t in params.tensors().items()},
+                  params.flat.dtype if dtype is None else dtype)
 
 
 @dataclass(frozen=True)
@@ -139,17 +130,16 @@ class TrainConfig:
 
 def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
                 pooling: Pooling, dtype=np.float32) -> ModelParams:
-    """Glorot-uniform weights, zero biases.
+    """Glorot-uniform weights, zero biases, in one flat buffer of ``dtype``.
 
-    Each weight's float64 draws are written into the flat buffer a block of
+    Each weight's float64 draws are written into its view a block of
     about ``ADAM_BLOCK`` values at a time; the stream and the rounding are
     those of one whole-array draw cast to ``dtype``.
     """
     pool_dim = 2 * d_prime if Pooling(pooling) is Pooling.CCN else d_prime
     shapes = {"W": (in_dim, d_prime), "hidden_w": (pool_dim, d_prime),
               "hidden_b": (d_prime,), "out_w": (d_prime,), "out_b": ()}
-    params = _flat_params({k: np.broadcast_to(np.zeros((), dtype), shape)
-                           for k, shape in shapes.items()}, dtype, copy=False)
+    params = _zeros(shapes, dtype)
     for out in (params.W, params.hidden_w, params.out_w[:, None]):
         fan_in, fan_out = out.shape
         lim = np.sqrt(6.0 / (fan_in + fan_out))
@@ -157,8 +147,6 @@ def init_params(rng: np.random.Generator, in_dim: int, d_prime: int,
         for lo in range(0, fan_in, step):
             block = out[lo:lo + step]
             block[...] = rng.uniform(-lim, lim, size=block.shape)
-    params.hidden_b[...] = 0.0
-    params.out_b[...] = 0.0
     return params
 
 
@@ -238,7 +226,7 @@ def _backward_batch(dlogit, cache, params: ModelParams, out=None) -> ModelParams
     # dW over the real rows only
     dh_pre = (dh_pre.reshape(-1, d_prime) if rows.shape[0] == mask.size
               else dh_pre[mask])
-    grads = _flat_params(params.tensors(), rows.dtype, copy=False) if out is None else out
+    grads = _zeros_like(params, rows.dtype) if out is None else out
     np.matmul(rows.T, dh_pre, out=grads.W)
     np.matmul(cache["q"].T, dhid_pre, out=grads.hidden_w)
     grads.hidden_b[...] = dhid_pre.sum(axis=0)
@@ -264,8 +252,7 @@ def loss_and_gradients(batch, params: ModelParams, config: TrainConfig,
     sigmoid and BCE are fused in log space (softplus form), so extreme
     logits cannot overflow. The dropout mask is drawn once and shared
     between forward and backward. The gradients are written into ``out``
-    (ModelParams over one flat buffer of the batch's dtype) when given,
-    else into a new buffer.
+    (ModelParams of the batch's dtype) when given, else into new ones.
     """
     rows, mask, y = batch
     b = mask.shape[0]
@@ -293,23 +280,19 @@ class Adam:
     """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps).
 
     The moments live in one flat buffer each (``m`` and ``v`` map tensor
-    names to views of them). A step is one pass over the flat parameters
-    and gradients, in place, in blocks of ``ADAM_BLOCK`` elements through
-    two block-sized scratch buffers, so it allocates no full-size
-    temporaries. Parameters or gradients that are not one flat buffer are
-    gathered into one and the parameters written back. The operation
-    order is the textbook one, so results are bit-identical to the
-    whole-array form.
+    names to views of them). A step is one pass over the parameters' and
+    gradients' ``flat`` buffers, in place, in blocks of ``ADAM_BLOCK``
+    elements through two block-sized scratch buffers, so it allocates no
+    full-size temporaries. The operation order is the textbook one, so
+    results are bit-identical to the whole-array form.
     """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        moments = [_flat_params(params.tensors(), copy=False) for _ in range(2)]
-        self._m, self._v = (_flat(x) for x in moments)
-        self._m[...] = 0.0
-        self._v[...] = 0.0
+        moments = [_zeros_like(params) for _ in range(2)]
+        self._m, self._v = (x.flat for x in moments)
         self.m, self.v = (x.tensors() for x in moments)
         self._scratch = np.empty((2, ADAM_BLOCK), self._m.dtype)
 
@@ -318,14 +301,7 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        work = params
-        flat = _flat(params)
-        if flat is None or flat.dtype != self._m.dtype:
-            work = _flat_params(params.tensors(), self._m.dtype)
-            flat = _flat(work)
-        g = _flat(grads)
-        if g is None:
-            g = _flat(_flat_params(grads.tensors()))
+        flat, g = params.flat, grads.flat
         m, v, buf = self._m, self._v, self._scratch
         for lo in range(0, flat.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, flat.size)
@@ -348,9 +324,6 @@ class Adam:
             np.add(s2, eps, out=s2)
             np.divide(s1, s2, out=s1)
             np.subtract(pb, s1, out=pb)
-        if work is not params:
-            for t, updated in zip(params.tensors().values(), work.tensors().values()):
-                t[...] = updated
 
 
 def _pooling_hint(config: TrainConfig, records) -> Pooling:
@@ -392,7 +365,7 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
         # one kept buffer that every step's gradients are written into: a
         # new one per step made the allocator give the heap top back to the
         # system and fault it in again at every step
-        grads = _flat_params(params.tensors(), copy=False)
+        grads = _zeros_like(params)
         history = []
         for epoch in range(1, config.epochs + 1):
             t0 = time.monotonic()
@@ -422,7 +395,7 @@ def train(dataset, valid, config: TrainConfig, epoch_times: list | None = None):
                 elif best_params is None:
                     best_params = params.copy()
                 else:
-                    np.copyto(_flat(best_params), _flat(params))
+                    np.copyto(best_params.flat, params.flat)
     return best_params, history
 
 
@@ -478,4 +451,4 @@ def load_params(path):
             if len(buf) != 4 * count:
                 raise ValueError(f"{path}: truncated checkpoint tensor {k}")
             loaded[k] = np.frombuffer(buf, dtype="<f4").reshape(shape)
-    return _flat_params(loaded, np.float32), header.get("extra", {})
+    return ModelParams(**loaded), header.get("extra", {})

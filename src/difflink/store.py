@@ -88,16 +88,8 @@ class LinkRecord:
     blocks: np.ndarray
 
     @property
-    def num_operators(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
     def pooled_count(self) -> int:
         return self.blocks.shape[1]
-
-    @property
-    def block_width(self) -> int:
-        return self.blocks.shape[2]
 
     def byte_size(self) -> int:
         """Logical (dense) size in bytes; a function of (r, p, w) only."""

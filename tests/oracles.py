@@ -497,14 +497,13 @@ def train_reference(train_records, valid_records, config, predict_batch=256):
     (params of the best validation epoch, history)."""
     from difflink import Adam, init_params
     from difflink.metrics import ScoredPairs, auc
-    from difflink.model import _flat, _flat_params
 
     rng = np.random.default_rng(config.seed)
     first = train_records[0]
-    params = init_params(rng, first.num_operators * first.block_width,
+    params = init_params(rng, first.blocks.shape[0] * first.blocks.shape[2],
                          config.d_prime, config.pooling)
     opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
-    grads = _flat_params(params.tensors(), copy=False)
+    grads = params.copy()       # each step's gradients overwrite it
     n = len(train_records)
     labels = np.array([rec.label for rec in valid_records])
     best_auc, best, history = -1.0, None, []
@@ -529,7 +528,6 @@ def train_reference(train_records, valid_records, config, predict_batch=256):
         history.append({"epoch": epoch, "train_loss": total / n, "valid_auc": val_auc})
         if val_auc > best_auc:
             best_auc, best = val_auc, params.copy()
-    assert _flat(best) is not None
     return best, history
 
 

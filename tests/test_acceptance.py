@@ -149,8 +149,8 @@ def test_criterion_2_gradients_match_finite_differences():
             batch.append(LinkRecord(2 * b, 2 * b + 1, b % 2,
                                     np.arange(p, dtype=np.uint32), blocks))
         params = init_params(rng, r1 * w, d_prime, pooling, dtype=np.float64)
-        params.hidden_b = rng.normal(size=d_prime) * 0.1
-        params.out_b = np.asarray(rng.normal() * 0.1)
+        params.hidden_b[...] = rng.normal(size=d_prime) * 0.1
+        params.out_b[...] = rng.normal() * 0.1
         config = TrainConfig(d_prime=d_prime, dropout=dropout, epochs=1,
                              agg=agg, pooling=pooling)
         worst = max(worst, _fd_worst_error(
@@ -276,8 +276,8 @@ def test_criterion_6_inference_time_independent_of_h():
             precompute_dataset(split.observed_graph, links, config, path)
             records = list(RecordFile(path))
             params = init_params(np.random.default_rng(0),
-                                 records[0].num_operators
-                                 * records[0].block_width,
+                                 records[0].blocks.shape[0]
+                                 * records[0].blocks.shape[2],
                                  256, Pooling.CENTER)
             predict(records, params)    # warm caches before timing
             inputs[h] = (records, params)

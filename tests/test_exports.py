@@ -8,6 +8,7 @@ import functools
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -203,18 +204,26 @@ def _src_references() -> set:
     return used
 
 
+CALLERS = (ROOT / "scripts", ROOT / "demos", ROOT / "perfbench")
+
+
+def _sources(*folders) -> list:
+    """The Python files in ``folders``, test modules left out."""
+    return sorted(path for folder in folders for path in folder.glob("*.py")
+                  if not path.name.startswith("test_"))
+
+
 def _caller_references() -> set:
     """Public names the scripts, demos and benchmark read from difflink:
     ``difflink.<name>`` or ``difflink.<module>.<name>``, by attribute or
     by a ``from`` import."""
     used = set()
-    for folder in ("scripts", "demos", "perfbench"):
-        for path in (ROOT / folder).glob("*.py"):
-            for chain in _package_chains(ast.parse(path.read_text(), str(path))):
-                parts = chain.split(".")[1:]
-                used.update(parts[:1])
-                if parts[0] in difflink._EXPORTS:
-                    used.update(parts[1:2])
+    for path in _sources(*CALLERS):
+        for chain in _package_chains(ast.parse(path.read_text(), str(path))):
+            parts = chain.split(".")[1:]
+            used.update(parts[:1])
+            if parts[0] in difflink._EXPORTS:
+                used.update(parts[1:2])
     return used
 
 
@@ -222,3 +231,62 @@ def test_every_public_name_has_a_caller():
     used = _src_references() | _caller_references()
     assert sorted(set(difflink.__all__) - used - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - set(difflink.__all__)) == []
+
+
+# Public methods and properties of the exported classes that no code
+# outside the tests reads, each with the reason it stays. Every other one
+# needs a reader.
+UNREAD_METHODS = {}
+
+
+def _attribute_reads() -> set:
+    """Attribute names that the package, scripts, demos and benchmark read
+    (``obj.name``, loaded, not assigned), each outside any function of
+    that name, so a method's own body is not its caller."""
+    reads = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr not in enclosing):
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in _sources(SRC, *CALLERS):
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return reads
+
+
+def _public_methods() -> dict:
+    """``Class.name`` -> name for each public method and property that an
+    exported class defines or inherits from a difflink class."""
+    methods = {}
+    for name in difflink.__all__:
+        cls = getattr(difflink, name)
+        if not isinstance(cls, type):
+            continue
+        for base in cls.__mro__:
+            if not base.__module__.startswith("difflink"):
+                continue
+            for attr, value in vars(base).items():
+                if not attr.startswith("_") and isinstance(value, (
+                        types.FunctionType, property, functools.cached_property,
+                        staticmethod, classmethod)):
+                    methods[f"{name}.{attr}"] = attr
+    return methods
+
+
+def test_every_public_method_has_a_reader():
+    """A public method or property of an exported class needs a reader
+    outside the tests: some non-test code reads its name as an attribute.
+    The reads are matched by name alone, whatever object they are read
+    off, so the guard is conservative: a name that another object also
+    carries passes on that object's reads (``astype`` is read off numpy
+    arrays, ``num_operators`` off the sampling config)."""
+    methods = _public_methods()
+    reads = _attribute_reads()
+    assert sorted(qualified for qualified, attr in methods.items()
+                  if attr not in reads and qualified not in UNREAD_METHODS) == []
+    assert sorted(set(UNREAD_METHODS) - set(methods)) == []

@@ -22,7 +22,7 @@ def test_build_graph_dedupes_and_drops_self_loops():
     assert g.num_edges == 2
     assert g.edge_array().tolist() == [[0, 1], [2, 3]]
     assert g.neighbors(0).tolist() == [1]
-    assert g.degree(2) == 1
+    assert g.neighbors(2).tolist() == [3]
 
 
 def test_build_graph_rejects_out_of_range():
@@ -34,8 +34,8 @@ def test_build_graph_rejects_out_of_range():
 
 def test_has_edge_and_degrees():
     g = build_graph(5, [(0, 1), (1, 2), (3, 1)])
-    assert g.has_edge(1, 0) and g.has_edge(1, 3)
-    assert not g.has_edge(0, 2)
+    assert g.neighbors(1).tolist() == [0, 2, 3]
+    assert 2 not in g.neighbors(0)
     assert g.degrees().tolist() == [1, 3, 1, 1, 0]
 
 
@@ -51,7 +51,7 @@ def test_load_edge_list(tmp_path):
     g = load_edge_list(path)
     assert g.num_nodes == 8
     assert g.num_edges == 2
-    assert g.has_edge(1, 7)
+    assert g.neighbors(1).tolist() == [0, 7]
 
 
 def test_load_edge_list_errors(tmp_path):
@@ -164,7 +164,7 @@ def test_sample_negatives_properties():
         enc = set()
         for u, v in neg:
             assert u != v
-            assert not g.has_edge(int(u), int(v))
+            assert v not in g.neighbors(u)
             enc.add((min(u, v), max(u, v)))
         assert len(enc) == count
         again = sample_negatives(g, count, seed=trial)
@@ -324,14 +324,14 @@ def test_split_edges_counts_and_disjointness():
     for arr, pos in zip([split.train_neg, split.valid_neg, split.test_neg], parts):
         assert arr.shape[0] == pos.shape[0]
         for u, v in arr:
-            assert not g.has_edge(int(u), int(v))
+            assert v not in g.neighbors(u)
             key = (min(u, v), max(u, v))
             assert key not in negs
             negs.add(key)
     # observed graph holds exactly the training positives
     assert split.observed_graph.num_edges == split.train_pos.shape[0]
     for u, v in split.valid_pos:
-        assert not split.observed_graph.has_edge(int(u), int(v))
+        assert v not in split.observed_graph.neighbors(u)
 
 
 def test_split_edges_deterministic_and_seed_sensitive():

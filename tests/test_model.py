@@ -10,7 +10,7 @@ from difflink import (Adam, LinkRecord, ModelParams, Pooling,
                       loss_and_gradients, precompute_dataset, predict,
                       save_params, split_edges, train)
 from difflink.metrics import ScoredPairs
-from difflink.model import ADAM_BLOCK, _flat, _flat_params, _forward_batch
+from difflink.model import ADAM_BLOCK, _forward_batch
 from difflink import store
 from difflink.store import RecordFile, _record_buffer
 
@@ -28,8 +28,8 @@ def _random_record(rng, r1=3, p=4, w=5, label=1):
 def _random_params(rng, in_dim, d_prime, pooling, dtype=np.float32):
     params = init_params(rng, in_dim, d_prime, pooling, dtype=dtype)
     # nonzero biases exercise every gradient path
-    params.hidden_b = rng.normal(size=d_prime).astype(dtype) * 0.1
-    params.out_b = np.asarray(rng.normal() * 0.1, dtype=dtype)
+    params.hidden_b[...] = rng.normal(size=d_prime).astype(dtype) * 0.1
+    params.out_b[...] = rng.normal() * 0.1
     return params
 
 
@@ -56,7 +56,6 @@ def test_init_params_matches_whole_array_draws(pooling, in_dim, d_prime, dtype):
     params = init_params(np.random.default_rng(5), in_dim, d_prime, pooling, dtype)
     want = init_params_reference(np.random.default_rng(5), in_dim, d_prime,
                                  pooling is Pooling.CCN, dtype)
-    assert _flat(params) is not None
     for k, t in params.tensors().items():
         assert t.dtype == dtype and t.shape == want[k].shape, k
         assert np.array_equal(t, want[k]), k
@@ -70,7 +69,7 @@ def test_init_params_memory_is_the_parameters_and_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = _flat(params).nbytes
+    held = params.flat.nbytes
     # a block of float64 draws and its cast, plus small objects
     assert peak <= held + 16 * ADAM_BLOCK + (64 << 10), (peak, held)
 
@@ -241,41 +240,37 @@ def test_adam_hand_trace():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_matches_whole_array_reference(dtype):
     # W spans two full blocks and a partial one; out_b is 0-d. Tensors are
-    # separate arrays, then views of one flat buffer as train's are, where
-    # a block straddles tensor boundaries.
+    # views of one flat buffer, where a block straddles tensor boundaries.
     rows = 2 * ADAM_BLOCK // 64 + 3
     shapes = {"W": (rows, 64), "hidden_w": (6, 5), "hidden_b": (5,),
               "out_w": (5,), "out_b": ()}
     assert (rows * 64) % ADAM_BLOCK != 0
-    for flat in (False, True):
-        rng = np.random.default_rng(17)
+    rng = np.random.default_rng(17)
 
-        def draw():
-            tensors = {k: np.asarray(rng.normal(size=s), dtype=dtype)
-                       for k, s in shapes.items()}
-            return _flat_params(tensors) if flat else ModelParams(**tensors)
+    def draw():
+        return ModelParams(**{k: np.asarray(rng.normal(size=s), dtype=dtype)
+                              for k, s in shapes.items()})
 
-        params = draw()
-        buffer = _flat(params)
-        assert (buffer is not None) == flat
-        ref_p = {k: t.copy() for k, t in params.tensors().items()}
-        ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
-        ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
-        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-7)
-        for t in range(1, 5):
-            grads = draw()
-            before = {k: g.copy() for k, g in grads.tensors().items()}
-            opt.step(params, grads)
-            ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, before, t,
-                                                 0.01, 0.8, 0.95, 1e-7)
-            for k, g in grads.tensors().items():
-                assert np.array_equal(g, before[k]), k
-            for k, tensor in params.tensors().items():
-                assert tensor.dtype == dtype and tensor.shape == shapes[k], k
-                assert np.array_equal(tensor, ref_p[k]), (flat, t, k)
-                assert np.array_equal(opt.m[k], ref_m[k]), (flat, t, k)
-                assert np.array_equal(opt.v[k], ref_v[k]), (flat, t, k)
-        assert _flat(params) is buffer
+    params = draw()
+    buffer = params.flat
+    ref_p = {k: t.copy() for k, t in params.tensors().items()}
+    ref_m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-7)
+    for t in range(1, 5):
+        grads = draw()
+        before = {k: g.copy() for k, g in grads.tensors().items()}
+        opt.step(params, grads)
+        ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, before, t,
+                                             0.01, 0.8, 0.95, 1e-7)
+        for k, g in grads.tensors().items():
+            assert np.array_equal(g, before[k]), k
+        for k, tensor in params.tensors().items():
+            assert tensor.dtype == dtype and tensor.shape == shapes[k], k
+            assert np.array_equal(tensor, ref_p[k]), (t, k)
+            assert np.array_equal(opt.m[k], ref_m[k]), (t, k)
+            assert np.array_equal(opt.v[k], ref_v[k]), (t, k)
+    assert params.flat is buffer
 
 
 def test_params_and_gradients_are_flat_buffers():
@@ -283,13 +278,11 @@ def test_params_and_gradients_are_flat_buffers():
     records = [_random_record(rng, r1=2, p=p, w=4, label=i % 2)
                for i, p in enumerate((2, 5, 3))]
     params = _random_params(rng, 8, 5, Pooling.CCN)
-    assert _flat(params) is None        # biases were replaced by hand
-    for p in (params.copy(), init_params(rng, 8, 5, Pooling.CCN)):
-        flat = _flat(p)
-        assert flat is not None and flat.size == sum(t.size for t in p.tensors().values())
     cfg = TrainConfig(d_prime=5, dropout=0.0, epochs=1)
     _, grads = loss_and_gradients(pack_batch(stack_reference(records)), params, cfg)
-    assert _flat(grads) is not None
+    for p in (params, params.copy(), init_params(rng, 8, 5, Pooling.CCN), grads):
+        assert p.flat.size == sum(t.size for t in p.tensors().values())
+        assert all(t.base is p.flat for t in p.tensors().values())
     with _record_buffer(records) as listed:
         _, same = loss_and_gradients(listed.batch([0, 1, 2]), params, cfg)
     for k, g in grads.tensors().items():
@@ -297,21 +290,34 @@ def test_params_and_gradients_are_flat_buffers():
 
 
 def test_adam_updates_non_contiguous_params():
+    # ModelParams copies Fortran-ordered and strided inputs into one new
+    # C-contiguous buffer, and its fields cannot be replaced, so Adam steps
+    # that buffer and never the caller's arrays
     rng = np.random.default_rng(18)
     tensors = {"W": np.asfortranarray(rng.normal(size=(7, 3))),
                "hidden_w": rng.normal(size=(3, 3)), "hidden_b": np.zeros(3),
                "out_w": rng.normal(size=(6,))[::2], "out_b": np.asarray(0.5)}
+    given = {k: t.copy() for k, t in tensors.items()}
     params = ModelParams(**tensors)
     grads = ModelParams(**{k: rng.normal(size=t.shape)
                            for k, t in tensors.items()})
+    for t in tensors.values():
+        t += 1.0
+    for k, t in params.tensors().items():
+        assert np.array_equal(t, given[k]), k
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.hidden_b = np.ones(3)
+    assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+    assert params.flat.size == sum(t.size for t in given.values())
+    for k, t in params.tensors().items():
+        assert t.base is params.flat and t.flags.c_contiguous, k
     zeros = {k: np.zeros(t.shape) for k, t in tensors.items()}
-    expected, _, _ = adam_reference({k: t.copy() for k, t in tensors.items()},
-                                    zeros, zeros, grads.tensors(), 1,
+    expected, _, _ = adam_reference(given, zeros, zeros, grads.tensors(), 1,
                                     0.1, 0.9, 0.999, 1e-8)
     Adam(params, lr=0.1).step(params, grads)
     for k, t in params.tensors().items():
-        assert t is tensors[k]
         assert np.array_equal(t, expected[k]), k
+        assert np.array_equal(tensors[k], given[k] + 1.0), k
 
 
 @pytest.mark.parametrize("pooling,agg", [
@@ -379,7 +385,7 @@ def test_train_zero_lr_keeps_init():
                       lr=0.0, seed=3, pooling="center")
     params, history = train(recs[:12], recs[12:], cfg)
     rng = np.random.default_rng(3)
-    fresh = init_params(rng, recs[0].num_operators * recs[0].block_width,
+    fresh = init_params(rng, recs[0].blocks.shape[0] * recs[0].blocks.shape[2],
                         6, Pooling.CENTER)
     for k, t in params.tensors().items():
         assert np.array_equal(t, fresh.tensors()[k])
@@ -475,7 +481,7 @@ def test_predict_from_file_matches_records(tmp_path):
     path = tmp_path / "d.rec"
     write_reference(path, recs)
     rng = np.random.default_rng(14)
-    params = _random_params(rng, recs[0].num_operators * recs[0].block_width,
+    params = _random_params(rng, recs[0].blocks.shape[0] * recs[0].blocks.shape[2],
                             5, Pooling.CENTER)
     from_file = predict(path, params)
     from_list = predict(recs, params)
